@@ -17,12 +17,18 @@ built by gluing simplex copies along ridges and nothing else).  Embedding an
 codimension > 1 has a connected link; the library therefore keeps the vertex
 set structure of abstract complexes intact internally instead of routing
 everything through `as_pseudo`.
+
+Face classes, derived gluings and one incidence index per complex are built
+on first use and kept on the instance (`per_instance`), so they are freed
+with it.  The index, `dual_graph(x).neighbours`, lists each facet's
+(gluing id, neighbour) pairs in id order; one pass over the gluings builds
+it.  Stars and links read it in O(|star| * (d+1)) instead of O(#gluings).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, wraps
 from itertools import combinations
 
 from .errors import (
@@ -47,6 +53,19 @@ def nonempty_subsets(n: int) -> tuple[tuple[int, ...], ...]:
     for k in range(1, n + 1):
         out.extend(combinations(range(n), k))
     return tuple(out)
+
+
+def per_instance(fn):
+    """Cache `fn(x)` in `x.__dict__`, so that it lives and dies with `x`."""
+    key = "_memo_" + fn.__name__
+
+    @wraps(fn)
+    def cached(x):
+        if key not in x.__dict__:
+            x.__dict__[key] = fn(x)
+        return x.__dict__[key]
+
+    return cached
 
 
 class _UnionFind:
@@ -266,21 +285,13 @@ class AbstractComplex:
         except ValueError:
             raise NotAFacet(f"{t} is not a facet") from None
 
+    @per_instance
     def classes(self) -> FaceClasses:
-        cached = _abstract_class_cache.get(id(self))
-        if cached is None:
-            cached = FaceClasses.from_abstract(self.facets, self.dim)
-            _abstract_class_cache[id(self)] = (self, cached)
-            return cached
-        keeper, classes = cached
-        assert keeper is self
-        return classes
+        return FaceClasses.from_abstract(self.facets, self.dim)
 
+    @per_instance
     def derived_gluings(self) -> tuple[Gluing, ...]:
         """One gluing per pair of facets sharing a ridge (identity on globals)."""
-        cached = _abstract_gluing_cache.get(id(self))
-        if cached is not None and cached[0] is self:
-            return cached[1]
         d = self.dim
         out: list[Gluing] = []
         by_ridge: dict[tuple[int, ...], list[int]] = {}
@@ -298,16 +309,7 @@ class AbstractComplex:
             mapping = tuple(fb.index(v) for v in ridge)
             rb = tuple(sorted(mapping))
             out.append(Gluing(i, ra, j, rb, mapping))
-        result = tuple(out)
-        _abstract_gluing_cache[id(self)] = (self, result)
-        return result
-
-
-# id-keyed caches; the complex itself is kept alive inside the value so the
-# id cannot be recycled while the entry is in use.
-_abstract_class_cache: dict[int, tuple[AbstractComplex, FaceClasses]] = {}
-_abstract_gluing_cache: dict[int, tuple[AbstractComplex, tuple[Gluing, ...]]] = {}
-_pseudo_class_cache: dict[int, tuple["PseudoComplex", FaceClasses]] = {}
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -324,15 +326,9 @@ class PseudoComplex:
         for g in self.gluings:
             g.validate(self.dim, self.facet_count)
 
+    @per_instance
     def classes(self) -> FaceClasses:
-        cached = _pseudo_class_cache.get(id(self))
-        if cached is None:
-            built = FaceClasses.from_glued(self.dim, self.facet_count, self.gluings)
-            _pseudo_class_cache[id(self)] = (self, built)
-            return built
-        keeper, classes = cached
-        assert keeper is self
-        return classes
+        return FaceClasses.from_glued(self.dim, self.facet_count, self.gluings)
 
 
 Complex = AbstractComplex | PseudoComplex
@@ -404,7 +400,8 @@ def to_abstract_with_maps(
         )
         facet_tuples.append(verts)
     K = AbstractComplex.from_facets(facet_tuples)
-    facet_map = tuple(K.facets.index(t) for t in facet_tuples)
+    position = {t: i for i, t in enumerate(K.facets)}
+    facet_map = tuple(position[t] for t in facet_tuples)
     return K, facet_map, vertex_ids
 
 
@@ -428,32 +425,24 @@ class DualGraph:
     node_count: int
     edges: tuple[tuple[int, int], ...]  # (facet_a, facet_b), index = gluing id
 
-    def adjacency(self) -> dict[int, list[tuple[int, int]]]:
-        """node -> sorted list of (edge id, neighbour)."""
-        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(self.node_count)}
+    @cached_property
+    def neighbours(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """node -> its (edge id, neighbour) pairs, sorted by edge id."""
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.node_count)]
         for eid, (a, b) in enumerate(self.edges):
             adj[a].append((eid, b))
             adj[b].append((eid, a))
-        for v in adj:
-            adj[v].sort()
-        return adj
+        return tuple(map(tuple, adj))
+
+    def adjacency(self) -> dict[int, list[tuple[int, int]]]:
+        """node -> sorted list of (edge id, neighbour)."""
+        return {v: list(nb) for v, nb in enumerate(self.neighbours)}
 
     def is_connected(self) -> bool:
-        if self.node_count == 0:
-            return True
-        adj = self.adjacency()
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for _eid, w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.node_count
+        return len(self.components()) <= 1
 
     def components(self) -> list[tuple[int, ...]]:
-        adj = self.adjacency()
+        adj = self.neighbours
         seen: set[int] = set()
         comps: list[tuple[int, ...]] = []
         for start in range(self.node_count):
@@ -472,9 +461,33 @@ class DualGraph:
         return comps
 
 
+@per_instance
 def dual_graph(x: Complex) -> DualGraph:
+    """The incidence index of `x`, built on first use and kept on `x`."""
     gl = gluings_of(x)
     return DualGraph(facet_count_of(x), tuple((g.facet_a, g.facet_b) for g in gl))
+
+
+def gluings_within(
+    x: Complex, facet_ids: tuple[int, ...], keep=None
+) -> tuple[tuple[int, ...], tuple[Gluing, ...]]:
+    """Ids of the gluings g with `g.facet_a` in the sorted `facet_ids` and
+    `keep(g)`, in id order, and those gluings renumbered to positions in
+    `facet_ids`, which must hold every `g.facet_b`.  Costs the degree sum."""
+    gl = gluings_of(x)
+    adj = dual_graph(x).neighbours
+    index = {f: i for i, f in enumerate(facet_ids)}
+    kept = sorted(
+        gid
+        for f in facet_ids
+        for gid, _w in adj[f]
+        if gl[gid].facet_a == f and (keep is None or keep(gl[gid]))
+    )
+    renumbered = tuple(
+        Gluing(index[g.facet_a], g.ridge_a, index[g.facet_b], g.ridge_b, g.mapping)
+        for g in map(gl.__getitem__, kept)
+    )
+    return tuple(kept), renumbered
 
 
 def perspectivity(x: Complex, facet: int, gluing_id: int) -> Perm:
@@ -537,14 +550,10 @@ def path_from_facets(x: Complex, facet_ids) -> FacetPath:
     ids = list(facet_ids)
     if not ids:
         raise InvalidPath("empty facet sequence")
-    gl = gluings_of(x)
+    adj = dual_graph(x).neighbours
     steps: list[int] = []
     for a, b in zip(ids, ids[1:]):
-        hits = [
-            gid
-            for gid, g in enumerate(gl)
-            if (g.facet_a, g.facet_b) in ((a, b), (b, a))
-        ]
+        hits = [gid for gid, w in adj[a] if w == b] if 0 <= a < len(adj) else []
         if not hits:
             raise InvalidPath(f"facets {a} and {b} share no gluing")
         if len(hits) > 1:
@@ -560,7 +569,9 @@ class StarView:
     A gluing fixes the class when its ridge contains the class member of the
     facet on either side; any ridge shared by two copies of the star contains
     the class automatically, so this keeps the full dual structure around it.
-    Local vertex labels are unchanged; only facet ids are re-indexed.
+    Local vertex labels are unchanged; only facet ids are re-indexed.  The
+    gluings come from the parent's incidence index, so only the star's own
+    copies are visited.
     """
 
     class_id: int
@@ -574,24 +585,15 @@ class StarView:
 
 
 def star_of_class(x: Complex, cid: int) -> StarView:
-    classes = classes_of(x)
-    members = classes.members[cid]
-    facet_ids = tuple(sorted({f for f, _s in members}))
-    rep_by_facet = {f: s for f, s in members}
-    index = {f: i for i, f in enumerate(facet_ids)}
-    kept: list[int] = []
-    sub_gluings: list[Gluing] = []
-    for gid, g in enumerate(gluings_of(x)):
-        rep = rep_by_facet.get(g.facet_a)
-        if rep is None or not set(rep) <= set(g.ridge_a):
-            continue
-        kept.append(gid)
-        sub_gluings.append(
-            Gluing(index[g.facet_a], g.ridge_a, index[g.facet_b], g.ridge_b, g.mapping)
-        )
-    star = PseudoComplex(x.dim, len(facet_ids), tuple(sub_gluings))
+    """Star of a face class, read off the incidence index in O(|star| * (d+1))."""
+    rep_by_facet = dict(classes_of(x).members[cid])
+    facet_ids = tuple(sorted(rep_by_facet))
+    kept, sub_gluings = gluings_within(
+        x, facet_ids, lambda g: set(rep_by_facet[g.facet_a]) <= set(g.ridge_a)
+    )
+    star = PseudoComplex(x.dim, len(facet_ids), sub_gluings)
     reps = tuple(rep_by_facet[f] for f in facet_ids)
-    return StarView(cid, facet_ids, tuple(kept), star, reps)
+    return StarView(cid, facet_ids, kept, star, reps)
 
 
 def link_of_class(x: Complex, cid: int) -> tuple[PseudoComplex, StarView]:

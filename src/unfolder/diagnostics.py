@@ -18,7 +18,9 @@ from .complexes import (
     gluings_of,
     link_of_class,
     nonempty_subsets,
+    per_instance,
     perspectivity,
+    star_of_class,
 )
 from .errors import (
     BadParameter,
@@ -35,19 +37,20 @@ def is_strongly_connected(x: Complex) -> bool:
     return dual_graph(x).is_connected()
 
 
+@per_instance
 def is_locally_strongly_connected(x: Complex) -> tuple[bool, int | None]:
     """Every face star must be strongly connected.
 
     Stars of ridges and facets always are, so only faces of codimension > 1
-    are checked.  Returns (ok, witness class id of the first bad star).
+    are checked.  Returns (ok, witness class id of the first bad star); the
+    pair is kept on `x`, so `odd_subcomplex` and `is_nice` reuse it.
     """
     d = x.dim
     classes = classes_of(x)
     for cid in range(classes.count):
         if classes.cards[cid] > d - 1:
             continue
-        lk, _star = link_of_class(x, cid)
-        if not dual_graph(lk).is_connected():
+        if not dual_graph(star_of_class(x, cid).complex).is_connected():
             return False, cid
     return True, None
 
@@ -62,7 +65,7 @@ def balanced_coloring(x: Complex, base: int = 0) -> dict[int, int] | None:
     """
     n = facet_count_of(x)
     d = x.dim
-    adj = dual_graph(x).adjacency()
+    adj = dual_graph(x).neighbours
     ident = perm_identity(d + 1)
     coloring: list[Perm | None] = [None] * n
     coloring[base] = ident
@@ -195,7 +198,7 @@ def _crossing_sign(x: Complex, gid: int) -> int:
 def orientable(x: Complex) -> bool:
     """Propagate facet orientations; True when all loops close with sign +1."""
     n = facet_count_of(x)
-    adj = dual_graph(x).adjacency()
+    adj = dual_graph(x).neighbours
     sign: list[int] = [0] * n
     for start in range(n):
         if sign[start]:
@@ -367,7 +370,7 @@ def isomorphic(
 
     order: list[int] = []
     seen = [False] * n
-    adj = dual_graph(p).adjacency()
+    adj = dual_graph(p).neighbours
     for root in range(n):
         if seen[root]:
             continue

@@ -86,13 +86,14 @@ def projectivity_group(
     n = facet_count_of(x)
     if not 0 <= base < n:
         raise InvalidPath(f"no facet {base}")
-    adj = dual_graph(x).adjacency()
+    adj = dual_graph(x).neighbours
     ident = perm_identity(x.dim + 1)
     transports: list[Perm | None] = [None] * n
     transports[base] = ident
     order: list[int] = [base]
     tree: list[int] = []
     non_tree: list[tuple[int, int]] = []  # (gluing id, facet reached first)
+    crossed: set[int] = set()  # tree and non-tree gluing ids alike
     head = 0
     while head < len(order):
         f = order[head]
@@ -102,15 +103,16 @@ def projectivity_group(
                 transports[w] = perm_compose(transports[f], perspectivity(x, f, gid))
                 tree.append(gid)
                 order.append(w)
-            elif gid not in tree and all(g != gid for g, _ in non_tree):
+            elif gid not in crossed:
                 non_tree.append((gid, f))
+            crossed.add(gid)
     if len(order) < n and not restrict_to_component:
         missing = sorted(set(range(n)) - set(order))
         raise NotStronglyConnected(f"facets {missing} are not reachable from {base}")
+    gl = gluings_of(x)
     gens: list[tuple[Perm, str]] = []
     for gid, f in non_tree:
-        g = gluings_of(x)[gid]
-        w = g.other(f)
+        w = gl[gid].other(f)
         loop = perm_compose(
             perm_compose(transports[f], perspectivity(x, f, gid)),
             perm_inverse(transports[w]),

@@ -19,6 +19,7 @@ from .complexes import (
     dual_graph,
     facet_count_of,
     gluings_of,
+    gluings_within,
     perspectivity,
 )
 from .errors import (
@@ -170,35 +171,26 @@ class Component:
         return self.member_copies.index(copy)
 
 
+def _component(u: UnfoldingResult, members: tuple[int, ...]) -> Component:
+    _kept, sub = gluings_within(u.total, members)
+    return Component(
+        complex=PseudoComplex(u.total.dim, len(members), sub),
+        member_copies=members,
+        projection=tuple(u.projection[c] for c in members),
+        labels=tuple(u.labels[c] for c in members),
+    )
+
+
 def components(u: UnfoldingResult) -> tuple[Component, ...]:
     """Split an unfolding along its dual-graph components."""
-    parts = u.component_partition
-    if parts is None:
-        parts = tuple(dual_graph(u.total).components())
-    gluings = gluings_of(u.total)
-    out = []
-    for members in parts:
-        where = {c: i for i, c in enumerate(members)}
-        sub = tuple(
-            Gluing(where[g.facet_a], g.ridge_a, where[g.facet_b], g.ridge_b, g.mapping)
-            for g in gluings
-            if g.facet_a in where
-        )
-        out.append(
-            Component(
-                complex=PseudoComplex(u.total.dim, len(members), sub),
-                member_copies=members,
-                projection=tuple(u.projection[c] for c in members),
-                labels=tuple(u.labels[c] for c in members),
-            )
-        )
-    return tuple(out)
+    parts = u.component_partition or dual_graph(u.total).components()
+    return tuple(_component(u, members) for members in parts)
 
 
 def component_containing(u: UnfoldingResult, copy: int) -> Component:
-    for comp in components(u):
-        if copy in comp.member_copies:
-            return comp
+    for members in u.component_partition or dual_graph(u.total).components():
+        if copy in members:
+            return _component(u, members)
     raise BadParameter(f"no copy {copy} in the unfolding")
 
 

@@ -211,20 +211,16 @@ def check_core_05(ctx: _Context) -> str:
 def _sample_paths(x) -> list[FacetPath]:
     """A few deterministic dual walks: follow the lowest unused gluing."""
     gl = gluings_of(x)
+    adj = dual_graph(x).neighbours
     out = []
     for start in (0, facet_count_of(x) - 1):
         steps = []
         cur = start
         used: set[int] = set()
         for _ in range(6):
-            options = [
-                gid
-                for gid, g in enumerate(gl)
-                if cur in (g.facet_a, g.facet_b) and gid not in used
-            ]
-            if not options:
+            gid = next((gid for gid, _w in adj[cur] if gid not in used), None)
+            if gid is None:
                 break
-            gid = min(options)
             used.add(gid)
             steps.append(gid)
             cur = gl[gid].other(cur)

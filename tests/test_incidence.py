@@ -1,0 +1,255 @@
+"""The incidence index: stars, links and the projectivity search read it.
+
+The reference functions below are the full-scan versions of `star_of_class`,
+`link_of_class` and the breadth-first search of `projectivity_group`: every
+star rescans the whole gluing list, and the search keeps its spanning data in
+lists.  The library must give exactly their results, in the same order.
+"""
+
+import gc
+import random
+import weakref
+
+import pytest
+from sympy.combinatorics import Permutation
+from sympy.combinatorics import PermutationGroup as SymPyGroup
+
+from unfolder import diagnostics
+from unfolder.complexes import (
+    AbstractComplex,
+    Gluing,
+    PseudoComplex,
+    StarView,
+    as_pseudo,
+    dual_graph,
+    gluings_of,
+    link_of_class,
+    path_from_facets,
+    perspectivity,
+    star_of_class,
+)
+from unfolder.diagnostics import is_locally_strongly_connected, odd_subcomplex
+from unfolder.errors import (
+    InvalidPath,
+    NotLocallyStronglyConnected,
+    NotStronglyConnected,
+)
+from unfolder.gallery import boundary_simplex, gallery_entries, pinched_strip
+from unfolder.permutations import perm_compose, perm_identity, perm_inverse
+from unfolder.projectivities import projectivity_group
+from unfolder.subdivisions import barycentric
+from unfolder.unfoldings import component_containing, components, partial_unfolding
+
+
+def reference_star(x, cid):
+    members = x.classes().members[cid]
+    facet_ids = tuple(sorted({f for f, _s in members}))
+    rep_by_facet = {f: s for f, s in members}
+    index = {f: i for i, f in enumerate(facet_ids)}
+    kept, sub = [], []
+    for gid, g in enumerate(gluings_of(x)):
+        rep = rep_by_facet.get(g.facet_a)
+        if rep is None or not set(rep) <= set(g.ridge_a):
+            continue
+        kept.append(gid)
+        sub.append(
+            Gluing(index[g.facet_a], g.ridge_a, index[g.facet_b], g.ridge_b, g.mapping)
+        )
+    star = PseudoComplex(x.dim, len(facet_ids), tuple(sub))
+    reps = tuple(rep_by_facet[f] for f in facet_ids)
+    return StarView(cid, facet_ids, tuple(kept), star, reps)
+
+
+def reference_link(x, cid):
+    star = reference_star(x, cid)
+    d = x.dim
+    comp_index = [
+        {v: i for i, v in enumerate(u for u in range(d + 1) if u not in rep)}
+        for rep in star.rep_in
+    ]
+    out = []
+    for g in star.complex.gluings:
+        rep_a = set(star.rep_in[g.facet_a])
+        ia, ib = comp_index[g.facet_a], comp_index[g.facet_b]
+        pairs = [
+            (ia[v], ib[g.mapping[p]]) for p, v in enumerate(g.ridge_a) if v not in rep_a
+        ]
+        ra = tuple(r for r, _m in pairs)
+        mapping = tuple(m for _r, m in pairs)
+        out.append(Gluing(g.facet_a, ra, g.facet_b, tuple(sorted(mapping)), mapping))
+    return PseudoComplex(d - len(star.rep_in[0]), len(star.parent_facets), tuple(out))
+
+
+def reference_search(x, base):
+    """(transports, tree gluings, reached, tagged generators), component of base."""
+    gl = gluings_of(x)
+    adj = {v: [] for v in range(x.facet_count)}
+    for gid, g in enumerate(gl):
+        adj[g.facet_a].append((gid, g.facet_b))
+        adj[g.facet_b].append((gid, g.facet_a))
+    for v in adj:
+        adj[v].sort()
+    transports = [None] * x.facet_count
+    transports[base] = perm_identity(x.dim + 1)
+    order, tree, non_tree = [base], [], []
+    head = 0
+    while head < len(order):
+        f = order[head]
+        head += 1
+        for gid, w in adj[f]:
+            if transports[w] is None:
+                transports[w] = perm_compose(transports[f], perspectivity(x, f, gid))
+                tree.append(gid)
+                order.append(w)
+            elif gid not in tree and all(g != gid for g, _ in non_tree):
+                non_tree.append((gid, f))
+    gens = []
+    for gid, f in non_tree:
+        w = gl[gid].other(f)
+        loop = perm_compose(
+            perm_compose(transports[f], perspectivity(x, f, gid)),
+            perm_inverse(transports[w]),
+        )
+        gens.append((loop, f"gluing {gid}"))
+    return tuple(transports), tuple(tree), tuple(order), tuple(gens)
+
+
+def shuffled_bary2():
+    """bary^2 of the 3-simplex's boundary, relabelled and reordered from seed 7."""
+    rng = random.Random(7)
+    K = boundary_simplex(3)
+    for _ in range(2):
+        K = barycentric(K).result
+    labels = list(K.vertices())
+    rng.shuffle(labels)
+    relabelled = AbstractComplex.from_facets([labels[v] for v in f] for f in K.facets)
+    order = list(range(relabelled.facet_count))
+    rng.shuffle(order)
+    new_id = {old: new for new, old in enumerate(order)}
+    gluings = [
+        Gluing(new_id[g.facet_a], g.ridge_a, new_id[g.facet_b], g.ridge_b, g.mapping)
+        for g in relabelled.derived_gluings()
+    ]
+    rng.shuffle(gluings)
+    return relabelled, PseudoComplex(K.dim, K.facet_count, tuple(gluings))
+
+
+CASES = [(e.name, e.complex) for e in gallery_entries()]
+CASES += list(zip(("bary2-shuffled", "bary2-shuffled-pseudo"), shuffled_bary2()))
+
+
+def assert_search_matches(pg, ref):
+    transports, tree, reached, gens = ref
+    assert pg.transports == transports
+    assert pg.tree_gluings == tree
+    assert pg.reached == reached
+    assert pg.group.generators == gens
+
+
+@pytest.mark.parametrize("name, x", CASES, ids=[n for n, _x in CASES])
+def test_stars_and_links_match_the_full_scan(name, x):
+    for cid in range(x.classes().count):
+        star = star_of_class(x, cid)
+        assert star == reference_star(x, cid), (name, cid)
+        if x.classes().cards[cid] <= x.dim:
+            lk, lk_star = link_of_class(x, cid)
+            assert lk == reference_link(x, cid), (name, cid)
+            assert lk_star == star
+            # the star's own group, searched inside its base component
+            pg = projectivity_group(star.complex, restrict_to_component=True)
+            assert_search_matches(pg, reference_search(star.complex, 0))
+
+
+@pytest.mark.parametrize("name, x", CASES, ids=[n for n, _x in CASES])
+def test_projectivity_search_matches_the_list_version(name, x):
+    for base in sorted({0, x.facet_count // 2, x.facet_count - 1}):
+        ref = reference_search(x, base)
+        pg = projectivity_group(x, base, restrict_to_component=True)
+        assert_search_matches(pg, ref)
+        if len(ref[2]) < x.facet_count:
+            with pytest.raises(NotStronglyConnected):
+                projectivity_group(x, base)
+        else:
+            assert_search_matches(projectivity_group(x, base), ref)
+
+
+@pytest.mark.parametrize("name, x", CASES, ids=[n for n, _x in CASES])
+def test_group_order_and_orbits_agree_with_sympy(name, x):
+    pg = projectivity_group(x, restrict_to_component=True)
+    degree = x.dim + 1
+    perms = [Permutation(list(p)) for p, _tag in pg.group.generators]
+    oracle = SymPyGroup(perms or [Permutation(list(range(degree)))])
+    assert pg.order == oracle.order()
+    got = {frozenset(orbit) for orbit in pg.group.orbits()}
+    assert got == {frozenset(orbit) for orbit in oracle.orbits()}
+
+
+def test_dual_graph_is_kept_on_the_complex():
+    K = boundary_simplex(3)
+    assert dual_graph(K) is dual_graph(K)
+    adj = dual_graph(K).adjacency()
+    assert adj == {v: list(nb) for v, nb in enumerate(dual_graph(K).neighbours)}
+    assert all(nb == sorted(nb) for nb in adj.values())
+    for pair in ((0, 4), (-1, 0), (0, 0)):
+        with pytest.raises(InvalidPath):
+            path_from_facets(K, pair)
+
+
+def reference_components(u):
+    out = []
+    for members in u.component_partition:
+        where = {c: i for i, c in enumerate(members)}
+        sub = tuple(
+            Gluing(where[g.facet_a], g.ridge_a, where[g.facet_b], g.ridge_b, g.mapping)
+            for g in u.total.gluings
+            if g.facet_a in where
+        )
+        out.append(PseudoComplex(u.total.dim, len(members), sub))
+    return out
+
+
+@pytest.mark.parametrize("name, x", CASES, ids=[n for n, _x in CASES])
+def test_component_splits_match_the_full_scan(name, x):
+    u = partial_unfolding(x)
+    comps = components(u)
+    assert [c.complex for c in comps] == reference_components(u)
+    for comp in comps:
+        for copy in comp.member_copies[:2]:
+            assert component_containing(u, copy) == comp
+
+
+@pytest.mark.parametrize("pseudo", [False, True])
+def test_a_complex_is_freed_with_its_last_reference(pseudo):
+    x = as_pseudo(boundary_simplex(3)) if pseudo else boundary_simplex(3)
+    x.classes()
+    gluings_of(x)
+    star_of_class(x, 0)
+    link_of_class(x, 0)
+    projectivity_group(x)
+    odd_subcomplex(x)
+    ref = weakref.ref(x)
+    del x
+    gc.collect()
+    assert ref() is None
+
+
+def test_local_strong_connectivity_runs_once_per_complex(monkeypatch):
+    calls = []
+    real = diagnostics.star_of_class
+    monkeypatch.setattr(
+        diagnostics, "star_of_class", lambda x, cid: calls.append(cid) or real(x, cid)
+    )
+    x = boundary_simplex(3)
+    assert is_locally_strongly_connected(x) == (True, None)
+    first = len(calls)
+    assert first > 0
+    assert is_locally_strongly_connected(x) == (True, None)
+    odd_subcomplex(x)
+    assert len(calls) == first
+
+
+def test_odd_subcomplex_alone_still_names_the_bad_star():
+    ok, witness = is_locally_strongly_connected(pinched_strip())
+    assert not ok
+    with pytest.raises(NotLocallyStronglyConnected, match=f"face class {witness} "):
+        odd_subcomplex(pinched_strip())
