@@ -93,6 +93,24 @@ class _UnionFind:
             self.rank[ra] += 1
 
 
+@lru_cache(maxsize=4096)
+def _ridge_error(
+    d: int, ridge_a: tuple[int, ...], ridge_b: tuple[int, ...], mapping: tuple[int, ...]
+) -> str | None:
+    """What is wrong with a gluing's ridge data in dimension `d`, or None.
+
+    Stars, links, lifts and components copy the ridge data of gluings that
+    were already checked, so nearly every call is a cache hit."""
+    for ridge in (ridge_a, ridge_b):
+        if len(ridge) != d or sorted(set(ridge)) != list(ridge):
+            return f"ridge {ridge} is not a sorted {d}-subset"
+        if any(not 0 <= v <= d for v in ridge):
+            return f"ridge {ridge} has local labels outside 0..{d}"
+    if sorted(mapping) != list(ridge_b):
+        return "mapping is not a bijection onto ridge_b"
+    return None
+
+
 @dataclass(frozen=True)
 class Gluing:
     """One ridge-to-ridge identification between two distinct facet copies.
@@ -107,19 +125,14 @@ class Gluing:
     mapping: tuple[int, ...]
 
     def validate(self, dim: int, facet_count: int) -> None:
-        d = dim
         if self.facet_a == self.facet_b:
             raise BadGluing("a facet copy cannot be glued to itself")
         for f in (self.facet_a, self.facet_b):
             if not 0 <= f < facet_count:
                 raise BadGluing(f"facet id {f} out of range")
-        for ridge in (self.ridge_a, self.ridge_b):
-            if len(ridge) != d or sorted(set(ridge)) != list(ridge):
-                raise BadGluing(f"ridge {ridge} is not a sorted {d}-subset")
-            if any(not 0 <= v <= d for v in ridge):
-                raise BadGluing(f"ridge {ridge} has local labels outside 0..{d}")
-        if sorted(self.mapping) != list(self.ridge_b):
-            raise BadGluing("mapping is not a bijection onto ridge_b")
+        error = _ridge_error(dim, self.ridge_a, self.ridge_b, self.mapping)
+        if error is not None:
+            raise BadGluing(error)
 
     def touches(self, facet: int) -> bool:
         return facet in (self.facet_a, self.facet_b)
@@ -344,6 +357,41 @@ def classes_of(x: Complex) -> FaceClasses:
 
 def facet_count_of(x: Complex) -> int:
     return x.facet_count
+
+
+@per_instance
+def vertex_classes(x: Complex) -> tuple[tuple[FaceRef, ...], ...]:
+    """The members of the vertex classes of `x`, in class-id order.
+
+    Equal to `classes_of(x)`'s card-1 members, without the closure over every
+    subface: the glued closure only unions faces of equal size, so vertex
+    classes come from the ridge vertex pairs alone.  Raises
+    `SelfIdentification` when a copy identifies two of its own vertices,
+    which is exactly when `classes_of(x)` raises: a chain of gluings that
+    carries a face of a copy onto another face of it identifies two of the
+    copy's vertices.
+    """
+    w = x.dim + 1
+    uf = _UnionFind(x.facet_count * w)
+    if isinstance(x, AbstractComplex):
+        slot: dict[int, int] = {}
+        for f, verts in enumerate(x.facets):
+            for l, v in enumerate(verts):
+                uf.union(slot.setdefault(v, f * w + l), f * w + l)
+    else:
+        for g in x.gluings:
+            for va, vb in zip(g.ridge_a, g.mapping):
+                uf.union(g.facet_a * w + va, g.facet_b * w + vb)
+    groups: dict[int, list[FaceRef]] = {}
+    for f in range(x.facet_count):
+        for l in range(w):
+            refs = groups.setdefault(uf.find(f * w + l), [])
+            if refs and refs[-1][0] == f:
+                raise SelfIdentification(
+                    f"faces {refs[-1]} and {(f, (l,))} of one copy are identified"
+                )
+            refs.append((f, (l,)))
+    return tuple(map(tuple, groups.values()))
 
 
 def as_pseudo(K: AbstractComplex) -> PseudoComplex:

@@ -19,6 +19,10 @@ label table is kept as a sidecar next to the parsed complex.  All-numeric
 label sets sort numerically, so the canonical emit (labels "0", "1", ...)
 round-trips to the identical complex.  Unknown keys are ignored, which lets
 annotated documents (projection tables and the like) feed back into parse.
+
+The emit writes the indent-1 layout of `json.dumps(doc, indent=1)` itself,
+filling one template per record shape, and takes the vertex-class table from
+`vertex_classes`, the vertex-only closure; the format is unchanged by either.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import json
 from dataclasses import dataclass
 from typing import Mapping
 
-from .complexes import AbstractComplex, Complex, Gluing, PseudoComplex, classes_of
+from .complexes import AbstractComplex, Complex, Gluing, PseudoComplex, vertex_classes
 from .errors import BadGluing, DegenerateFacet, MixedDimension, ParseError
 from .unfoldings import Component, UnfoldingResult
 
@@ -164,82 +168,78 @@ def _parse_pseudo(doc: dict) -> ParsedDocument:
 
 def emit(x: Complex, vertex_labels: Mapping[int, str] | None = None) -> str:
     """Deterministic document for a complex; round-trips through parse."""
-    if isinstance(x, AbstractComplex):
-        doc = _simplicial_doc(x, vertex_labels)
-    else:
-        doc = _pseudo_doc(x)
-    return json.dumps(doc, indent=1) + "\n"
-
-
-def _simplicial_doc(K: AbstractComplex, vertex_labels: Mapping[int, str] | None) -> dict:
-    def lab(v: int) -> str:
-        if vertex_labels is not None and v in vertex_labels:
-            return str(vertex_labels[v])
-        return str(v)
-
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "simplicial",
-        "dim": K.dim,
-        "facets": [[lab(v) for v in f] for f in K.facets],
-    }
-
-
-def _pseudo_doc(P: PseudoComplex) -> dict:
-    classes = classes_of(P)
-    table = [
-        [[f, sub[0]] for f, sub in classes.members[cid]]
-        for cid in classes.classes_of_card(1)
-    ]
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "pseudo",
-        "dim": P.dim,
-        "facet_count": P.facet_count,
-        "gluings": [
-            {
-                "a": g.facet_a,
-                "ridge_a": list(g.ridge_a),
-                "b": g.facet_b,
-                "ridge_b": list(g.ridge_b),
-                "mapping": list(g.mapping),
-            }
-            for g in P.gluings
-        ],
-        "vertex_classes": table,
-    }
-
-
-def _copy_tags(kind: str, labels) -> list[dict]:
-    copies = []
-    for tag in labels:
-        if kind == "complete":
-            copies.append({"facet": tag[0], "coloring": "".join(map(str, tag[1]))})
-        else:
-            copies.append({"facet": tag[0], "vertex": tag[1]})
-    return copies
+    return _object(0, _fields(x, vertex_labels), "\n")
 
 
 def emit_unfolding(u: UnfoldingResult) -> str:
     """Unfolding document: the glued total complex plus the projection table."""
-    doc = _pseudo_doc(u.total)
-    doc["unfolding"] = {
-        "mode": u.kind,
-        "projection": list(u.projection),
-        "copies": _copy_tags(u.kind, u.labels),
-    }
+    extra = []
     if u.component_partition is not None:
-        doc["unfolding"]["components"] = [list(c) for c in u.component_partition]
-    return json.dumps(doc, indent=1) + "\n"
+        extra = [("components", _list(2, [_ints(3, c) for c in u.component_partition]))]
+    return _unfolding_document(u.total, u.kind, u.projection, u.labels, extra)
 
 
 def emit_component(comp: Component, kind: str) -> str:
     """Document for one unfolding component, projection table included."""
-    doc = _pseudo_doc(comp.complex)
-    doc["unfolding"] = {
-        "mode": kind,
-        "projection": list(comp.projection),
-        "copies": _copy_tags(kind, comp.labels),
-        "source_copies": list(comp.member_copies),
-    }
-    return json.dumps(doc, indent=1) + "\n"
+    extra = [("source_copies", _ints(2, comp.member_copies))]
+    return _unfolding_document(comp.complex, kind, comp.projection, comp.labels, extra)
+
+
+def _fields(x: Complex, vertex_labels: Mapping[int, str] | None = None) -> list:
+    """(key, written value) pairs of a complex's document; each record shape
+    is one `%s` template, built once per document."""
+    kind = "pseudo" if isinstance(x, PseudoComplex) else "simplicial"
+    head = [("format_version", str(FORMAT_VERSION)), ("kind", f'"{kind}"'), ("dim", str(x.dim))]
+    if kind == "simplicial":
+        labels = vertex_labels or {}
+        text = {v: json.dumps(str(labels.get(v, v))) for v in x.vertices()}
+        row = _list(2, ["%s"] * (x.dim + 1))
+        return head + [("facets", _list(1, [row % tuple(map(text.get, f)) for f in x.facets]))]
+    ridge = _list(3, ["%s"] * x.dim)
+    keys = ("a", "ridge_a", "b", "ridge_b", "mapping")
+    gluing = _object(2, zip(keys, ("%s", ridge, "%s", ridge, ridge)))
+    gluings = _list(
+        1, [gluing % (g.facet_a, *g.ridge_a, g.facet_b, *g.ridge_b, *g.mapping) for g in x.gluings]
+    )
+    pair = _list(3, ["%s", "%s"])
+    classes = _list(
+        1, [_list(2, [pair % (f, l) for f, (l,) in refs]) for refs in vertex_classes(x)]
+    )
+    size = [("facet_count", str(x.facet_count)), ("gluings", gluings)]
+    return head + size + [("vertex_classes", classes)]
+
+
+def _unfolding_document(P: PseudoComplex, kind: str, projection, labels, extra) -> str:
+    if kind == "complete":
+        tag = _object(3, [("facet", "%s"), ("coloring", '"%s"')])
+        labels = [(f, "".join(map(str, c))) for f, c in labels]
+    else:
+        tag = _object(3, [("facet", "%s"), ("vertex", "%s")])
+    copies = _list(2, [tag % label for label in labels])
+    table = [("mode", json.dumps(kind)), ("projection", _ints(2, projection)), ("copies", copies)]
+    return _object(0, _fields(P) + [("unfolding", _object(1, table + extra))], "\n")
+
+
+def _list(depth: int, items) -> str:
+    """An indent-1 JSON list at nesting `depth` of already written items.
+
+    `_list` and `_object` join their parts once: a document can take several
+    MB, and each further concatenation would copy all of it."""
+    items = list(items)
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (depth + 1)
+    return "".join(("[", pad, ("," + pad).join(items), "\n", " " * depth, "]"))
+
+
+def _object(depth: int, fields, end: str = "") -> str:
+    pad = "\n" + " " * (depth + 1)
+    parts = ["{"]
+    for key, value in fields:
+        parts += (pad, f'"{key}": ', value, ",")
+    parts[-1] = "\n" + " " * depth + "}" + end
+    return "".join(parts)
+
+
+def _ints(depth: int, xs) -> str:
+    return _list(depth, map(str, xs))

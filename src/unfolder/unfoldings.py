@@ -74,7 +74,9 @@ def complete_unfolding(x: Complex, base: int = 0) -> UnfoldingResult:
     Copy (f, i) is f * |group| + i, for the i-th sorted group element g;
     its coloring is the inverse of g composed after the tree transport to
     f.  A base gluing from a to b with holonomy h lifts to the gluings
-    (a, g) -> (b, g h), one per element, with unchanged ridge data.
+    (a, g) -> (b, g h), one per element, with unchanged ridge data.  The
+    total has no holonomy of its own: its group is trivial (checks `proj-06`
+    and `unf-02` of `unfolder verify`).
     """
     pg = projectivity_group(x, base)
     elements = pg.group.sorted_elements()
@@ -108,7 +110,7 @@ def complete_unfolding(x: Complex, base: int = 0) -> UnfoldingResult:
         for elt in elements
     )
     projection = tuple(f for f in range(n) for _ in elements)
-    result = UnfoldingResult(
+    return UnfoldingResult(
         kind="complete",
         base=x,
         total=total,
@@ -116,9 +118,6 @@ def complete_unfolding(x: Complex, base: int = 0) -> UnfoldingResult:
         labels=labels,
         group=pg,
     )
-    # the unfolded complex never has holonomy of its own
-    assert projectivity_group(total, 0).group.is_trivial
-    return result
 
 
 def partial_unfolding(x: Complex) -> UnfoldingResult:

@@ -129,6 +129,12 @@ class _Context:
         return [e for e in self.entries if isinstance(e.complex, AbstractComplex)]
 
 
+def _require(ok: bool, message: str = "") -> None:
+    """The checks' assert: raises AssertionError(message), also under -O."""
+    if not ok:
+        raise AssertionError(message)
+
+
 def _ident(d: int):
     return perm_identity(d + 1)
 
@@ -144,10 +150,10 @@ def check_core_01(ctx: _Context) -> str:
         got = tuple(by_dim.get(k, 0) for k in range(K.dim + 1))
         want = K.face_count_vector()
         if is_locally_strongly_connected(K)[0]:
-            assert got == want, f"{e.name}: {got} != {want}"
+            _require(got == want, f"{e.name}: {got} != {want}")
             n += 1
         else:
-            assert got != want, f"{e.name}: no face split despite a disconnected link"
+            _require(got != want, f"{e.name}: no face split despite a disconnected link")
             split += 1
     return f"face counts agree on {n} complexes, split on {split} with bad links"
 
@@ -158,11 +164,11 @@ def check_core_02(ctx: _Context) -> str:
         if not is_locally_strongly_connected(e.complex)[0]:
             continue
         ok, witness = is_simplicial(as_pseudo(e.complex))
-        assert ok, f"{e.name}: {witness}"
+        _require(ok, f"{e.name}: {witness}")
         n += 1
     bad = next(e.complex for e in ctx.entries if e.name == "nonsimplicial")
     ok, witness = is_simplicial(as_pseudo(bad))
-    assert not ok, "the doubled example became simplicial when embedded"
+    _require(not ok, "the doubled example became simplicial when embedded")
     return f"{n} ridge-glued embeddings simplicial, the doubled example is not"
 
 
@@ -188,7 +194,7 @@ def check_core_04(ctx: _Context) -> str:
     m = 0
     for e in ctx.entries:
         for g in gluings_of(e.complex):
-            assert g.facet_a != g.facet_b, f"{e.name}: loop at facet {g.facet_a}"
+            _require(g.facet_a != g.facet_b, f"{e.name}: loop at facet {g.facet_a}")
             m += 1
     return f"{m} dual edges, none a loop"
 
@@ -200,7 +206,7 @@ def check_core_05(ctx: _Context) -> str:
         for k in range(K.dim):
             for face in K.faces(k):
                 lk = link(K, face)
-                assert lk.dim == K.dim - len(face), f"{e.name}: link of {face}"
+                _require(lk.dim == K.dim - len(face), f"{e.name}: link of {face}")
                 n += 1
     return f"{n} links, all pure of the complementary dimension"
 
@@ -235,7 +241,7 @@ def check_proj_01(ctx: _Context) -> str:
         for path in _sample_paths(e.complex):
             fwd = path_projectivity(e.complex, path)
             back = path_projectivity(e.complex, path.reversed(e.complex))
-            assert back == perm_inverse(fwd), f"{e.name}: reversal"
+            _require(back == perm_inverse(fwd), f"{e.name}: reversal")
             n += 1
     return f"{n} walks invert cleanly"
 
@@ -255,7 +261,7 @@ def check_proj_02(ctx: _Context) -> str:
                 path_projectivity(e.complex, first),
                 path_projectivity(e.complex, second),
             )
-            assert glued == whole, f"{e.name}: concatenation"
+            _require(glued == whole, f"{e.name}: concatenation")
             n += 1
     return f"{n} concatenations multiply"
 
@@ -267,11 +273,11 @@ def check_proj_03(ctx: _Context) -> str:
         last = facet_count_of(x) - 1
         pg0 = ctx.pg(e)
         pg1 = projectivity_group(x, last)
-        assert pg0.order == pg1.order, f"{e.name}: orders differ"
+        _require(pg0.order == pg1.order, f"{e.name}: orders differ")
         t = pg0.transport_to(last)
         t_inv = perm_inverse(t)
         conj = {perm_compose(perm_compose(t_inv, g), t) for g in pg0.group.elements}
-        assert conj == set(pg1.group.elements), f"{e.name}: transport conjugation"
+        _require(conj == set(pg1.group.elements), f"{e.name}: transport conjugation")
         n += 1
     return f"{n} base changes conjugate by the tree transport"
 
@@ -282,9 +288,9 @@ def check_proj_04(ctx: _Context) -> str:
     for e in ctx.lsc_entries():
         sub = odd_generated_subgroup(e.complex)
         pg = ctx.pg(e)
-        assert sub.is_subgroup_of(pg.group), f"{e.name}: not a subgroup"
+        _require(sub.is_subgroup_of(pg.group), f"{e.name}: not a subgroup")
         if e.name in simply_connected:
-            assert sub.order == pg.order, f"{e.name}: odd loops fail to generate"
+            _require(sub.order == pg.order, f"{e.name}: odd loops fail to generate")
         n += 1
     for maker in (pinched_strip,):
         try:
@@ -302,7 +308,7 @@ def check_proj_05(ctx: _Context) -> str:
         sub = odd_generated_subgroup(e.complex)
         ident = _ident(e.complex.dim)
         for p, _tag in sub.generators:
-            assert p == ident or perm_is_transposition(p), f"{e.name}: {p}"
+            _require(p == ident or perm_is_transposition(p), f"{e.name}: {p}")
             n += 1
     return f"{n} odd generators, each a transposition or the identity"
 
@@ -310,7 +316,7 @@ def check_proj_05(ctx: _Context) -> str:
 def check_proj_06(ctx: _Context) -> str:
     for e in ctx.entries:
         u = ctx.uc(e)
-        assert projectivity_group(u.total).group.is_trivial, e.name
+        _require(projectivity_group(u.total).group.is_trivial, e.name)
     return f"{len(ctx.entries)} complete unfoldings have trivial groups"
 
 
@@ -322,8 +328,8 @@ def check_unf_01(ctx: _Context) -> str:
         x = e.complex
         n = facet_count_of(x)
         uc, up = ctx.uc(e), ctx.up(e)
-        assert facet_count_of(uc.total) == ctx.pg(e).order * n, e.name
-        assert facet_count_of(up.total) == (x.dim + 1) * n, e.name
+        _require(facet_count_of(uc.total) == ctx.pg(e).order * n, e.name)
+        _require(facet_count_of(up.total) == (x.dim + 1) * n, e.name)
     return f"facet-count laws hold on {len(ctx.entries)} complexes"
 
 
@@ -336,9 +342,9 @@ def check_unf_03(ctx: _Context) -> str:
     for e in ctx.entries:
         if is_pseudo_manifold(e.complex) != "closed":
             continue
-        assert is_pseudo_manifold(ctx.uc(e).total) == "closed", e.name
+        _require(is_pseudo_manifold(ctx.uc(e).total) == "closed", e.name)
         for comp in components(ctx.up(e)):
-            assert is_pseudo_manifold(comp.complex) == "closed", e.name
+            _require(is_pseudo_manifold(comp.complex) == "closed", e.name)
         n += 1
     return f"{n} closed pseudo-manifolds stay closed when unfolded"
 
@@ -348,17 +354,17 @@ def check_unf_04(ctx: _Context) -> str:
     for e in ctx.entries:
         if not orientable(e.complex):
             continue
-        assert orientable(ctx.uc(e).total), e.name
-        assert orientable(ctx.up(e).total), e.name
+        _require(orientable(ctx.uc(e).total), e.name)
+        _require(orientable(ctx.up(e).total), e.name)
         n += 1
     return f"{n} orientable complexes stay orientable when unfolded"
 
 
 def check_unf_05(ctx: _Context) -> str:
     for e in ctx.entries:
-        assert is_strongly_connected(ctx.uc(e).total), e.name
+        _require(is_strongly_connected(ctx.uc(e).total), e.name)
         for comp in components(ctx.up(e)):
-            assert is_strongly_connected(comp.complex), e.name
+            _require(is_strongly_connected(comp.complex), e.name)
     return f"{len(ctx.entries)} unfoldings are strongly connected"
 
 
@@ -372,7 +378,7 @@ def check_unf_06(ctx: _Context) -> str:
             continue
         last = facet_count_of(e.complex) - 1
         other = complete_unfolding(e.complex, base=last)
-        assert isomorphic(ctx.uc(e).total, other.total) is not None, e.name
+        _require(isomorphic(ctx.uc(e).total, other.total) is not None, e.name)
         n += 1
     return f"{n} base changes give isomorphic unfoldings ({skipped} large ones skipped)"
 
@@ -393,11 +399,12 @@ def check_unf_07(ctx: _Context) -> str:
                 for p, _tag in sg.group.generators
             ]
             emb = PermutationGroup.generated(gens, x.dim + 1)
-            assert emb.is_subgroup_of(pg.group), f"{e.name}: class {cid}"
-            assert pg.order % emb.order == 0
-            assert len(fibers[cid]) == pg.order // emb.order, (
+            _require(emb.is_subgroup_of(pg.group), f"{e.name}: class {cid}")
+            _require(pg.order % emb.order == 0)
+            _require(
+                len(fibers[cid]) == pg.order // emb.order,
                 f"{e.name}: class {cid} has {len(fibers[cid])} fibers, "
-                f"index says {pg.order // emb.order}"
+                f"index says {pg.order // emb.order}",
             )
             n += 1
     return f"{n} face classes match the coset count of their star group"
@@ -410,11 +417,11 @@ def check_sub_01(ctx: _Context) -> str:
     n = 0
     for e in ctx.entries:
         b = barycentric(e.complex).result
-        assert balanced_coloring(b) is not None, f"{e.name}: not balanced"
+        _require(balanced_coloring(b) is not None, f"{e.name}: not balanced")
         if is_locally_strongly_connected(e.complex)[0] and facet_count_of(b) <= 1500:
             u = complete_unfolding(b)
-            assert facet_count_of(u.total) == facet_count_of(b), e.name
-            assert projection_is_isomorphism(u), e.name
+            _require(facet_count_of(u.total) == facet_count_of(b), e.name)
+            _require(projection_is_isomorphism(u), e.name)
         n += 1
     return f"{n} barycentric subdivisions balanced; unfolding fixes the l.s.c. ones"
 
@@ -433,7 +440,7 @@ def check_sub_02(ctx: _Context) -> str:
         ok, witness = is_simplicial(
             result if isinstance(result, PseudoComplex) else as_pseudo(result)
         )
-        assert ok, f"{name}: {witness}"
+        _require(ok, f"{name}: {witness}")
     return f"{len(targets)} anti-prismatic subdivisions are simplicial"
 
 
@@ -446,9 +453,9 @@ def check_sub_03(ctx: _Context) -> str:
         K = e.complex
         rec = antiprismatic(K)
         f = crumpling_map(rec)
-        assert induced_homomorphism_check(rec.result, K, f), e.name
+        _require(induced_homomorphism_check(rec.result, K, f), e.name)
         up = projectivity_group(rec.result)
-        assert up.order == ctx.pg(e).order, f"{e.name}: image misses part of the group"
+        _require(up.order == ctx.pg(e).order, f"{e.name}: image misses part of the group")
         n += 1
     return f"{n} crumpling maps induce bijective homomorphisms"
 
@@ -460,9 +467,9 @@ def check_sub_04(ctx: _Context) -> str:
             continue
         rec = antiprismatic(e.complex)
         lifted, ground = crumpling_group_pair(rec)
-        assert lifted.order == ground.order, e.name
-        assert lifted.orbit_partition() == ground.orbit_partition(), e.name
-        assert set(lifted.elements) == set(ground.elements), e.name
+        _require(lifted.order == ground.order, e.name)
+        _require(lifted.orbit_partition() == ground.orbit_partition(), e.name)
+        _require(set(lifted.elements) == set(ground.elements), e.name)
         n += 1
     return f"{n} crumpling group pairs agree in order and orbits"
 
@@ -472,7 +479,7 @@ def check_sub_05(ctx: _Context) -> str:
     for maker in (starred_triangle, lambda: boundary_simplex(3)):
         for mode in ("complete", "partial"):
             witness = unfold_commutes_with_antiprismatic(maker(), mode=mode)
-            assert witness is not None
+            _require(witness is not None)
             n += 1
     return f"{n} unfold/subdivide squares commute with witnesses"
 
@@ -484,7 +491,7 @@ def check_sub_06(ctx: _Context) -> str:
             continue
         before = balanced_coloring(e.complex) is not None
         after = balanced_coloring(antiprismatic(e.complex).result) is not None
-        assert before == after, f"{e.name}: balancedness changed"
+        _require(before == after, f"{e.name}: balancedness changed")
         n += 1
     return f"balancedness preserved both ways on {n} complexes"
 
@@ -505,7 +512,7 @@ def check_diag_01(ctx: _Context) -> str:
                 for c in components(ctx.up(e))
             ),
         )
-        assert len(set(flags)) == 1, f"{e.name}: {flags}"
+        _require(len(set(flags)) == 1, f"{e.name}: {flags}")
         n += 1
     return f"four equivalent conditions agree on {n} complexes"
 
@@ -526,16 +533,16 @@ def check_diag_02(ctx: _Context) -> str:
                         closure.add(classes.class_of((f, small)))
         for cid in range(classes.count):
             nontrivial = star_group(x, cid).order > 1
-            assert (cid in closure) == nontrivial, f"{e.name}: class {cid}"
+            _require((cid in closure) == nontrivial, f"{e.name}: class {cid}")
             n += 1
     return f"{n} star groups agree with odd-subcomplex membership"
 
 
 def check_diag_03(ctx: _Context) -> str:
     x = pinched_strip()
-    assert projectivity_group(x).group.is_trivial
-    assert balanced_coloring(x) is None
-    assert not projection_is_isomorphism(complete_unfolding(x))
+    _require(projectivity_group(x).group.is_trivial)
+    _require(balanced_coloring(x) is None)
+    _require(not projection_is_isomorphism(complete_unfolding(x)))
     return "trivial group, no balanced coloring, unfolding still moves"
 
 
@@ -550,7 +557,7 @@ def check_diag_04(ctx: _Context) -> str:
         odd = odd_subcomplex(x)
         faces = () if odd.as_complex is None else odd.as_complex
         ok, _chain = mod2_boundary_check(x, faces)
-        assert ok, f"{e.name}: odd subcomplex is not a mod-2 boundary"
+        _require(ok, f"{e.name}: odd subcomplex is not a mod-2 boundary")
         n += 1
     return f"{n} closed complexes, each odd subcomplex bounds mod 2"
 
@@ -562,14 +569,15 @@ def check_diag_05(ctx: _Context) -> str:
     both = AbstractComplex.from_facets(
         list(A.facets) + [tuple(v + offset for v in f) for f in B.facets]
     )
-    assert euler_characteristic(both) == euler_characteristic(A) + euler_characteristic(B)
+    chi_a, chi_b = euler_characteristic(A), euler_characteristic(B)
+    _require(euler_characteristic(both) == chi_a + chi_b)
     n = 0
     for e in ctx.entries:
         if facet_count_of(e.complex) > 50:
             continue
         chi = euler_characteristic(e.complex)
-        assert euler_characteristic(barycentric(e.complex).result) == chi, e.name
-        assert euler_characteristic(antiprismatic(e.complex).result) == chi, e.name
+        _require(euler_characteristic(barycentric(e.complex).result) == chi, e.name)
+        _require(euler_characteristic(antiprismatic(e.complex).result) == chi, e.name)
         n += 1
     return f"additive on disjoint unions, preserved by both subdivisions ({n} complexes)"
 
@@ -582,19 +590,19 @@ def check_gen_01(ctx: _Context) -> str:
     for e in ctx.entries:
         x, want = e.complex, e.expected
         if want.group_order is not None:
-            assert ctx.pg(e).order == want.group_order, f"{e.name}: group order"
+            _require(ctx.pg(e).order == want.group_order, f"{e.name}: group order")
         if want.odd_face_count is not None:
             got = len(odd_subcomplex(x).odd_faces)
-            assert got == want.odd_face_count, f"{e.name}: odd faces {got}"
+            _require(got == want.odd_face_count, f"{e.name}: odd faces {got}")
         if want.unfolding_facet_count is not None:
             got = facet_count_of(ctx.uc(e).total)
-            assert got == want.unfolding_facet_count, f"{e.name}: unfolding size {got}"
+            _require(got == want.unfolding_facet_count, f"{e.name}: unfolding size {got}")
         if want.unfolding_euler is not None:
             got = euler_characteristic(ctx.uc(e).total)
-            assert got == want.unfolding_euler, f"{e.name}: unfolding euler {got}"
+            _require(got == want.unfolding_euler, f"{e.name}: unfolding euler {got}")
         if want.component_count is not None:
             got = len(components(ctx.up(e)))
-            assert got == want.component_count, f"{e.name}: components {got}"
+            _require(got == want.component_count, f"{e.name}: components {got}")
         n += 1
     return f"{n} gallery records re-derived exactly"
 
@@ -614,14 +622,17 @@ def check_gen_02(ctx: _Context) -> str:
             for cid in odd
             for f, sub in [classes.members[cid][0]]
         )
-        assert got == sorted(kn.core_edges), f"{variant} n={n}: odd faces are not the core"
+        _require(
+            got == sorted(kn.core_edges), f"{variant} n={n}: odd faces are not the core"
+        )
     for n, variant in pairs:
         kn = knot_neighborhood(n, variant)
         lp = loop_projectivity(kn.complex, kn.longitudinal_loop)
         allowed = (ident, double) if n % 2 == 0 else singles
-        assert lp in allowed, (
+        _require(
+            lp in allowed,
             f"{variant} n={n}: longitude is {perm_cycle_string(lp)}, "
-            f"outside the claimed parity set"
+            f"outside the claimed parity set",
         )
     return "core cycle and longitude parity verified for n in 2..6, both variants"
 
@@ -629,11 +640,11 @@ def check_gen_02(ctx: _Context) -> str:
 def check_gen_03(ctx: _Context) -> str:
     for g in range(4):
         if g >= 1:
-            assert surface_sphere(g).facet_count == 2 * (g + 1), f"sphere g={g}"
+            _require(surface_sphere(g).facet_count == 2 * (g + 1), f"sphere g={g}")
         P = surface_family(g)
-        assert P.facet_count == 6 * (g + 1), f"family g={g}"
+        _require(P.facet_count == 6 * (g + 1), f"family g={g}")
         u = complete_unfolding(P)
-        assert facet_count_of(u.total) == 12 * (g + 1), f"unfolding g={g}"
+        _require(facet_count_of(u.total) == 12 * (g + 1), f"unfolding g={g}")
     return "sphere, family and unfolding sizes match for g in 0..3"
 
 
@@ -644,10 +655,10 @@ def check_cli_01(ctx: _Context) -> str:
     n = 0
     for e in ctx.entries:
         text = emit(e.complex)
-        assert emit(e.complex) == text, f"{e.name}: emit is unstable"
+        _require(emit(e.complex) == text, f"{e.name}: emit is unstable")
         back = parse(text)
-        assert back == e.complex, f"{e.name}: round trip changed the complex"
-        assert emit(back) == text, f"{e.name}: second emit differs"
+        _require(back == e.complex, f"{e.name}: round trip changed the complex")
+        _require(emit(back) == text, f"{e.name}: second emit differs")
         n += 1
     return f"{n} documents round-trip byte for byte"
 
@@ -659,7 +670,9 @@ def check_cli_02(ctx: _Context) -> str:
         module, num, _slug = check_id.split("-", 2)
         seen[module].add(int(num))
     for module, count in bullets.items():
-        assert seen[module] == set(range(1, count + 1)), f"{module}: {sorted(seen[module])}"
+        _require(
+            seen[module] == set(range(1, count + 1)), f"{module}: {sorted(seen[module])}"
+        )
     return f"{len(CHECKS)} checks cover all {sum(bullets.values())} documented invariants"
 
 

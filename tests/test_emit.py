@@ -1,0 +1,236 @@
+"""The document writer, the vertex-only closure and checks under `python -O`.
+
+The reference builders below are the dict-and-`json.dumps` version of the
+emit: each document is built as nested dicts and lists, its vertex classes
+come from the full face-class closure, and `json.dumps(doc, indent=1)`
+writes it.  The library must write exactly the same text.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from unfolder.complexes import (
+    AbstractComplex,
+    Gluing,
+    PseudoComplex,
+    classes_of,
+    vertex_classes,
+)
+from unfolder.errors import SelfIdentification
+from unfolder.gallery import gallery_entries, starred_triangle
+from unfolder.io import emit, emit_component, emit_unfolding, parse
+from unfolder.subdivisions import antiprismatic
+from unfolder.unfoldings import complete_unfolding, components, partial_unfolding
+from unfolder.verify import CHECKS, _Context
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def reference_simplicial_doc(K, vertex_labels):
+    def lab(v):
+        if vertex_labels is not None and v in vertex_labels:
+            return str(vertex_labels[v])
+        return str(v)
+
+    return {
+        "format_version": 1,
+        "kind": "simplicial",
+        "dim": K.dim,
+        "facets": [[lab(v) for v in f] for f in K.facets],
+    }
+
+
+def reference_pseudo_doc(P):
+    classes = classes_of(P)
+    table = [
+        [[f, sub[0]] for f, sub in classes.members[cid]]
+        for cid in classes.classes_of_card(1)
+    ]
+    return {
+        "format_version": 1,
+        "kind": "pseudo",
+        "dim": P.dim,
+        "facet_count": P.facet_count,
+        "gluings": [
+            {
+                "a": g.facet_a,
+                "ridge_a": list(g.ridge_a),
+                "b": g.facet_b,
+                "ridge_b": list(g.ridge_b),
+                "mapping": list(g.mapping),
+            }
+            for g in P.gluings
+        ],
+        "vertex_classes": table,
+    }
+
+
+def reference_copy_tags(kind, labels):
+    if kind == "complete":
+        return [{"facet": t[0], "coloring": "".join(map(str, t[1]))} for t in labels]
+    return [{"facet": t[0], "vertex": t[1]} for t in labels]
+
+
+def reference_emit(x, vertex_labels=None):
+    if isinstance(x, AbstractComplex):
+        doc = reference_simplicial_doc(x, vertex_labels)
+    else:
+        doc = reference_pseudo_doc(x)
+    return json.dumps(doc, indent=1) + "\n"
+
+
+def reference_emit_unfolding(u):
+    doc = reference_pseudo_doc(u.total)
+    doc["unfolding"] = {
+        "mode": u.kind,
+        "projection": list(u.projection),
+        "copies": reference_copy_tags(u.kind, u.labels),
+    }
+    if u.component_partition is not None:
+        doc["unfolding"]["components"] = [list(c) for c in u.component_partition]
+    return json.dumps(doc, indent=1) + "\n"
+
+
+def reference_emit_component(comp, kind):
+    doc = reference_pseudo_doc(comp.complex)
+    doc["unfolding"] = {
+        "mode": kind,
+        "projection": list(comp.projection),
+        "copies": reference_copy_tags(kind, comp.labels),
+        "source_copies": list(comp.member_copies),
+    }
+    return json.dumps(doc, indent=1) + "\n"
+
+
+def _vertex_members(x):
+    classes = classes_of(x)
+    return tuple(classes.members[cid] for cid in classes.classes_of_card(1))
+
+
+ENTRIES = gallery_entries()
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=[e.name for e in ENTRIES])
+def test_emit_matches_the_reference_on_the_gallery(entry):
+    x = entry.complex
+    assert emit(x) == reference_emit(x)
+    for u in (complete_unfolding(x), partial_unfolding(x)):
+        assert emit(u.total) == reference_emit(u.total)
+        assert emit_unfolding(u) == reference_emit_unfolding(u)
+        for comp in components(u):
+            assert emit_component(comp, u.kind) == reference_emit_component(comp, u.kind)
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=[e.name for e in ENTRIES])
+def test_vertex_classes_match_the_full_closure_on_the_gallery(entry):
+    x = entry.complex
+    assert vertex_classes(x) == _vertex_members(x)
+    if isinstance(x, AbstractComplex):
+        P = PseudoComplex(x.dim, x.facet_count, x.derived_gluings())
+        assert vertex_classes(P) == _vertex_members(P)
+    total = complete_unfolding(x).total
+    assert vertex_classes(total) == _vertex_members(total)
+
+
+def test_emit_edge_cases():
+    dim0 = PseudoComplex(0, 3, (Gluing(0, (), 1, (), ()), Gluing(1, (), 2, (), ())))
+    single = PseudoComplex(2, 1, ())
+    one_facet = AbstractComplex.from_facets([(0, 1, 2)])
+    for x in (dim0, single, one_facet, antiprismatic(dim0).result):
+        text = emit(x)
+        assert text == reference_emit(x)
+        assert parse(text) == x
+    assert '"ridge_a": []' in emit(dim0)
+    assert '"gluings": []' in emit(single)
+    u = complete_unfolding(one_facet)
+    assert u.total.facet_count == 1
+    assert emit_unfolding(u) == reference_emit_unfolding(u)
+    assert '"gluings": []' in emit_unfolding(u)
+    for comp in components(partial_unfolding(dim0)):
+        assert emit_component(comp, "partial") == reference_emit_component(comp, "partial")
+
+
+def test_simplicial_labels_are_escaped_like_json():
+    K = starred_triangle()
+    labels = {0: 'say "hi"', 1: "back\\slash", 2: "caf\u00e9 \u2713", 3: "tab\tnew\nline"}
+    text = emit(K, vertex_labels=labels)
+    assert text == reference_emit(K, labels)
+    assert "\\u00e9" in text
+    partial = {3: "%s {0} {}"}
+    assert emit(K, vertex_labels=partial) == reference_emit(K, partial)
+
+
+def test_emit_raises_on_a_copy_that_identifies_two_of_its_vertices():
+    bad = PseudoComplex(
+        2,
+        2,
+        (
+            Gluing(0, (0, 1), 1, (0, 1), (0, 1)),
+            Gluing(0, (1, 2), 1, (0, 1), (0, 1)),
+        ),
+    )
+    with pytest.raises(SelfIdentification):
+        emit(bad)
+    with pytest.raises(SelfIdentification):
+        bad.classes()
+
+
+@st.composite
+def pseudo_complexes(draw):
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 6))
+    ridges = [tuple(v for v in range(d + 1) if v != skip) for skip in range(d + 1)]
+    gluings = []
+    for _ in range(draw(st.integers(0, 3 * n))):
+        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        ra, rb = draw(st.sampled_from(ridges)), draw(st.sampled_from(ridges))
+        gluings.append(Gluing(a, ra, b, rb, tuple(draw(st.permutations(rb)))))
+    return PseudoComplex(d, n, tuple(gluings))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pseudo_complexes())
+def test_vertex_classes_match_the_full_closure_on_random_complexes(P):
+    try:
+        want = _vertex_members(P)
+    except SelfIdentification:
+        with pytest.raises(SelfIdentification):
+            vertex_classes(P)
+        return
+    assert vertex_classes(P) == want
+
+
+def test_checks_still_fail_under_python_optimize():
+    fn = dict((cid, fn) for cid, _suite, fn in CHECKS)["gen-02-knot-core-parity"]
+    with pytest.raises(AssertionError) as caught:
+        fn(_Context())
+    here = f"AssertionError: {caught.value}"
+    assert here.startswith("AssertionError: klein n=2: longitude is (0 1)")
+    program = (
+        "import sys\n"
+        "from unfolder.verify import CHECKS, _Context\n"
+        "fn = dict((cid, fn) for cid, _s, fn in CHECKS)['gen-02-knot-core-parity']\n"
+        "print(sys.flags.optimize)\n"
+        "try:\n"
+        "    fn(_Context())\n"
+        "    print('passed')\n"
+        "except AssertionError as e:\n"
+        "    print(f'{type(e).__name__}: {e}')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", program],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=300,
+    ).stdout.splitlines()
+    assert out == ["1", here]

@@ -15,6 +15,7 @@ from unfolder.errors import BaseNotNice
 from unfolder.gallery import (
     boundary_simplex,
     cycle_graph,
+    gallery_entries,
     hexagon_cone,
     starred_triangle,
     torus_z3,
@@ -162,6 +163,14 @@ def test_odd_cycle_complete_unfolding_is_a_double_cover():
 def test_projection_is_isomorphism_only_for_trivial_groups():
     assert projection_is_isomorphism(complete_unfolding(hexagon_cone()))
     assert not projection_is_isomorphism(complete_unfolding(starred_triangle()))
+
+
+@pytest.mark.parametrize("entry", gallery_entries(), ids=lambda e: e.name)
+def test_complete_unfolding_has_a_trivial_group(entry):
+    u = complete_unfolding(entry.complex)
+    assert projectivity_group(u.total).group.is_trivial
+    last = facet_count_of(u.total) - 1
+    assert projectivity_group(u.total, last).group.is_trivial
 
 
 def test_composition_tower_reaches_the_complete_unfolding():
