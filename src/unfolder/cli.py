@@ -31,7 +31,7 @@ from .io import ParsedDocument, emit, emit_component, emit_unfolding, parse_docu
 from .permutations import perm_cycle_string
 from .projectivities import projectivity_group
 from .subdivisions import antiprismatic, barycentric, iterate, stellar
-from .unfoldings import complete_unfolding, components, partial_unfolding
+from .unfoldings import complete_unfolding, component_of, component_parts, partial_unfolding
 
 GALLERY_NAMES = (
     "boundary-simplex-<n>",
@@ -131,28 +131,29 @@ def cmd_unfold(ns: argparse.Namespace) -> int:
         u = complete_unfolding(x, base=ns.base)
     else:
         u = partial_unfolding(x)
-    comps = components(u)
+    parts = component_parts(u)
     if ns.component is not None:
-        if not 0 <= ns.component < len(comps):
+        if not 0 <= ns.component < len(parts):
             raise BadParameter(
-                f"component {ns.component} of {len(comps)} does not exist"
+                f"component {ns.component} of {len(parts)} does not exist"
             )
-        _write_or_print(emit_component(comps[ns.component], u.kind), ns.output)
+        comp = component_of(u, parts[ns.component])
+        _write_or_print(emit_component(comp, u.kind), ns.output)
         return 0
     if ns.output is not None:
         _write_or_print(emit_unfolding(u), ns.output)
-        if u.kind == "partial" and len(comps) > 1:
+        if u.kind == "partial" and len(parts) > 1:
             stem = Path(ns.output)
-            for k, comp in enumerate(comps):
+            for k, members in enumerate(parts):
                 side = stem.with_name(f"{stem.stem}.component{k}{stem.suffix}")
-                side.write_text(emit_component(comp, u.kind))
+                side.write_text(emit_component(component_of(u, members), u.kind))
                 print(f"wrote {side}")
         return 0
-    sizes = sorted(facet_count_of(c.complex) for c in comps)
+    sizes = sorted(map(len, parts))
     print(f"mode: {u.kind}")
     print(f"base facets: {facet_count_of(x)}")
     print(f"total facets: {u.total.facet_count}")
-    print(f"{len(comps)} components, sizes {_fmt_sizes(sizes)}")
+    print(f"{len(parts)} components, sizes {_fmt_sizes(sizes)}")
     print("projection:")
     for i in range(u.total.facet_count):
         tag = u.labels[i]

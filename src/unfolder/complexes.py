@@ -23,6 +23,17 @@ on first use and kept on the instance (`per_instance`), so they are freed
 with it.  The index, `dual_graph(x).neighbours`, lists each facet's
 (gluing id, neighbour) pairs in id order; one pass over the gluings builds
 it.  Stars and links read it in O(|star| * (d+1)) instead of O(#gluings).
+
+Every union-find here is one kernel over integer slots, `_roots`: slot
+f * per + i stands for item i of copy f (subset i of `nonempty_subsets` for
+the glued face closure, local vertex i for `vertex_classes`, copy f itself
+for `is_connected_complex`).  The smaller root wins each union, so a class's
+root is its smallest slot.  A gluing's slot pairs come from a table kept per
+(dim, ridge_a, mapping), and one scan per subset size numbers the classes
+in (cardinality, smallest member) order with sorted members, so nothing is
+sorted afterwards.  `derived_gluings` reads ridges and mappings from a table
+too: facets are sorted tuples, so the ridge that omits position o sits at
+the other positions, in order, in both facets.
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
 from itertools import combinations
+from math import comb
 
 from .errors import (
     BadGluing,
@@ -68,29 +80,82 @@ def per_instance(fn):
     return cached
 
 
-class _UnionFind:
-    __slots__ = ("parent", "rank")
+def _roots(size: int, pairs) -> list[int]:
+    """Each slot's root after uniting the two slots of every pair.
 
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.rank = [0] * n
+    The one union-find of the package: path halving, and the smaller root
+    wins each union, so a class's root is its smallest slot and no slot's
+    parent exceeds it.  One ascending pass then finishes every path."""
+    parent = list(range(size))
+    for a, b in pairs:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    for i, p in enumerate(parent):
+        parent[i] = parent[p]
+    return parent
 
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
+def _repeats(roots: list[int], per: int, count: int):
+    """(root, facet, i, j) for each slot j of a facet whose root an earlier
+    slot i of the same facet has, in slot order; facet f owns the `per`
+    slots from f * per."""
+    for f in range(count):
+        row = roots[f * per : (f + 1) * per]
+        if len(set(row)) < per:
+            first: dict[int, int] = {}
+            for j, r in enumerate(row):
+                if r in first:
+                    yield r, f, first[r], j
+                else:
+                    first[r] = j
+
+
+def _members(roots: list[int], per: int, count: int, spans, subs) -> list[tuple[FaceRef, ...]]:
+    """The classes of `roots` as sorted member tuples, ordered by
+    (cardinality, smallest member): one scan per span of equal-size subsets,
+    facet by facet, where each class first shows at its smallest member."""
+    members: list[tuple[FaceRef, ...]] = []
+    for lo, hi in spans:
+        groups: dict[int, list[FaceRef]] = {}
+        span_subs = subs[lo:hi]
+        for f in range(count):
+            for r, s in zip(roots[f * per + lo : f * per + hi], span_subs):
+                refs = groups.get(r)
+                if refs is None:
+                    groups[r] = [(f, s)]
+                else:
+                    refs.append((f, s))
+        members += map(tuple, groups.values())
+    return members
+
+
+def _subset_spans(n: int) -> list[tuple[int, int]]:
+    """Index range of each cardinality 1..n in `nonempty_subsets(n)`."""
+    spans, lo = [], 0
+    for k in range(1, n + 1):
+        spans.append((lo, lo + comb(n, k)))
+        lo += comb(n, k)
+    return spans
+
+
+@lru_cache(maxsize=1024)
+def _subface_pairs(
+    d: int, ridge_a: tuple[int, ...], mapping: tuple[int, ...]
+) -> tuple[tuple[int, int], ...]:
+    """For each non-empty subset of a valid gluing's ridge: the indices in
+    `nonempty_subsets(d + 1)` of its face on side a and of its image."""
+    index = {s: i for i, s in enumerate(nonempty_subsets(d + 1))}
+    return tuple(
+        (index[tuple(ridge_a[p] for p in pos)], index[tuple(sorted(mapping[p] for p in pos))])
+        for k in range(1, d + 1)
+        for pos in combinations(range(d), k)
+    )
 
 
 @lru_cache(maxsize=4096)
@@ -170,50 +235,43 @@ class FaceClasses:
 
     @staticmethod
     def from_abstract(facets: tuple[tuple[int, ...], ...], dim: int) -> "FaceClasses":
+        # faces of each size in (facet, subset) order: a face first shows at
+        # its smallest member, so insertion order is the class order
         by_face: dict[tuple[int, ...], list[FaceRef]] = {}
-        for f, verts in enumerate(facets):
-            for sub in nonempty_subsets(dim + 1):
-                face = tuple(verts[l] for l in sub)
-                by_face.setdefault(face, []).append((f, sub))
-        ordered = sorted(by_face.items(), key=lambda kv: (len(kv[0]), min(kv[1])))
-        members = tuple(tuple(sorted(refs)) for _face, refs in ordered)
-        keys = tuple(face for face, _refs in ordered)
-        return FaceClasses(dim, len(facets), members, keys)
+        for k in range(1, dim + 2):
+            subs = tuple(combinations(range(dim + 1), k))
+            for f, verts in enumerate(facets):
+                for sub, face in zip(subs, combinations(verts, k)):
+                    refs = by_face.get(face)
+                    if refs is None:
+                        by_face[face] = [(f, sub)]
+                    else:
+                        refs.append((f, sub))
+        return FaceClasses(dim, len(facets), tuple(map(tuple, by_face.values())), tuple(by_face))
 
     @staticmethod
     def from_glued(dim: int, facet_count: int, gluings: tuple[Gluing, ...]) -> "FaceClasses":
+        # slot f * per + i is subset i of copy f; a gluing unites each
+        # subface of its ridge with its image
         subs = nonempty_subsets(dim + 1)
         per = len(subs)
-        sub_index = {s: i for i, s in enumerate(subs)}
-        uf = _UnionFind(facet_count * per)
 
-        def idx(f: int, s: tuple[int, ...]) -> int:
-            return f * per + sub_index[s]
+        def pairs():
+            for g in gluings:
+                a, b = g.facet_a * per, g.facet_b * per
+                for i, j in _subface_pairs(dim, g.ridge_a, g.mapping):
+                    yield a + i, b + j
 
-        for g in gluings:
-            positions = range(len(g.ridge_a))
-            for k in range(1, len(g.ridge_a) + 1):
-                for pos in combinations(positions, k):
-                    sa = tuple(g.ridge_a[p] for p in pos)
-                    sb = tuple(sorted(g.mapping[p] for p in pos))
-                    uf.union(idx(g.facet_a, sa), idx(g.facet_b, sb))
-
-        groups: dict[int, list[FaceRef]] = {}
-        for f in range(facet_count):
-            for s in subs:
-                groups.setdefault(uf.find(idx(f, s)), []).append((f, s))
-        for refs in groups.values():
-            seen_facets: set[int] = set()
-            for f, _s in refs:
-                if f in seen_facets:
-                    pair = sorted(r for r in refs if r[0] == f)[:2]
-                    raise SelfIdentification(
-                        f"faces {pair[0]} and {pair[1]} of one copy are identified"
-                    )
-                seen_facets.add(f)
-        ordered = sorted(groups.values(), key=lambda refs: (len(refs[0][1]), min(refs)))
-        members = tuple(tuple(sorted(refs)) for refs in ordered)
-        return FaceClasses(dim, facet_count, members, None)
+        roots = _roots(facet_count * per, pairs())
+        # the class with the smallest root, at its smallest copy, is named
+        bad = min(_repeats(roots, per, facet_count), default=None)
+        if bad is not None:
+            _r, f, i, j = bad
+            raise SelfIdentification(
+                f"faces {(f, subs[i])} and {(f, subs[j])} of one copy are identified"
+            )
+        members = _members(roots, per, facet_count, _subset_spans(dim + 1), subs)
+        return FaceClasses(dim, facet_count, tuple(members), None)
 
     @property
     def count(self) -> int:
@@ -305,24 +363,21 @@ class AbstractComplex:
     @per_instance
     def derived_gluings(self) -> tuple[Gluing, ...]:
         """One gluing per pair of facets sharing a ridge (identity on globals)."""
+        # Facets are sorted, so the ridge that omits position o sits at the
+        # other positions in order on both sides: side b's mapping is its ridge.
         d = self.dim
-        out: list[Gluing] = []
-        by_ridge: dict[tuple[int, ...], list[int]] = {}
+        rest = tuple(tuple(p for p in range(d + 1) if p != o) for o in range(d + 1))
+        by_ridge: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         for i, f in enumerate(self.facets):
-            for ridge in combinations(f, d):
-                by_ridge.setdefault(ridge, []).append(i)
-        pairs: list[tuple[int, int, tuple[int, ...]]] = []
-        for ridge, holders in by_ridge.items():
-            for i, j in combinations(holders, 2):
-                pairs.append((i, j, ridge))
-        pairs.sort()
-        for i, j, ridge in pairs:
-            fa, fb = self.facets[i], self.facets[j]
-            ra = tuple(fa.index(v) for v in ridge)
-            mapping = tuple(fb.index(v) for v in ridge)
-            rb = tuple(sorted(mapping))
-            out.append(Gluing(i, ra, j, rb, mapping))
-        return tuple(out)
+            for o, ridge in zip(range(d, -1, -1), combinations(f, d)):
+                by_ridge.setdefault(ridge, []).append((i, o))
+        # two facets share at most one ridge, so this is (i, j) order
+        pairs = sorted(
+            (i, j, oi, oj)
+            for holders in by_ridge.values()
+            for (i, oi), (j, oj) in combinations(holders, 2)
+        )
+        return tuple(Gluing(i, rest[oi], j, rest[oj], rest[oj]) for i, j, oi, oj in pairs)
 
 
 @dataclass(frozen=True)
@@ -372,26 +427,27 @@ def vertex_classes(x: Complex) -> tuple[tuple[FaceRef, ...], ...]:
     copy's vertices.
     """
     w = x.dim + 1
-    uf = _UnionFind(x.facet_count * w)
+    n = x.facet_count
     if isinstance(x, AbstractComplex):
-        slot: dict[int, int] = {}
-        for f, verts in enumerate(x.facets):
-            for l, v in enumerate(verts):
-                uf.union(slot.setdefault(v, f * w + l), f * w + l)
+        first: dict[int, int] = {}
+        pairs = (
+            (first.setdefault(v, f * w + l), f * w + l)
+            for f, verts in enumerate(x.facets)
+            for l, v in enumerate(verts)
+        )
     else:
-        for g in x.gluings:
-            for va, vb in zip(g.ridge_a, g.mapping):
-                uf.union(g.facet_a * w + va, g.facet_b * w + vb)
-    groups: dict[int, list[FaceRef]] = {}
-    for f in range(x.facet_count):
-        for l in range(w):
-            refs = groups.setdefault(uf.find(f * w + l), [])
-            if refs and refs[-1][0] == f:
-                raise SelfIdentification(
-                    f"faces {refs[-1]} and {(f, (l,))} of one copy are identified"
-                )
-            refs.append((f, (l,)))
-    return tuple(map(tuple, groups.values()))
+        pairs = (
+            (g.facet_a * w + va, g.facet_b * w + vb)
+            for g in x.gluings
+            for va, vb in zip(g.ridge_a, g.mapping)
+        )
+    roots = _roots(n * w, pairs)
+    # the first vertex, in slot order, that meets an earlier one of its copy
+    bad = next(_repeats(roots, w, n), None)
+    if bad is not None:
+        _r, f, i, j = bad
+        raise SelfIdentification(f"faces {(f, (i,))} and {(f, (j,))} of one copy are identified")
+    return tuple(_members(roots, w, n, ((0, w),), tuple((l,) for l in range(w))))
 
 
 def as_pseudo(K: AbstractComplex) -> PseudoComplex:
@@ -681,15 +737,10 @@ def link_of_class(x: Complex, cid: int) -> tuple[PseudoComplex, StarView]:
 
 def is_connected_complex(x: Complex) -> bool:
     """Connectivity through shared faces (vertex classes suffice)."""
-    n = facet_count_of(x)
-    if n == 1:
-        return True
     classes = classes_of(x)
-    uf = _UnionFind(n)
-    for cid in classes.classes_of_card(1):
-        refs = classes.members[cid]
-        first = refs[0][0]
-        for f, _s in refs[1:]:
-            uf.union(first, f)
-    root = uf.find(0)
-    return all(uf.find(f) == root for f in range(n))
+    pairs = (
+        (classes.members[cid][0][0], f)
+        for cid in classes.classes_of_card(1)
+        for f, _s in classes.members[cid]
+    )
+    return max(_roots(facet_count_of(x), pairs)) == 0

@@ -21,10 +21,12 @@ from .complexes import (
     per_instance,
     perspectivity,
     star_of_class,
+    vertex_classes,
 )
 from .errors import (
     BadParameter,
     DimensionMismatch,
+    Mismatch,
     NotAFace,
     NotLocallyStronglyConnected,
     NotStronglyConnected,
@@ -108,16 +110,19 @@ def link_graph_is_bipartite(x: Complex, cid: int) -> bool:
     """Two-colorability of the link graph of a codimension-2 face class.
 
     Parallel edges form 2-cycles, which are even; loops cannot occur because
-    no copy identifies two of its own faces.
+    no copy identifies two of its own faces.  Only the link's vertex classes
+    are built.
     """
     lk, _star = link_of_class(x, cid)
-    assert lk.dim == 1, "link graph needs a codimension-2 class"
-    lkc = lk.classes()
+    if lk.dim != 1:
+        raise DimensionMismatch(f"link graph needs a codimension-2 class, not class {cid}")
+    vertex_of = {ref: v for v, refs in enumerate(vertex_classes(lk)) for ref in refs}
     adj: dict[int, list[int]] = {}
     for i in range(lk.facet_count):
-        a = lkc.class_of((i, (0,)))
-        b = lkc.class_of((i, (1,)))
-        assert a != b, "loop in a link graph"
+        a = vertex_of[i, (0,)]
+        b = vertex_of[i, (1,)]
+        if a == b:
+            raise Mismatch(f"loop in the link graph of class {cid}")
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
     color: dict[int, int] = {}

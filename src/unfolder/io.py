@@ -19,6 +19,8 @@ label table is kept as a sidecar next to the parsed complex.  All-numeric
 label sets sort numerically, so the canonical emit (labels "0", "1", ...)
 round-trips to the identical complex.  Unknown keys are ignored, which lets
 annotated documents (projection tables and the like) feed back into parse.
+Both parsers refuse a dimension above `MAX_DIM` with `BadParameter` before
+they build anything, because the face closure grows as 2^(dim+1) per copy.
 
 The emit writes the indent-1 layout of `json.dumps(doc, indent=1)` itself,
 filling one template per record shape, and takes the vertex-class table from
@@ -32,10 +34,16 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .complexes import AbstractComplex, Complex, Gluing, PseudoComplex, vertex_classes
-from .errors import BadGluing, DegenerateFacet, MixedDimension, ParseError
+from .errors import BadGluing, BadParameter, DegenerateFacet, MixedDimension, ParseError
 from .unfoldings import Component, UnfoldingResult
 
 FORMAT_VERSION = 1
+
+# Largest dimension a document may have.  The face closure keeps
+# 2^(dim+1) - 1 slots per facet copy and a projectivity group can reach
+# (dim+1)! elements; every gallery complex, demo and benchmark input has
+# dim <= 4.
+MAX_DIM = 8
 
 
 @dataclass(frozen=True)
@@ -72,11 +80,15 @@ def parse_document(text: str) -> ParsedDocument:
     raise ParseError(f"kind must be 'simplicial' or 'pseudo', not {kind!r}")
 
 
-def _label_rows(doc: dict, *, required: bool) -> list[list[str]] | None:
+def _check_dim(dim: int) -> None:
+    if dim > MAX_DIM:
+        raise BadParameter(f"dim {dim} is above the largest supported dimension {MAX_DIM}")
+
+
+def _label_rows(doc: dict) -> list[list[str]] | None:
+    """The facet rows as label strings, or None when the document has none."""
     rows = doc.get("facets")
     if rows is None:
-        if required:
-            raise ParseError("facets: a non-empty list is required")
         return None
     if not isinstance(rows, list) or not rows:
         raise ParseError("facets: a non-empty list is required")
@@ -102,8 +114,10 @@ def _label_rows(doc: dict, *, required: bool) -> list[list[str]] | None:
 
 
 def _parse_simplicial(doc: dict) -> ParsedDocument:
-    rows = _label_rows(doc, required=True)
-    assert rows is not None
+    rows = _label_rows(doc)
+    if rows is None:
+        raise ParseError("facets: a non-empty list is required")
+    _check_dim(len(rows[0]) - 1)
     labels = sorted({lab for row in rows for lab in row}, key=_label_key)
     index = {lab: i for i, lab in enumerate(labels)}
     K = AbstractComplex.from_facets([[index[lab] for lab in row] for row in rows])
@@ -132,13 +146,14 @@ def _positions(item: dict, key: str, k: int) -> tuple[int, ...]:
 
 
 def _parse_pseudo(doc: dict) -> ParsedDocument:
-    rows = _label_rows(doc, required=False)
+    rows = _label_rows(doc)
     n = doc.get("facet_count", len(rows) if rows is not None else None)
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError("facet_count: a positive integer (or facet rows) is required")
     dim = doc.get("dim", len(rows[0]) - 1 if rows else None)
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise ParseError("dim: a non-negative integer is required")
+    _check_dim(dim)
     raw = doc.get("gluings", [])
     if not isinstance(raw, list):
         raise ParseError("gluings: need a list of gluing records")

@@ -20,7 +20,7 @@ from .complexes import (
     perspectivity,
     star_of_class,
 )
-from .errors import DegenerateMap, InvalidPath, NotAFacet, NotStronglyConnected
+from .errors import DegenerateMap, InvalidPath, Mismatch, NotAFacet, NotStronglyConnected
 from .permutations import (
     Perm,
     PermutationGroup,
@@ -153,10 +153,11 @@ def star_group(x: Complex, cid: int, base_parent_facet: int | None = None) -> St
         base_parent_facet = star.parent_facets[0]
     base = star.star_index(base_parent_facet)
     pg = projectivity_group(star.complex, base=base, restrict_to_component=True)
+    # generators suffice: the pointwise stabiliser of the class is a subgroup
     rep = star.rep_in[base]
-    for p in pg.group.elements:
-        for v in rep:
-            assert p[v] == v, "a star projectivity moved its own class"
+    for p, tag in pg.group.generators:
+        if any(p[v] != v for v in rep):
+            raise Mismatch(f"a star projectivity of class {cid} moved the class ({tag})")
     return StarGroup(star=star, base_parent_facet=base_parent_facet, group=pg.group)
 
 
@@ -178,9 +179,7 @@ def odd_generated_subgroup(x: Complex, base: int = 0) -> PermutationGroup:
         for p, _tag in sg.group.generators:
             elt = perm_compose(perm_compose(t, p), t_inv)
             gens.append((elt, f"around class {cid}"))
-    sub = PermutationGroup.generated(gens, x.dim + 1)
-    assert sub.is_subgroup_of(pg.group), "odd loop escaped the projectivity group"
-    return sub
+    return PermutationGroup.generated(gens, x.dim + 1)
 
 
 def induced_homomorphism_check(

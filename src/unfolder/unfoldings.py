@@ -170,7 +170,13 @@ class Component:
         return self.member_copies.index(copy)
 
 
-def _component(u: UnfoldingResult, members: tuple[int, ...]) -> Component:
+def component_parts(u: UnfoldingResult) -> tuple[tuple[int, ...], ...]:
+    """The sorted copy ids of each dual-graph component of an unfolding."""
+    return u.component_partition or tuple(dual_graph(u.total).components())
+
+
+def component_of(u: UnfoldingResult, members: tuple[int, ...]) -> Component:
+    """The component made of the copies `members`, as its own complex."""
     _kept, sub = gluings_within(u.total, members)
     return Component(
         complex=PseudoComplex(u.total.dim, len(members), sub),
@@ -182,14 +188,13 @@ def _component(u: UnfoldingResult, members: tuple[int, ...]) -> Component:
 
 def components(u: UnfoldingResult) -> tuple[Component, ...]:
     """Split an unfolding along its dual-graph components."""
-    parts = u.component_partition or dual_graph(u.total).components()
-    return tuple(_component(u, members) for members in parts)
+    return tuple(component_of(u, members) for members in component_parts(u))
 
 
 def component_containing(u: UnfoldingResult, copy: int) -> Component:
-    for members in u.component_partition or dual_graph(u.total).components():
+    for members in component_parts(u):
         if copy in members:
-            return _component(u, members)
+            return component_of(u, members)
     raise BadParameter(f"no copy {copy} in the unfolding")
 
 

@@ -17,7 +17,7 @@ from unfolder.diagnostics import (
     odd_subcomplex,
     orientable,
 )
-from unfolder.errors import NotLocallyStronglyConnected
+from unfolder.errors import DimensionMismatch, NotLocallyStronglyConnected
 from unfolder.gallery import (
     boundary_simplex,
     cycle_graph,
@@ -83,6 +83,9 @@ def test_link_graph_parity():
     rim = classes.class_of((0, (0,)))
     assert not link_graph_is_bipartite(K, center)  # triangle around the apex
     assert link_graph_is_bipartite(K, rim)
+    edge = classes.class_of((0, (0, 1)))
+    with pytest.raises(DimensionMismatch):
+        link_graph_is_bipartite(K, edge)  # a ridge's link has dimension 0
 
 
 def test_pseudo_manifold_census():

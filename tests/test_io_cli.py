@@ -1,15 +1,17 @@
 """Document round-trips and the command line front end."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
 from unfolder.cli import main
 from unfolder.complexes import AbstractComplex, PseudoComplex
-from unfolder.errors import UnfolderError
+from unfolder.errors import BadParameter, UnfolderError
 from unfolder.gallery import boundary_simplex, doubled_triangle_sphere, starred_triangle
-from unfolder.io import emit, emit_unfolding, parse, parse_document
-from unfolder.unfoldings import partial_unfolding
+from unfolder.io import MAX_DIM, emit, emit_component, emit_unfolding, parse, parse_document
+from unfolder.unfoldings import component_of, components, partial_unfolding
 
 
 def test_simplicial_round_trip_is_byte_stable():
@@ -189,3 +191,66 @@ def test_cli_verify_paper_suite_is_green(capsys):
 def test_cli_verify_rejects_unknown_suite(capsys):
     code, _, err = _run(capsys, "verify", "--suite", "everything")
     assert code == 2
+
+
+def test_cli_unfold_component_builds_only_that_component(capsys, monkeypatch, tmp_path):
+    import unfolder.cli as cli
+
+    src = tmp_path / "t.json"
+    src.write_text(emit(starred_triangle()))
+    u = partial_unfolding(starred_triangle())
+    want = [emit_component(comp, "partial") for comp in components(u)]
+    built = []
+    monkeypatch.setattr(
+        cli, "component_of", lambda u, members: built.append(members) or component_of(u, members)
+    )
+    for k, text in enumerate(want):
+        built.clear()
+        code, out, _ = _run(capsys, "unfold", "--mode", "partial", "--component", str(k), str(src))
+        assert code == 0
+        assert out == text
+        assert built == [u.component_partition[k]]
+    built.clear()
+    code, out, err = _run(capsys, "unfold", "--mode", "partial", "--component", "2", str(src))
+    assert (code, out, built) == (2, "", [])
+    assert err == "error: component 2 of 2 does not exist\n"
+    code, out, _ = _run(capsys, "unfold", "--mode", "partial", str(src))
+    assert code == 0
+    assert "2 components, sizes 3 and 6" in out
+    assert built == []
+
+
+MAX_DIM_DOCUMENTS = [
+    json.dumps({"kind": "pseudo", "dim": MAX_DIM + 1, "facet_count": 1}),
+    json.dumps({"kind": "pseudo", "dim": 40, "facet_count": 2, "gluings": []}),
+    json.dumps({"facets": [list(range(MAX_DIM + 2))]}),
+]
+
+
+@pytest.mark.parametrize("text", MAX_DIM_DOCUMENTS)
+def test_parse_refuses_dimensions_above_max_dim(text, capsys, tmp_path):
+    with pytest.raises(BadParameter, match=f"largest supported dimension {MAX_DIM}"):
+        parse_document(text)
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    code, out, err = _run(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: dim ")
+
+
+def test_parse_accepts_max_dim():
+    P = parse(json.dumps({"kind": "pseudo", "dim": MAX_DIM, "facet_count": 1}))
+    assert P.dim == MAX_DIM
+    K = parse(json.dumps({"facets": [list(range(MAX_DIM + 1))]}))
+    assert K.dim == MAX_DIM
+
+
+def test_no_assert_statements_in_the_library():
+    src = Path(__file__).resolve().parents[1] / "src" / "unfolder"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
