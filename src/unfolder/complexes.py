@@ -263,7 +263,7 @@ class FaceClasses:
                     yield a + i, b + j
 
         roots = _roots(facet_count * per, pairs())
-        # the class with the smallest root, at its smallest copy, is named
+        # named: the class with the smallest root, at its first repeated copy
         bad = min(_repeats(roots, per, facet_count), default=None)
         if bad is not None:
             _r, f, i, j = bad
