@@ -199,9 +199,6 @@ class Gluing:
         if error is not None:
             raise BadGluing(error)
 
-    def touches(self, facet: int) -> bool:
-        return facet in (self.facet_a, self.facet_b)
-
     def other(self, facet: int) -> int:
         if facet == self.facet_a:
             return self.facet_b
@@ -604,21 +601,17 @@ def perspectivity(x: Complex, facet: int, gluing_id: int) -> Perm:
     if not 0 <= gluing_id < len(gl):
         raise InvalidPath(f"no gluing {gluing_id}")
     g = gl[gluing_id]
-    d = x.dim
-    out = [-1] * (d + 1)
     if facet == g.facet_a:
-        for i, v in enumerate(g.ridge_a):
-            out[v] = g.mapping[i]
-        opp_src = next(v for v in range(d + 1) if v not in g.ridge_a)
-        opp_dst = next(v for v in range(d + 1) if v not in g.ridge_b)
+        src_dst, ridge_dst = zip(g.ridge_a, g.mapping), g.ridge_b
     elif facet == g.facet_b:
-        for i, v in enumerate(g.ridge_a):
-            out[g.mapping[i]] = v
-        opp_src = next(v for v in range(d + 1) if v not in g.ridge_b)
-        opp_dst = next(v for v in range(d + 1) if v not in g.ridge_a)
+        src_dst, ridge_dst = zip(g.mapping, g.ridge_a), g.ridge_a
     else:
         raise InvalidPath(f"gluing {gluing_id} does not touch facet {facet}")
-    out[opp_src] = opp_dst
+    # a ridge leaves out d(d+1)/2 minus its sum; the ridge overwrites the rest
+    d = x.dim
+    out = [d * (d + 1) // 2 - sum(ridge_dst)] * (d + 1)
+    for v, w in src_dst:
+        out[v] = w
     return tuple(out)
 
 
@@ -684,9 +677,6 @@ class StarView:
     complex: PseudoComplex
     rep_in: tuple[tuple[int, ...], ...]  # star facet id -> local vertex tuple of class
 
-    def star_index(self, parent_facet: int) -> int:
-        return self.parent_facets.index(parent_facet)
-
 
 def star_of_class(x: Complex, cid: int) -> StarView:
     """Star of a face class, read off the incidence index in O(|star| * (d+1))."""
@@ -711,26 +701,17 @@ def link_of_class(x: Complex, cid: int) -> tuple[PseudoComplex, StarView]:
     card = len(star.rep_in[0])
     if card > d:
         raise NotAFace("a facet class has an empty link")
-    comp = []
-    comp_index = []
-    for rep in star.rep_in:
-        c = tuple(v for v in range(d + 1) if v not in rep)
-        comp.append(c)
-        comp_index.append({v: i for i, v in enumerate(c)})
+    # star facet -> {local label outside the class: its link label}
+    where = [
+        {v: i for i, v in enumerate(v for v in range(d + 1) if v not in rep)}
+        for rep in star.rep_in
+    ]
     link_gluings: list[Gluing] = []
     for g in star.complex.gluings:
-        rep_a = set(star.rep_in[g.facet_a])
-        ia, ib = comp_index[g.facet_a], comp_index[g.facet_b]
-        ra, mapping = [], []
-        for pos, v in enumerate(g.ridge_a):
-            if v in rep_a:
-                continue
-            ra.append(ia[v])
-            mapping.append(ib[g.mapping[pos]])
-        rb = tuple(sorted(mapping))
-        link_gluings.append(
-            Gluing(g.facet_a, tuple(ra), g.facet_b, rb, tuple(mapping))
-        )
+        ia, ib = where[g.facet_a], where[g.facet_b]
+        ra = tuple(ia[v] for v in g.ridge_a if v in ia)
+        mapping = tuple(ib[w] for v, w in zip(g.ridge_a, g.mapping) if v in ia)
+        link_gluings.append(Gluing(g.facet_a, ra, g.facet_b, tuple(sorted(mapping)), mapping))
     lk = PseudoComplex(d - card, len(star.parent_facets), tuple(link_gluings))
     return lk, star
 

