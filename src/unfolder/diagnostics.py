@@ -6,8 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations as all_permutations
 
-import numpy as np
-
 from .complexes import (
     AbstractComplex,
     Complex,
@@ -234,37 +232,6 @@ def euler_characteristic(x: Complex) -> int:
     return sum((-1) ** k * c for k, c in counts.items())
 
 
-def _gf2_solve(rows: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """One solution of rows @ x = rhs over GF(2), or None."""
-    m, n = rows.shape
-    M = np.concatenate([rows % 2, (rhs % 2)[:, None]], axis=1).astype(np.uint8)
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        hit = None
-        for i in range(r, m):
-            if M[i, c]:
-                hit = i
-                break
-        if hit is None:
-            continue
-        M[[r, hit]] = M[[hit, r]]
-        for i in range(m):
-            if i != r and M[i, c]:
-                M[i] ^= M[r]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if M[i, -1]:
-            return None
-    x = np.zeros(n, dtype=np.uint8)
-    for row, col in pivots:
-        x[col] = M[row, -1]
-    return x
-
-
 def mod2_boundary_check(
     K: AbstractComplex, L
 ) -> tuple[bool, tuple[tuple[int, ...], ...] | None]:
@@ -272,33 +239,51 @@ def mod2_boundary_check(
 
     L is a collection of codimension-2 faces (or an AbstractComplex whose
     facets are such). Returns (True, Q) with a witness chain, or (False, None).
+
+    Each ridge's boundary is a bitmask over the codimension-2 faces.  The
+    columns are reduced in ridge order by lowest-bit pivots, the sparse
+    reduction of persistent homology; each pivot keeps the mask of the
+    ridges that sum to it.  The target is reduced the same way: a missing
+    pivot means no chain exists, and the XOR of the ridge masks used is Q.
+    Column j becomes a pivot exactly when it is independent of the earlier
+    columns, so Q is the unique sum of such ridges that bounds L.
     """
     d = K.dim
+    if d < 1:
+        raise DimensionMismatch(f"a complex of dimension {d} has no codimension-2 face")
     if isinstance(L, AbstractComplex):
         wanted = set(L.facets)
     else:
         wanted = {tuple(sorted(f)) for f in L}
-    codim2 = K.faces(d - 2)
+    bit = {f: 1 << i for i, f in enumerate(K.faces(d - 2))}
     ridges = K.faces(d - 1)
     for f in wanted:
         if len(f) != d - 1:
             raise DimensionMismatch(f"{f} is not a codimension-2 face")
-        if f not in codim2:
+        if f not in bit:
             raise NotAFace(f"{f} is not a face")
-    index2 = {f: i for i, f in enumerate(codim2)}
-    A = np.zeros((len(codim2), len(ridges)), dtype=np.uint8)
+    pivots: dict[int, tuple[int, int]] = {}
+
+    def reduce(col: int, mask: int) -> tuple[int, int]:
+        while col:
+            hit = pivots.get(col & -col)
+            if hit is None:
+                break
+            col ^= hit[0]
+            mask ^= hit[1]
+        return col, mask
+
     for j, rho in enumerate(ridges):
+        col = 0
         for k in range(len(rho)):
-            sub = rho[:k] + rho[k + 1 :]
-            A[index2[sub], j] = 1
-    b = np.zeros(len(codim2), dtype=np.uint8)
-    for f in wanted:
-        b[index2[f]] = 1
-    solution = _gf2_solve(A, b)
-    if solution is None:
+            col |= bit[rho[:k] + rho[k + 1 :]]
+        col, mask = reduce(col, 1 << j)
+        if col:
+            pivots[col & -col] = col, mask
+    rest, chain = reduce(sum(bit[f] for f in wanted), 0)
+    if rest:
         return False, None
-    chain = tuple(ridges[j] for j in range(len(ridges)) if solution[j])
-    return True, chain
+    return True, tuple(rho for j, rho in enumerate(ridges) if chain >> j & 1)
 
 
 @dataclass(frozen=True)
