@@ -17,10 +17,10 @@ from .complexes import (
     dual_graph,
     facet_count_of,
     gluings_of,
+    gluings_within,
     link_of_class,
     nonempty_subsets,
     per_instance,
-    perspectivity,
 )
 from .errors import (
     BadParameter,
@@ -28,9 +28,9 @@ from .errors import (
     Mismatch,
     NotAFace,
     NotLocallyStronglyConnected,
-    NotStronglyConnected,
 )
 from .permutations import Perm, perm_compose, perm_identity, perm_inverse, perm_sign
+from .projectivities import projectivity_group
 
 
 def is_strongly_connected(x: Complex) -> bool:
@@ -71,50 +71,25 @@ def is_locally_strongly_connected(x: Complex) -> tuple[bool, int | None]:
     return True, None
 
 
-def balanced_coloring(x: Complex, base: int = 0) -> dict[int, int] | None:
+def balanced_coloring(x: Complex) -> dict[int, int] | None:
     """Proper (d+1)-coloring of vertex classes, or None.
 
-    The base facet is colored by its local labels; colors propagate over a
-    spanning tree of the dual graph and every gluing is then checked.  A
-    coloring exists only where the group of projectivities is trivial; check
-    `diag-01` of `unfolder verify` tests that equivalence.
+    Read off the projectivity search at facet 0: facet f wears the inverse
+    of the transport to f, so local label l of f gets color c with
+    transports[f][c] == l.  The gluings agree on that coloring exactly when
+    every generator is the identity, since a generator that fixes the d
+    ridge labels fixes the last one too; so only a trivial group colors.
+    Raises `NotStronglyConnected` when the dual graph is disconnected.
     """
-    n = facet_count_of(x)
-    d = x.dim
-    adj = dual_graph(x).neighbours
-    ident = perm_identity(d + 1)
-    coloring: list[Perm | None] = [None] * n
-    coloring[base] = ident
-    queue = [base]
-    head = 0
-    while head < len(queue):
-        f = queue[head]
-        head += 1
-        for gid, w in adj[f]:
-            if coloring[w] is None:
-                step = perspectivity(x, f, gid)
-                coloring[w] = perm_compose(perm_inverse(step), coloring[f])
-                queue.append(w)
-    if len(queue) < n:
-        missing = sorted(f for f in range(n) if coloring[f] is None)
-        raise NotStronglyConnected(f"facets {missing} are not reachable from {base}")
-    ok = True
-    for g in gluings_of(x):
-        ca, cb = coloring[g.facet_a], coloring[g.facet_b]
-        for i, v in enumerate(g.ridge_a):
-            if ca[v] != cb[g.mapping[i]]:
-                ok = False
-                break
-        if not ok:
-            break
-    if not ok:
+    pg = projectivity_group(x)
+    if not pg.group.is_trivial:
         return None
     # a vertex class must wear one color even where no gluing ties its
     # references together (pinched complexes fail exactly here)
     classes = classes_of(x)
     out: dict[int, int] = {}
     for cid in classes.classes_of_card(1):
-        seen = {coloring[f][l] for f, (l,) in classes.members[cid]}
+        seen = {pg.transports[f].index(l) for f, (l,) in classes.members[cid]}
         if len(seen) > 1:
             return None
         out[cid] = seen.pop()
@@ -198,33 +173,30 @@ def is_pseudo_manifold(x: Complex) -> str:
     return "closed" if all(k == 2 for k in degrees) else "with-boundary"
 
 
-def _crossing_sign(x: Complex, gid: int) -> int:
-    g = gluings_of(x)[gid]
-    order = tuple(g.ridge_b.index(m) for m in g.mapping)
-    # the opposite labels are d(d+1)/2 minus the ridge sums, and d(d+1) is even
-    return -perm_sign(order) * (-1) ** (sum(g.ridge_a) + sum(g.ridge_b))
-
-
 def orientable(x: Complex) -> bool:
-    """Propagate facet orientations; True when all loops close with sign +1."""
-    n = facet_count_of(x)
-    adj = dual_graph(x).neighbours
-    sign: list[int] = [0] * n
-    for start in range(n):
-        if sign[start]:
-            continue
-        sign[start] = 1
-        stack = [start]
-        while stack:
-            f = stack.pop()
-            for gid, w in adj[f]:
-                s = sign[f] * _crossing_sign(x, gid)
-                if sign[w] == 0:
-                    sign[w] = s
-                    stack.append(w)
-                elif sign[w] != s:
-                    return False
-    return True
+    """Can the facets be oriented so that every gluing reverses the ridge?
+
+    Read off the projectivity search: crossing a gluing keeps the facet
+    orientation exactly when its perspectivity is odd, so a loop of length L
+    keeps it exactly when its projectivity has sign (-1)^L.  The loops of
+    the generators span all loops, so those are the ones checked.  A
+    disconnected complex is checked component by component, each as its own
+    complex searched from its smallest facet.
+    """
+    parts = dual_graph(x).components()
+    if len(parts) > 1:
+        # a search on x itself would cost the facet count per component
+        return all(
+            orientable(PseudoComplex(x.dim, len(part), gluings_within(x, part)[1]))
+            for part in parts
+        )
+    pg = projectivity_group(x)
+    gl = gluings_of(x)
+    depth = pg.depths
+    return all(
+        perm_sign(p) == (-1) ** (depth[gl[gid].facet_a] + depth[gl[gid].facet_b] + 1)
+        for (p, _tag), gid in zip(pg.group.generators, pg.generator_gluings)
+    )
 
 
 def euler_characteristic(x: Complex) -> int:

@@ -4,7 +4,8 @@ A permutation is a plain tuple `p` of length n with p[i] = image of i.
 Projectivities compose left to right (apply the first path segment first),
 so `perm_compose(p, q)` means "p, then q".
 
-Groups here are tiny (order at most (d+1)! with d <= 3 in practice), so the
+Groups here are small: order at most (d+1)!, where d <= 4 for the gallery
+and benchmark inputs and d <= `io.MAX_DIM` = 8 for any document.  So the
 closure is computed by saturation and the full element set is kept.
 """
 

@@ -53,14 +53,21 @@ class ProjectivityGroup:
     """Group of projectivities based at one facet, with its spanning data.
 
     `transports[f]` is the projectivity along the breadth-first tree path
-    from the base to facet f; generators come from the non-tree gluings.
+    from the base to facet f, and `depths[f]` that path's length; both are
+    None for facets outside the base's component.  Each non-tree gluing
+    closes one loop, of length depths[a] + depths[b] + 1, whose projectivity
+    is a generator; `generator_gluings` names those gluings in generator
+    order.  The one search of the package: `balanced_coloring` and
+    `orientable` are read off it.
     """
 
     base: int
     group: PermutationGroup
-    transports: tuple[Perm, ...]
+    transports: tuple[Perm | None, ...]
     tree_gluings: tuple[int, ...]
     reached: tuple[int, ...]  # facets in BFS order
+    depths: tuple[int | None, ...]
+    generator_gluings: tuple[int, ...]
 
     def transport_to(self, facet: int) -> Perm:
         if not 0 <= facet < len(self.transports):
@@ -81,15 +88,29 @@ def projectivity_group(
     """Breadth-first generators for the projectivity group at `base`.
 
     The dual graph must be connected unless `restrict_to_component` is set,
-    in which case only the component of `base` contributes.
+    in which case only the component of `base` contributes.  The search runs
+    once per base and is kept on `x`; the connectivity check runs per call.
     """
     n = facet_count_of(x)
     if not 0 <= base < n:
         raise InvalidPath(f"no facet {base}")
+    memo = x.__dict__.setdefault("_memo_projectivity_group", {})
+    if base not in memo:
+        memo[base] = _search(x, base)
+    pg = memo[base]
+    if len(pg.reached) < n and not restrict_to_component:
+        missing = sorted(set(range(n)) - set(pg.reached))
+        raise NotStronglyConnected(f"facets {missing} are not reachable from {base}")
+    return pg
+
+
+def _search(x: Complex, base: int) -> ProjectivityGroup:
+    n = facet_count_of(x)
     adj = dual_graph(x).neighbours
-    ident = perm_identity(x.dim + 1)
     transports: list[Perm | None] = [None] * n
-    transports[base] = ident
+    transports[base] = perm_identity(x.dim + 1)
+    depths: list[int | None] = [None] * n
+    depths[base] = 0
     order: list[int] = [base]
     tree: list[int] = []
     non_tree: list[tuple[int, int]] = []  # (gluing id, facet reached first)
@@ -101,14 +122,12 @@ def projectivity_group(
         for gid, w in adj[f]:
             if transports[w] is None:
                 transports[w] = perm_compose(transports[f], perspectivity(x, f, gid))
+                depths[w] = depths[f] + 1
                 tree.append(gid)
                 order.append(w)
             elif gid not in crossed:
                 non_tree.append((gid, f))
             crossed.add(gid)
-    if len(order) < n and not restrict_to_component:
-        missing = sorted(set(range(n)) - set(order))
-        raise NotStronglyConnected(f"facets {missing} are not reachable from {base}")
     gl = gluings_of(x)
     gens: list[tuple[Perm, str]] = []
     for gid, f in non_tree:
@@ -125,6 +144,8 @@ def projectivity_group(
         transports=tuple(transports),
         tree_gluings=tuple(tree),
         reached=tuple(order),
+        depths=tuple(depths),
+        generator_gluings=tuple(gid for gid, _f in non_tree),
     )
 
 

@@ -94,19 +94,13 @@ class CheckResult:
 
 
 class _Context:
-    """Gallery entries with memoized groups and unfoldings."""
+    """Gallery entries with memoized unfoldings."""
 
     def __init__(self) -> None:
         self.entries = gallery_entries()
-        self._pg: dict[str, object] = {}
         self._uc: dict[str, object] = {}
         self._up: dict[str, object] = {}
         self._lsc: list | None = None
-
-    def pg(self, e):
-        if e.name not in self._pg:
-            self._pg[e.name] = projectivity_group(e.complex)
-        return self._pg[e.name]
 
     def uc(self, e):
         if e.name not in self._uc:
@@ -271,7 +265,7 @@ def check_proj_03(ctx: _Context) -> str:
     for e in ctx.entries:
         x = e.complex
         last = facet_count_of(x) - 1
-        pg0 = ctx.pg(e)
+        pg0 = projectivity_group(x)
         pg1 = projectivity_group(x, last)
         _require(pg0.order == pg1.order, f"{e.name}: orders differ")
         t = pg0.transport_to(last)
@@ -287,7 +281,7 @@ def check_proj_04(ctx: _Context) -> str:
     n = 0
     for e in ctx.lsc_entries():
         sub = odd_generated_subgroup(e.complex)
-        pg = ctx.pg(e)
+        pg = projectivity_group(e.complex)
         _require(sub.is_subgroup_of(pg.group), f"{e.name}: not a subgroup")
         if e.name in simply_connected:
             _require(sub.order == pg.order, f"{e.name}: odd loops fail to generate")
@@ -328,7 +322,7 @@ def check_unf_01(ctx: _Context) -> str:
         x = e.complex
         n = facet_count_of(x)
         uc, up = ctx.uc(e), ctx.up(e)
-        _require(facet_count_of(uc.total) == ctx.pg(e).order * n, e.name)
+        _require(facet_count_of(uc.total) == projectivity_group(x).order * n, e.name)
         _require(facet_count_of(up.total) == (x.dim + 1) * n, e.name)
     return f"facet-count laws hold on {len(ctx.entries)} complexes"
 
@@ -387,7 +381,7 @@ def check_unf_07(ctx: _Context) -> str:
     n = 0
     for e in ctx.lsc_entries():
         x = e.complex
-        pg = ctx.pg(e)
+        pg = projectivity_group(x)
         fibers = fibers_over(ctx.uc(e))
         classes = classes_of(x)
         for cid in range(classes.count):
@@ -455,7 +449,9 @@ def check_sub_03(ctx: _Context) -> str:
         f = crumpling_map(rec)
         _require(induced_homomorphism_check(rec.result, K, f), e.name)
         up = projectivity_group(rec.result)
-        _require(up.order == ctx.pg(e).order, f"{e.name}: image misses part of the group")
+        _require(
+            up.order == projectivity_group(K).order, f"{e.name}: image misses part of the group"
+        )
         n += 1
     return f"{n} crumpling maps induce bijective homomorphisms"
 
@@ -504,7 +500,7 @@ def check_diag_01(ctx: _Context) -> str:
     for e in ctx.lsc_entries():
         x = e.complex
         flags = (
-            ctx.pg(e).group.is_trivial,
+            projectivity_group(x).group.is_trivial,
             balanced_coloring(x) is not None,
             projection_is_isomorphism(ctx.uc(e)),
             all(
@@ -590,7 +586,7 @@ def check_gen_01(ctx: _Context) -> str:
     for e in ctx.entries:
         x, want = e.complex, e.expected
         if want.group_order is not None:
-            _require(ctx.pg(e).order == want.group_order, f"{e.name}: group order")
+            _require(projectivity_group(x).order == want.group_order, f"{e.name}: group order")
         if want.odd_face_count is not None:
             got = len(odd_subcomplex(x).odd_faces)
             _require(got == want.odd_face_count, f"{e.name}: odd faces {got}")

@@ -28,7 +28,12 @@ from unfolder.complexes import (
     perspectivity,
     star_of_class,
 )
-from unfolder.diagnostics import is_locally_strongly_connected, odd_subcomplex
+from unfolder.diagnostics import (
+    balanced_coloring,
+    is_locally_strongly_connected,
+    odd_subcomplex,
+    orientable,
+)
 from unfolder.errors import (
     InvalidPath,
     NotLocallyStronglyConnected,
@@ -228,6 +233,8 @@ def test_a_complex_is_freed_with_its_last_reference(pseudo):
     link_of_class(x, 0)
     projectivity_group(x)
     odd_subcomplex(x)
+    orientable(x)
+    balanced_coloring(x)
     ref = weakref.ref(x)
     del x
     gc.collect()
