@@ -3,7 +3,6 @@
 Run with:  python3 demos/knot_tour.py
 """
 
-from unfolder.complexes import classes_of
 from unfolder.diagnostics import odd_subcomplex, orientable
 from unfolder.gallery import knot_neighborhood
 from unfolder.permutations import perm_cycle_string
@@ -30,7 +29,7 @@ def main() -> None:
     print()
     print("The odd faces are exactly the edges of the core cycle:")
     kn = knot_neighborhood(3)
-    classes = classes_of(kn.complex)
+    classes = kn.complex.classes()
     for cid in odd_subcomplex(kn.complex).odd_faces:
         f, sub = classes.members[cid][0]
         names = tuple(kn.vertex_names[kn.abstract.facets[f][pos]] for pos in sub)

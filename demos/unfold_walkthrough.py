@@ -3,7 +3,6 @@
 Run with:  python3 demos/unfold_walkthrough.py
 """
 
-from unfolder.complexes import classes_of
 from unfolder.diagnostics import (
     balanced_coloring,
     euler_characteristic,
@@ -56,8 +55,8 @@ def main() -> None:
     t = partial_unfolding(K)
     print(f"one copy per facet vertex: {t.total.facet_count} copies")
     degrees = sorted(
-        len(classes_of(t.total).members[c])
-        for c in classes_of(t.total).classes_of_card(1)
+        len(t.total.classes().members[c])
+        for c in t.total.classes().classes_of_card(1)
     )
     print(f"vertex degrees upstairs: {degrees}")
     print(f"Euler characteristic: {euler_characteristic(t.total)}  (a sphere)")

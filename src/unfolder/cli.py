@@ -15,7 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .complexes import AbstractComplex, classes_of, facet_count_of
+from .complexes import AbstractComplex
 from .diagnostics import (
     balanced_coloring,
     euler_characteristic,
@@ -26,7 +26,7 @@ from .diagnostics import (
     orientable,
 )
 from .errors import BadParameter, UnfolderError
-from .gallery import gallery_complex, knot_neighborhood
+from .gallery import _int_part, gallery_complex
 from .io import ParsedDocument, emit, emit_component, emit_unfolding, parse_document
 from .permutations import perm_cycle_string
 from .projectivities import projectivity_group
@@ -72,10 +72,10 @@ def _fmt_sizes(sizes: list[int]) -> str:
 def cmd_analyze(ns: argparse.Namespace) -> int:
     doc = _read_document(ns.path)
     x = doc.complex
-    counts = classes_of(x).counts_by_dim()
+    counts = x.classes().counts_by_dim()
     print(f"kind: {doc.kind}")
     print(f"dim: {x.dim}")
-    print(f"facets: {facet_count_of(x)}")
+    print(f"facets: {x.facet_count}")
     vector = " ".join(str(counts.get(k, 0)) for k in range(x.dim + 1))
     print(f"face counts by dimension: {vector}")
     sc = is_strongly_connected(x)
@@ -110,7 +110,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
             print("odd subcomplex: empty")
         else:
             print(f"odd subcomplex: {len(odd.odd_faces)} classes of codimension 2")
-            classes = classes_of(x)
+            classes = x.classes()
             for cid in odd.odd_faces:
                 if classes.face_keys is not None:
                     verts = classes.face_keys[cid]
@@ -151,7 +151,7 @@ def cmd_unfold(ns: argparse.Namespace) -> int:
         return 0
     sizes = sorted(map(len, parts))
     print(f"mode: {u.kind}")
-    print(f"base facets: {facet_count_of(x)}")
+    print(f"base facets: {x.facet_count}")
     print(f"total facets: {u.total.facet_count}")
     print(f"{len(parts)} components, sizes {_fmt_sizes(sizes)}")
     print("projection:")
@@ -174,7 +174,7 @@ def cmd_subdivide(ns: argparse.Namespace) -> int:
     elif kind == "antiprismatic":
         op = antiprismatic
     elif kind == "stellar":
-        facet = int(arg) if arg else 0
+        facet = _int_part(arg) if arg else 0
 
         def op(c):
             if not isinstance(c, AbstractComplex):
@@ -189,15 +189,7 @@ def cmd_subdivide(ns: argparse.Namespace) -> int:
 
 
 def cmd_gallery(ns: argparse.Namespace) -> int:
-    if ns.name.startswith("knot-nbhd:"):
-        parts = ns.name.split(":")
-        if len(parts) != 3:
-            raise BadParameter(f"expected knot-nbhd:<n>:<variant>, got {ns.name!r}")
-        kn = knot_neighborhood(int(parts[1]), parts[2])
-        _write_or_print(emit(kn.complex), ns.output)
-        return 0
-    x = gallery_complex(ns.name)
-    _write_or_print(emit(x), ns.output)
+    _write_or_print(emit(gallery_complex(ns.name)), ns.output)
     return 0
 
 

@@ -18,11 +18,17 @@ codimension > 1 has a connected link; the library therefore keeps the vertex
 set structure of abstract complexes intact internally instead of routing
 everything through `as_pseudo`.
 
+Both types answer one surface, and every layer asks it whichever type it
+holds: `x.dim`, `x.facet_count`, `x.gluings` and `x.classes()`.  An
+`AbstractComplex`'s gluings are its `derived_gluings()`, one per pair of
+facets sharing a ridge.
+
 Face classes, derived gluings and one incidence index per complex are built
 on first use and kept on the instance (`per_instance`), so they are freed
 with it.  The index, `dual_graph(x).neighbours`, lists each facet's
 (gluing id, neighbour) pairs in id order; one pass over the gluings builds
-it.  Stars and links read it in O(|star| * (d+1)) instead of O(#gluings).
+it, and its `components()` are kept on it too.  Stars and links read it in
+O(|star| * (d+1)) instead of O(#gluings).
 
 Every union-find here is one kernel over integer slots, `_roots`: slot
 f * per + i stands for item i of copy f (subset i of `nonempty_subsets` for
@@ -357,6 +363,11 @@ class AbstractComplex:
     def classes(self) -> FaceClasses:
         return FaceClasses.from_abstract(self.facets, self.dim)
 
+    @property
+    def gluings(self) -> tuple[Gluing, ...]:
+        """The kept `derived_gluings()`."""
+        return self.derived_gluings()
+
     @per_instance
     def derived_gluings(self) -> tuple[Gluing, ...]:
         """One gluing per pair of facets sharing a ridge (identity on globals)."""
@@ -400,26 +411,19 @@ Complex = AbstractComplex | PseudoComplex
 
 
 def gluings_of(x: Complex) -> tuple[Gluing, ...]:
-    return x.gluings if isinstance(x, PseudoComplex) else x.derived_gluings()
-
-
-def classes_of(x: Complex) -> FaceClasses:
-    return x.classes()
-
-
-def facet_count_of(x: Complex) -> int:
-    return x.facet_count
+    """`x.gluings`; kept only because the benchmark's probes import it."""
+    return x.gluings
 
 
 @per_instance
 def vertex_classes(x: Complex) -> tuple[tuple[FaceRef, ...], ...]:
     """The members of the vertex classes of `x`, in class-id order.
 
-    Equal to `classes_of(x)`'s card-1 members, without the closure over every
+    Equal to `x.classes()`'s card-1 members, without the closure over every
     subface: the glued closure only unions faces of equal size, so vertex
     classes come from the ridge vertex pairs alone.  Raises
     `SelfIdentification` when a copy identifies two of its own vertices,
-    which is exactly when `classes_of(x)` raises: a chain of gluings that
+    which is exactly when `x.classes()` raises: a chain of gluings that
     carries a face of a copy onto another face of it identifies two of the
     copy's vertices.
     """
@@ -471,11 +475,6 @@ def is_simplicial(P: PseudoComplex) -> tuple[bool, tuple[int, int] | None]:
             return False, (seen[key], cid)
         seen[key] = cid
     return True, None
-
-
-def to_abstract(P: PseudoComplex) -> AbstractComplex:
-    K, _facet_map, _vmap = to_abstract_with_maps(P)
-    return K
 
 
 def to_abstract_with_maps(
@@ -542,7 +541,9 @@ class DualGraph:
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
 
-    def components(self) -> list[tuple[int, ...]]:
+    @per_instance
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """The sorted node tuples of each component, by smallest node; kept."""
         adj = self.neighbours
         seen: set[int] = set()
         comps: list[tuple[int, ...]] = []
@@ -559,14 +560,13 @@ class DualGraph:
                         stack.append(w)
             seen |= comp
             comps.append(tuple(sorted(comp)))
-        return comps
+        return tuple(comps)
 
 
 @per_instance
 def dual_graph(x: Complex) -> DualGraph:
     """The incidence index of `x`, built on first use and kept on `x`."""
-    gl = gluings_of(x)
-    return DualGraph(facet_count_of(x), tuple((g.facet_a, g.facet_b) for g in gl))
+    return DualGraph(x.facet_count, tuple((g.facet_a, g.facet_b) for g in x.gluings))
 
 
 def gluings_within(
@@ -575,7 +575,7 @@ def gluings_within(
     """Ids of the gluings g with `g.facet_a` in the sorted `facet_ids` and
     `keep(g)`, in id order, and those gluings renumbered to positions in
     `facet_ids`, which must hold every `g.facet_b`.  Costs the degree sum."""
-    gl = gluings_of(x)
+    gl = x.gluings
     adj = dual_graph(x).neighbours
     index = {f: i for i, f in enumerate(facet_ids)}
     kept = sorted(
@@ -597,7 +597,7 @@ def perspectivity(x: Complex, facet: int, gluing_id: int) -> Perm:
     Ridge vertices follow the gluing's bijection; the two opposite vertices
     are matched with each other.
     """
-    gl = gluings_of(x)
+    gl = x.gluings
     if not 0 <= gluing_id < len(gl):
         raise InvalidPath(f"no gluing {gluing_id}")
     g = gl[gluing_id]
@@ -623,7 +623,7 @@ class FacetPath:
     steps: tuple[int, ...]
 
     def facet_sequence(self, x: Complex) -> tuple[int, ...]:
-        gl = gluings_of(x)
+        gl = x.gluings
         seq = [self.start]
         cur = self.start
         for gid in self.steps:
@@ -680,7 +680,7 @@ class StarView:
 
 def star_of_class(x: Complex, cid: int) -> StarView:
     """Star of a face class, read off the incidence index in O(|star| * (d+1))."""
-    rep_by_facet = dict(classes_of(x).members[cid])
+    rep_by_facet = dict(x.classes().members[cid])
     facet_ids = tuple(sorted(rep_by_facet))
     kept, sub_gluings = gluings_within(
         x, facet_ids, lambda g: set(rep_by_facet[g.facet_a]) <= set(g.ridge_a)
@@ -718,10 +718,10 @@ def link_of_class(x: Complex, cid: int) -> tuple[PseudoComplex, StarView]:
 
 def is_connected_complex(x: Complex) -> bool:
     """Connectivity through shared faces (vertex classes suffice)."""
-    classes = classes_of(x)
+    classes = x.classes()
     pairs = (
         (classes.members[cid][0][0], f)
         for cid in classes.classes_of_card(1)
         for f, _s in classes.members[cid]
     )
-    return max(_roots(facet_count_of(x), pairs)) == 0
+    return max(_roots(x.facet_count, pairs)) == 0

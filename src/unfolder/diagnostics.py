@@ -13,10 +13,7 @@ from .complexes import (
     PseudoComplex,
     _roots,
     _subface_pairs,
-    classes_of,
     dual_graph,
-    facet_count_of,
-    gluings_of,
     gluings_within,
     link_of_class,
     nonempty_subsets,
@@ -49,7 +46,7 @@ def is_locally_strongly_connected(x: Complex) -> tuple[bool, int | None]:
     Returns (ok, witness class id of the first bad star); the pair is kept on
     `x`, so `odd_subcomplex` and `is_nice` reuse it.
     """
-    classes = classes_of(x)
+    classes = x.classes()
     d = x.dim
     if isinstance(x, PseudoComplex) or d < 2:
         return True, None
@@ -86,7 +83,7 @@ def balanced_coloring(x: Complex) -> dict[int, int] | None:
         return None
     # a vertex class must wear one color even where no gluing ties its
     # references together (pinched complexes fail exactly here)
-    classes = classes_of(x)
+    classes = x.classes()
     out: dict[int, int] = {}
     for cid in classes.classes_of_card(1):
         seen = {pg.transports[f].index(l) for f, (l,) in classes.members[cid]}
@@ -150,7 +147,7 @@ def odd_subcomplex(x: Complex) -> OddSubcomplex:
     if not ok:
         raise NotLocallyStronglyConnected(f"star of face class {witness} is disconnected")
     d = x.dim
-    classes = classes_of(x)
+    classes = x.classes()
     subs = (s for s in nonempty_subsets(d + 1) if len(s) == d - 1)
     ends = {s: [tuple(sorted((*s, a))) for a in range(d + 1) if a not in s] for s in subs}
     codim2 = classes.classes_of_card(d - 1)
@@ -166,7 +163,7 @@ def odd_subcomplex(x: Complex) -> OddSubcomplex:
 
 def is_pseudo_manifold(x: Complex) -> str:
     """Ridge-degree census: 'closed', 'with-boundary', or 'no'."""
-    classes = classes_of(x)
+    classes = x.classes()
     degrees = [len(classes.members[cid]) for cid in classes.classes_of_card(x.dim)]
     if any(k > 2 for k in degrees):
         return "no"
@@ -191,7 +188,7 @@ def orientable(x: Complex) -> bool:
             for part in parts
         )
     pg = projectivity_group(x)
-    gl = gluings_of(x)
+    gl = x.gluings
     depth = pg.depths
     return all(
         perm_sign(p) == (-1) ** (depth[gl[gid].facet_a] + depth[gl[gid].facet_b] + 1)
@@ -200,7 +197,7 @@ def orientable(x: Complex) -> bool:
 
 
 def euler_characteristic(x: Complex) -> int:
-    counts = classes_of(x).counts_by_dim()
+    counts = x.classes().counts_by_dim()
     return sum((-1) ** k * c for k, c in counts.items())
 
 
@@ -286,7 +283,7 @@ class IsoWitness:
         self, p: Complex, q: Complex
     ) -> dict[tuple[int, ...], tuple[int, ...]] | dict[int, int]:
         """Induced map on vertices (abstract inputs) or vertex classes."""
-        cp, cq = classes_of(p), classes_of(q)
+        cp, cq = p.classes(), q.classes()
         out: dict = {}
         for cid in cp.classes_of_card(1):
             f, (l,) = cp.members[cid][0]
@@ -322,11 +319,11 @@ def isomorphic(
     """
     if p.dim != q.dim:
         return None
-    n = facet_count_of(p)
-    if n != facet_count_of(q):
+    n = p.facet_count
+    if n != q.facet_count:
         return None
     d = p.dim
-    cp, cq = classes_of(p), classes_of(q)
+    cp, cq = p.classes(), q.classes()
     if sorted(zip(cp.cards, map(len, cp.members))) != sorted(
         zip(cq.cards, map(len, cq.members))
     ):
@@ -457,7 +454,7 @@ def is_nice(x: Complex, assume_high_dim: bool | None = None) -> bool:
                 "pass assume_high_dim"
             )
         return assume_high_dim
-    classes = classes_of(x)
+    classes = x.classes()
     for cid in classes.classes_of_card(1):
         lk, _star = link_of_class(x, cid)
         status = is_pseudo_manifold(lk)

@@ -123,7 +123,7 @@ class PermutationGroup:
     def sorted_elements(self) -> list[Perm]:
         return sorted(self.elements)
 
-    def orbits(self) -> list[tuple[int, ...]]:
+    def orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbit partition of {0..degree-1}, each orbit sorted, orbits by min."""
         remaining = set(range(self.degree))
         out: list[tuple[int, ...]] = []
@@ -140,10 +140,7 @@ class PermutationGroup:
                         frontier.append(y)
             out.append(tuple(sorted(orbit)))
             remaining -= orbit
-        return out
-
-    def orbit_partition(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.orbits())
+        return tuple(out)
 
     def is_subgroup_of(self, other: "PermutationGroup") -> bool:
         return self.degree == other.degree and self.elements <= other.elements

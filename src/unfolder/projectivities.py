@@ -15,8 +15,6 @@ from .complexes import (
     FacetPath,
     StarView,
     dual_graph,
-    facet_count_of,
-    gluings_of,
     perspectivity,
     star_of_class,
 )
@@ -37,7 +35,7 @@ def path_projectivity(x: Complex, path: FacetPath) -> Perm:
     for gid in path.steps:
         step = perspectivity(x, cur, gid)
         g = perm_compose(g, step)
-        cur = gluings_of(x)[gid].other(cur)
+        cur = x.gluings[gid].other(cur)
     return g
 
 
@@ -91,7 +89,7 @@ def projectivity_group(
     in which case only the component of `base` contributes.  The search runs
     once per base and is kept on `x`; the connectivity check runs per call.
     """
-    n = facet_count_of(x)
+    n = x.facet_count
     if not 0 <= base < n:
         raise InvalidPath(f"no facet {base}")
     memo = x.__dict__.setdefault("_memo_projectivity_group", {})
@@ -105,7 +103,7 @@ def projectivity_group(
 
 
 def _search(x: Complex, base: int) -> ProjectivityGroup:
-    n = facet_count_of(x)
+    n = x.facet_count
     adj = dual_graph(x).neighbours
     transports: list[Perm | None] = [None] * n
     transports[base] = perm_identity(x.dim + 1)
@@ -128,7 +126,7 @@ def _search(x: Complex, base: int) -> ProjectivityGroup:
             elif gid not in crossed:
                 non_tree.append((gid, f))
             crossed.add(gid)
-    gl = gluings_of(x)
+    gl = x.gluings
     gens: list[tuple[Perm, str]] = []
     for gid, f in non_tree:
         w = gl[gid].other(f)

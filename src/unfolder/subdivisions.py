@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import combinations
 from itertools import permutations as all_permutations
 
-from .complexes import AbstractComplex, Complex, classes_of, facet_count_of
+from .complexes import AbstractComplex, Complex
 from .errors import BadParameter, Mismatch, NotAFacet
 from .permutations import Perm, PermutationGroup
 from .projectivities import projectivity_group
@@ -98,11 +98,11 @@ def barycentric(x: Complex) -> SubdivisionRecord:
     are the face class ids themselves.
     """
     d = x.dim
-    classes = classes_of(x)
+    classes = x.classes()
     orderings = tuple(all_permutations(range(d + 1)))
     raw: list[tuple[int, ...]] = []
     provenance: list[tuple[int, int]] = []
-    for f in range(facet_count_of(x)):
+    for f in range(x.facet_count):
         for k, ordering in enumerate(orderings):
             flag = tuple(
                 classes.class_of((f, tuple(sorted(ordering[: i + 1]))))
@@ -139,11 +139,11 @@ def antiprismatic(x: Complex) -> SubdivisionRecord:
     is always (number of shapes) x (number of copies).
     """
     d = x.dim
-    classes = classes_of(x)
+    classes = x.classes()
     shapes = antiprism_facet_shapes(d)
     pair_set: set[tuple[int, int]] = set()
     per_copy: list[list[tuple[tuple[int, int], ...]]] = []
-    for f in range(facet_count_of(x)):
+    for f in range(x.facet_count):
         rows: list[tuple[tuple[int, int], ...]] = []
         for shape in shapes:
             pairs = tuple(
@@ -175,7 +175,7 @@ def crumpling_map(rec: SubdivisionRecord) -> dict[int, int]:
     Values are vertices of an abstract source, vertex class ids otherwise."""
     if rec.kind != "antiprismatic":
         raise BadParameter("the crumpling map belongs to the anti-prismatic subdivision")
-    keys = classes_of(rec.source).face_keys
+    keys = rec.source.classes().face_keys
     if keys is not None:
         return {v: keys[pair[1]][0] for v, pair in rec.vertex_provenance.items()}
     return {v: pair[1] for v, pair in rec.vertex_provenance.items()}
@@ -192,7 +192,7 @@ def crumpling_group_pair(
     """
     x = rec.source
     d = x.dim
-    classes = classes_of(x)
+    classes = x.classes()
     central = rec.central_facet(base)
     sub_pg = projectivity_group(rec.result, base=central)
     base_pg = projectivity_group(x, base=base)
@@ -253,8 +253,8 @@ def unfold_commutes_with_antiprismatic(x: Complex, base: int = 0, mode: str = "c
 
     d = x.dim
     shapes = antiprism_facet_shapes(d)
-    cls_up = classes_of(up.total)
-    cls_dn = classes_of(x)
+    cls_up = up.total.classes()
+    cls_dn = x.classes()
     vid_up = {pair: v for v, pair in rec_up.vertex_provenance.items()}
     vid_dn = {pair: v for v, pair in rec.vertex_provenance.items()}
     down_index = {pv: i for i, pv in enumerate(rec.facet_provenance)}

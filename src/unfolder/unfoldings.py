@@ -15,10 +15,7 @@ from .complexes import (
     Complex,
     Gluing,
     PseudoComplex,
-    classes_of,
     dual_graph,
-    facet_count_of,
-    gluings_of,
     gluings_within,
     perspectivity,
 )
@@ -61,7 +58,7 @@ class UnfoldingResult:
     @property
     def width(self) -> int:
         # copies per base facet: |group| for complete, d+1 for partial
-        return len(self.projection) // facet_count_of(self.base)
+        return len(self.projection) // self.base.facet_count
 
     def copies_of(self, base_facet: int) -> range:
         w = self.width
@@ -82,10 +79,10 @@ def complete_unfolding(x: Complex, base: int = 0) -> UnfoldingResult:
     elements = pg.group.sorted_elements()
     index = {g: i for i, g in enumerate(elements)}
     m = len(elements)
-    n = facet_count_of(x)
+    n = x.facet_count
 
     lifted: list[Gluing] = []
-    for gid, g in enumerate(gluings_of(x)):
+    for gid, g in enumerate(x.gluings):
         step = perspectivity(x, g.facet_a, gid)
         hol = perm_compose(
             perm_compose(pg.transports[g.facet_a], step),
@@ -129,10 +126,10 @@ def partial_unfolding(x: Complex) -> UnfoldingResult:
     """
     d = x.dim
     width = d + 1
-    n = facet_count_of(x)
+    n = x.facet_count
 
     lifted: list[Gluing] = []
-    for gid, g in enumerate(gluings_of(x)):
+    for gid, g in enumerate(x.gluings):
         step = perspectivity(x, g.facet_a, gid)
         for v in range(width):
             lifted.append(
@@ -146,14 +143,13 @@ def partial_unfolding(x: Complex) -> UnfoldingResult:
             )
 
     total = PseudoComplex(d, n * width, tuple(lifted))
-    partition = tuple(dual_graph(total).components())
     return UnfoldingResult(
         kind="partial",
         base=x,
         total=total,
         projection=tuple(f for f in range(n) for _ in range(width)),
         labels=tuple((f, v) for f in range(n) for v in range(width)),
-        component_partition=partition,
+        component_partition=dual_graph(total).components(),
     )
 
 
@@ -172,7 +168,7 @@ class Component:
 
 def component_parts(u: UnfoldingResult) -> tuple[tuple[int, ...], ...]:
     """The sorted copy ids of each dual-graph component of an unfolding."""
-    return u.component_partition or tuple(dual_graph(u.total).components())
+    return u.component_partition or dual_graph(u.total).components()
 
 
 def component_of(u: UnfoldingResult, members: tuple[int, ...]) -> Component:
@@ -270,13 +266,13 @@ def composition_tower(
         vertex_order = tuple(range(width))
     if sorted(vertex_order) != list(range(width)):
         raise BadParameter(f"vertex order {vertex_order!r} is not a permutation")
-    if not 0 <= base < facet_count_of(x):
+    if not 0 <= base < x.facet_count:
         raise NotAFacet(f"no facet {base}")
 
     current: Complex = x
     seed = base
     stages: list[TowerStage] = []
-    to_root_prev = tuple(range(facet_count_of(x)))
+    to_root_prev = tuple(range(x.facet_count))
     for v in vertex_order:
         u = partial_unfolding(current)
         comp = component_containing(u, seed * width + v)
@@ -314,8 +310,8 @@ def composition_tower(
 
 def fibers_over(u: UnfoldingResult) -> dict[int, tuple[int, ...]]:
     """Face classes of the total complex grouped by their base class."""
-    base_classes = classes_of(u.base)
-    total_classes = classes_of(u.total)
+    base_classes = u.base.classes()
+    total_classes = u.total.classes()
     fibers: dict[int, list[int]] = {cid: [] for cid in range(base_classes.count)}
     for cid in range(total_classes.count):
         f, sub = total_classes.members[cid][0]
@@ -329,8 +325,8 @@ def branching_index(u: UnfoldingResult, cover_cid: int) -> int:
     The count must be the same for every base-facet reference of the
     underlying base class; a spread signals an implementation bug.
     """
-    total_classes = classes_of(u.total)
-    base_classes = classes_of(u.base)
+    total_classes = u.total.classes()
+    base_classes = u.base.classes()
     seen: dict[tuple[int, tuple[int, ...]], int] = {}
     base_cid = None
     for f, sub in total_classes.members[cover_cid]:
@@ -365,7 +361,7 @@ def branch_locus_counts(
         raise BaseNotNice("the base complex is not nice enough to talk about branching")
     odd = set(odd_subcomplex(u.base).odd_faces)
     fibers = fibers_over(u)
-    base_classes = classes_of(u.base)
+    base_classes = u.base.classes()
     census: dict[int, tuple[tuple[int, int], ...]] = {}
     for cid in base_classes.classes_of_card(u.base.dim - 1):
         indexed = tuple((cc, branching_index(u, cc)) for cc in fibers[cid])
@@ -376,22 +372,11 @@ def branch_locus_counts(
     return census
 
 
-def projection_is_isomorphism(u: UnfoldingResult) -> bool:
-    """True when unfolding did not change the complex at all: one copy per
-    base facet and no face class split."""
-    if facet_count_of(u.total) != facet_count_of(u.base):
+def projects_isomorphically(cover: Complex, base: Complex) -> bool:
+    """True when a cover (an unfolding's total or one of its components)
+    maps facet-bijectively onto the base without splitting any face class:
+    one copy per base facet and equal face counts.  For a strongly connected
+    base the projection is onto, so equal counts settle it."""
+    if cover.facet_count != base.facet_count:
         return False
-    return (
-        classes_of(u.total).counts_by_dim() == classes_of(u.base).counts_by_dim()
-    )
-
-
-def component_projects_isomorphically(comp: Component, base: Complex) -> bool:
-    """True when one unfolding component maps facet-bijectively onto the
-    base without splitting any face class.  For a strongly connected base
-    the projection is onto, so equal counts settle it."""
-    if facet_count_of(comp.complex) != facet_count_of(base):
-        return False
-    return (
-        classes_of(comp.complex).counts_by_dim() == classes_of(base).counts_by_dim()
-    )
+    return cover.classes().counts_by_dim() == base.classes().counts_by_dim()

@@ -19,10 +19,7 @@ from .complexes import (
     Gluing,
     PseudoComplex,
     as_pseudo,
-    classes_of,
     dual_graph,
-    facet_count_of,
-    gluings_of,
     is_simplicial,
     link,
 )
@@ -78,11 +75,10 @@ from .subdivisions import (
 )
 from .unfoldings import (
     complete_unfolding,
-    component_projects_isomorphically,
     components,
     fibers_over,
     partial_unfolding,
-    projection_is_isomorphism,
+    projects_isomorphically,
 )
 
 
@@ -140,7 +136,7 @@ def check_core_01(ctx: _Context) -> str:
     n = split = 0
     for e in ctx.abstract_entries():
         K = e.complex
-        by_dim = classes_of(as_pseudo(K)).counts_by_dim()
+        by_dim = as_pseudo(K).classes().counts_by_dim()
         got = tuple(by_dim.get(k, 0) for k in range(K.dim + 1))
         want = K.face_count_vector()
         if is_locally_strongly_connected(K)[0]:
@@ -168,7 +164,7 @@ def check_core_02(ctx: _Context) -> str:
 
 def check_core_03(ctx: _Context) -> str:
     for e in ctx.entries:
-        classes_of(e.complex)  # must not raise
+        e.complex.classes()  # must not raise
     bad = PseudoComplex(
         2,
         2,
@@ -187,7 +183,7 @@ def check_core_03(ctx: _Context) -> str:
 def check_core_04(ctx: _Context) -> str:
     m = 0
     for e in ctx.entries:
-        for g in gluings_of(e.complex):
+        for g in e.complex.gluings:
             _require(g.facet_a != g.facet_b, f"{e.name}: loop at facet {g.facet_a}")
             m += 1
     return f"{m} dual edges, none a loop"
@@ -210,10 +206,10 @@ def check_core_05(ctx: _Context) -> str:
 
 def _sample_paths(x) -> list[FacetPath]:
     """A few deterministic dual walks: follow the lowest unused gluing."""
-    gl = gluings_of(x)
+    gl = x.gluings
     adj = dual_graph(x).neighbours
     out = []
-    for start in (0, facet_count_of(x) - 1):
+    for start in (0, x.facet_count - 1):
         steps = []
         cur = start
         used: set[int] = set()
@@ -264,7 +260,7 @@ def check_proj_03(ctx: _Context) -> str:
     n = 0
     for e in ctx.entries:
         x = e.complex
-        last = facet_count_of(x) - 1
+        last = x.facet_count - 1
         pg0 = projectivity_group(x)
         pg1 = projectivity_group(x, last)
         _require(pg0.order == pg1.order, f"{e.name}: orders differ")
@@ -320,10 +316,10 @@ def check_proj_06(ctx: _Context) -> str:
 def check_unf_01(ctx: _Context) -> str:
     for e in ctx.entries:
         x = e.complex
-        n = facet_count_of(x)
+        n = x.facet_count
         uc, up = ctx.uc(e), ctx.up(e)
-        _require(facet_count_of(uc.total) == projectivity_group(x).order * n, e.name)
-        _require(facet_count_of(up.total) == (x.dim + 1) * n, e.name)
+        _require(uc.total.facet_count == projectivity_group(x).order * n, e.name)
+        _require(up.total.facet_count == (x.dim + 1) * n, e.name)
     return f"facet-count laws hold on {len(ctx.entries)} complexes"
 
 
@@ -367,10 +363,10 @@ def check_unf_06(ctx: _Context) -> str:
 
     n = skipped = 0
     for e in ctx.entries:
-        if facet_count_of(ctx.uc(e).total) > 60:
+        if ctx.uc(e).total.facet_count > 60:
             skipped += 1
             continue
-        last = facet_count_of(e.complex) - 1
+        last = e.complex.facet_count - 1
         other = complete_unfolding(e.complex, base=last)
         _require(isomorphic(ctx.uc(e).total, other.total) is not None, e.name)
         n += 1
@@ -383,7 +379,7 @@ def check_unf_07(ctx: _Context) -> str:
         x = e.complex
         pg = projectivity_group(x)
         fibers = fibers_over(ctx.uc(e))
-        classes = classes_of(x)
+        classes = x.classes()
         for cid in range(classes.count):
             sg = star_group(x, cid)
             t = pg.transport_to(sg.base_parent_facet)
@@ -412,10 +408,10 @@ def check_sub_01(ctx: _Context) -> str:
     for e in ctx.entries:
         b = barycentric(e.complex).result
         _require(balanced_coloring(b) is not None, f"{e.name}: not balanced")
-        if is_locally_strongly_connected(e.complex)[0] and facet_count_of(b) <= 1500:
+        if is_locally_strongly_connected(e.complex)[0] and b.facet_count <= 1500:
             u = complete_unfolding(b)
-            _require(facet_count_of(u.total) == facet_count_of(b), e.name)
-            _require(projection_is_isomorphism(u), e.name)
+            _require(u.total.facet_count == b.facet_count, e.name)
+            _require(projects_isomorphically(u.total, b), e.name)
         n += 1
     return f"{n} barycentric subdivisions balanced; unfolding fixes the l.s.c. ones"
 
@@ -424,7 +420,7 @@ def check_sub_02(ctx: _Context) -> str:
     targets = [
         (e.name, e.complex)
         for e in ctx.entries
-        if facet_count_of(e.complex) <= 50
+        if e.complex.facet_count <= 50
     ]
     targets.append(("doubled-triangle", doubled_triangle_sphere()))
     targets.append(("boundary-simplex-4", boundary_simplex(4)))
@@ -459,12 +455,12 @@ def check_sub_03(ctx: _Context) -> str:
 def check_sub_04(ctx: _Context) -> str:
     n = 0
     for e in ctx.entries:
-        if facet_count_of(e.complex) > 50:
+        if e.complex.facet_count > 50:
             continue
         rec = antiprismatic(e.complex)
         lifted, ground = crumpling_group_pair(rec)
         _require(lifted.order == ground.order, e.name)
-        _require(lifted.orbit_partition() == ground.orbit_partition(), e.name)
+        _require(lifted.orbits() == ground.orbits(), e.name)
         _require(set(lifted.elements) == set(ground.elements), e.name)
         n += 1
     return f"{n} crumpling group pairs agree in order and orbits"
@@ -483,7 +479,7 @@ def check_sub_05(ctx: _Context) -> str:
 def check_sub_06(ctx: _Context) -> str:
     n = 0
     for e in ctx.entries:
-        if facet_count_of(e.complex) > 50:
+        if e.complex.facet_count > 50:
             continue
         before = balanced_coloring(e.complex) is not None
         after = balanced_coloring(antiprismatic(e.complex).result) is not None
@@ -502,11 +498,8 @@ def check_diag_01(ctx: _Context) -> str:
         flags = (
             projectivity_group(x).group.is_trivial,
             balanced_coloring(x) is not None,
-            projection_is_isomorphism(ctx.uc(e)),
-            all(
-                component_projects_isomorphically(c, x)
-                for c in components(ctx.up(e))
-            ),
+            projects_isomorphically(ctx.uc(e).total, x),
+            all(projects_isomorphically(c.complex, x) for c in components(ctx.up(e))),
         )
         _require(len(set(flags)) == 1, f"{e.name}: {flags}")
         n += 1
@@ -519,7 +512,7 @@ def check_diag_02(ctx: _Context) -> str:
         x = e.complex
         if not is_nice(x):
             continue
-        classes = classes_of(x)
+        classes = x.classes()
         odd = set(odd_subcomplex(x).odd_faces)
         closure = set(odd)
         for cid in odd:
@@ -538,7 +531,7 @@ def check_diag_03(ctx: _Context) -> str:
     x = pinched_strip()
     _require(projectivity_group(x).group.is_trivial)
     _require(balanced_coloring(x) is None)
-    _require(not projection_is_isomorphism(complete_unfolding(x)))
+    _require(not projects_isomorphically(complete_unfolding(x).total, x))
     return "trivial group, no balanced coloring, unfolding still moves"
 
 
@@ -569,7 +562,7 @@ def check_diag_05(ctx: _Context) -> str:
     _require(euler_characteristic(both) == chi_a + chi_b)
     n = 0
     for e in ctx.entries:
-        if facet_count_of(e.complex) > 50:
+        if e.complex.facet_count > 50:
             continue
         chi = euler_characteristic(e.complex)
         _require(euler_characteristic(barycentric(e.complex).result) == chi, e.name)
@@ -591,7 +584,7 @@ def check_gen_01(ctx: _Context) -> str:
             got = len(odd_subcomplex(x).odd_faces)
             _require(got == want.odd_face_count, f"{e.name}: odd faces {got}")
         if want.unfolding_facet_count is not None:
-            got = facet_count_of(ctx.uc(e).total)
+            got = ctx.uc(e).total.facet_count
             _require(got == want.unfolding_facet_count, f"{e.name}: unfolding size {got}")
         if want.unfolding_euler is not None:
             got = euler_characteristic(ctx.uc(e).total)
@@ -611,7 +604,7 @@ def check_gen_02(ctx: _Context) -> str:
     pairs = [(n, v) for n in range(2, 7) for v in ("orientable", "klein")]
     for n, variant in pairs:
         kn = knot_neighborhood(n, variant)
-        classes = classes_of(kn.complex)
+        classes = kn.complex.classes()
         odd = odd_subcomplex(kn.complex).odd_faces
         got = sorted(
             tuple(sorted(kn.abstract.facets[f][l] for l in sub))
@@ -640,7 +633,7 @@ def check_gen_03(ctx: _Context) -> str:
         P = surface_family(g)
         _require(P.facet_count == 6 * (g + 1), f"family g={g}")
         u = complete_unfolding(P)
-        _require(facet_count_of(u.total) == 12 * (g + 1), f"unfolding g={g}")
+        _require(u.total.facet_count == 12 * (g + 1), f"unfolding g={g}")
     return "sphere, family and unfolding sizes match for g in 0..3"
 
 

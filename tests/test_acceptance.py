@@ -11,7 +11,6 @@ import itertools
 from unfolder.complexes import (
     PseudoComplex,
     as_pseudo,
-    classes_of,
     is_simplicial,
 )
 from unfolder.diagnostics import (
@@ -48,12 +47,11 @@ from unfolder.unfoldings import (
     branch_locus_counts,
     complete_unfolding,
     component_count,
-    component_projects_isomorphically,
     components,
     composition_tower,
     fibers_over,
     partial_unfolding,
-    projection_is_isomorphism,
+    projects_isomorphically,
 )
 
 
@@ -106,7 +104,7 @@ def test_criterion_03_tetrahedron_partial_unfolding():
         u = partial_unfolding(boundary_simplex(3))
         assert _n(u.total) == 12
         assert len(components(u)) == 1
-        classes = classes_of(u.total)
+        classes = u.total.classes()
         degrees = sorted(
             len(classes.members[cid]) for cid in classes.classes_of_card(1)
         )
@@ -181,9 +179,9 @@ def test_criterion_07_four_equivalent_conditions_and_the_pinched_strip():
             flags = (
                 projectivity_group(x).group.is_trivial,
                 balanced_coloring(x) is not None,
-                projection_is_isomorphism(complete_unfolding(x)),
+                projects_isomorphically(complete_unfolding(x).total, x),
                 all(
-                    component_projects_isomorphically(c, x)
+                    projects_isomorphically(c.complex, x)
                     for c in components(partial_unfolding(x))
                 ),
             )
@@ -191,7 +189,7 @@ def test_criterion_07_four_equivalent_conditions_and_the_pinched_strip():
         K = pinched_strip()
         assert projectivity_group(K).group.is_trivial
         assert balanced_coloring(K) is None
-        assert not projection_is_isomorphism(complete_unfolding(K))
+        assert not projects_isomorphically(complete_unfolding(K).total, K)
 
     _gate(7, body)
 
@@ -229,7 +227,7 @@ def test_criterion_09_antiprismatic_subdivision_properties():
             )
             lifted, ground = crumpling_group_pair(rec)
             assert lifted.order == ground.order
-            assert lifted.orbit_partition() == ground.orbit_partition()
+            assert lifted.orbits() == ground.orbits()
         for x in (starred_triangle(), boundary_simplex(3)):
             for mode in ("complete", "partial"):
                 assert unfold_commutes_with_antiprismatic(x, mode=mode) is not None
@@ -245,7 +243,7 @@ def test_criterion_10_knot_core_and_longitude_parity():
         for n in range(2, 6):
             for variant in ("orientable", "klein"):
                 kn = knot_neighborhood(n, variant)
-                classes = classes_of(kn.complex)
+                classes = kn.complex.classes()
                 odd = odd_subcomplex(kn.complex).odd_faces
                 core = sorted(
                     tuple(sorted(kn.abstract.facets[f][pos] for pos in sub))

@@ -8,16 +8,12 @@ from unfolder.complexes import (
     Gluing,
     PseudoComplex,
     as_pseudo,
-    classes_of,
     dual_graph,
-    facet_count_of,
-    gluings_of,
     is_simplicial,
     link,
     path_from_facets,
     perspectivity,
     star_of_class,
-    to_abstract,
     to_abstract_with_maps,
 )
 from unfolder.errors import (
@@ -31,6 +27,7 @@ from unfolder.errors import (
 from unfolder.gallery import (
     boundary_simplex,
     doubled_triangle_sphere,
+    gallery_entries,
     nonsimplicial_unfolding_example,
     pinched_strip,
     starred_triangle,
@@ -80,9 +77,21 @@ def test_derived_gluings_pair_facets_along_shared_ridges(tetra):
         assert shared_a == shared_b  # global vertices agree pointwise
 
 
+@pytest.mark.parametrize(
+    "K",
+    [e.complex for e in gallery_entries() if isinstance(e.complex, AbstractComplex)],
+    ids=[e.name for e in gallery_entries() if isinstance(e.complex, AbstractComplex)],
+)
+def test_both_types_answer_the_same_surface(K):
+    assert K.gluings is K.derived_gluings()
+    P = as_pseudo(K)
+    assert K.gluings == P.gluings
+    assert (K.dim, K.facet_count) == (P.dim, P.facet_count)
+
+
 def test_as_pseudo_faithful_for_good_links(tetra):
     P = as_pseudo(tetra)
-    counts = classes_of(P).counts_by_dim()
+    counts = P.classes().counts_by_dim()
     assert tuple(counts[k] for k in range(3)) == (4, 6, 4)
     ok, witness = is_simplicial(P)
     assert ok and witness is None
@@ -90,7 +99,7 @@ def test_as_pseudo_faithful_for_good_links(tetra):
 
 def test_as_pseudo_splits_the_pinch_vertex():
     K = pinched_strip()
-    counts = classes_of(as_pseudo(K)).counts_by_dim()
+    counts = as_pseudo(K).classes().counts_by_dim()
     # one more vertex class than vertices: the waist comes apart
     assert counts[0] == len(K.vertices()) + 1
 
@@ -101,13 +110,13 @@ def test_round_trip_through_abstract(tetra):
     assert K.face_count_vector() == tetra.face_count_vector()
     assert sorted(facet_map) == list(range(4))
     assert len(vertex_ids) == 4
-    assert to_abstract(P).facet_count == 4
+    assert to_abstract_with_maps(P)[0].facet_count == 4
 
 
 def test_to_abstract_refuses_split_faces():
     P = as_pseudo(nonsimplicial_unfolding_example())
     with pytest.raises(NotSimplicial):
-        to_abstract(P)
+        to_abstract_with_maps(P)[0]
 
 
 def test_doubled_triangle_is_not_simplicial():
@@ -146,7 +155,8 @@ def test_dual_graph_structure(tetra):
     dg = dual_graph(tetra)
     assert dg.node_count == 4
     assert dg.is_connected()
-    assert dg.components() == [(0, 1, 2, 3)]
+    assert dg.components() == ((0, 1, 2, 3),)
+    assert dg.components() is dg.components()  # kept on the index
     adj = dg.adjacency()
     assert all(len(adj[f]) == 3 for f in range(4))
 
@@ -165,7 +175,7 @@ def test_path_from_facets_rejects_non_neighbors(tetra):
 
 
 def test_perspectivity_matches_shared_vertices(tetra):
-    gl = gluings_of(tetra)
+    gl = tetra.gluings
     g = gl[0]
     p = perspectivity(tetra, g.facet_a, 0)
     fa, fb = tetra.facets[g.facet_a], tetra.facets[g.facet_b]
@@ -174,14 +184,14 @@ def test_perspectivity_matches_shared_vertices(tetra):
 
 
 def test_star_of_class_collects_incident_facets(tetra):
-    classes = classes_of(tetra)
+    classes = tetra.classes()
     vid = classes.class_of((0, (0,)))
     star = star_of_class(tetra, vid)
     assert len(star.parent_facets) == 3  # three triangles at a vertex
 
 
 def test_contains_relation(tetra):
-    classes = classes_of(tetra)
+    classes = tetra.classes()
     v = classes.class_of((0, (0,)))
     e = classes.class_of((0, (0, 1)))
     assert classes.contains(v, e)

@@ -3,7 +3,7 @@
 import pytest
 from test_odd_subcomplex import reference_link_graph_is_bipartite
 
-from unfolder.complexes import AbstractComplex, classes_of
+from unfolder.complexes import AbstractComplex
 from unfolder.diagnostics import (
     ProjectionConstraint,
     balanced_coloring,
@@ -43,7 +43,7 @@ def test_balanced_coloring_found_and_proper():
     K = hexagon_cone()
     coloring = balanced_coloring(K)
     assert coloring is not None
-    classes = classes_of(K)
+    classes = K.classes()
     for cid_a in classes.classes_of_card(1):
         for cid_b in classes.classes_of_card(1):
             if cid_a < cid_b and any(
@@ -78,7 +78,7 @@ def test_odd_subcomplex_needs_connected_stars():
 
 def test_link_graph_parity():
     K = starred_triangle()
-    classes = classes_of(K)
+    classes = K.classes()
     center = classes.class_of((0, (2,)))
     rim = classes.class_of((0, (0,)))
     assert not reference_link_graph_is_bipartite(K, center)  # triangle around the apex
@@ -173,13 +173,13 @@ def test_is_nice_examples():
 
 def test_pinched_strip_regression_triple():
     from unfolder.projectivities import projectivity_group
-    from unfolder.unfoldings import projection_is_isomorphism
+    from unfolder.unfoldings import projects_isomorphically
 
     K = pinched_strip()
     assert projectivity_group(K).group.is_trivial
     assert balanced_coloring(K) is None
-    assert not projection_is_isomorphism(complete_unfolding(K))
-    assert not projection_is_isomorphism(partial_unfolding(K))
+    assert not projects_isomorphically(complete_unfolding(K).total, K)
+    assert not projects_isomorphically(partial_unfolding(K).total, K)
 
 
 def test_surfaces_are_closed_and_orientable():

@@ -20,7 +20,6 @@ from unfolder.complexes import (
     AbstractComplex,
     Gluing,
     PseudoComplex,
-    classes_of,
     vertex_classes,
 )
 from unfolder.errors import SelfIdentification
@@ -48,7 +47,7 @@ def reference_simplicial_doc(K, vertex_labels):
 
 
 def reference_pseudo_doc(P):
-    classes = classes_of(P)
+    classes = P.classes()
     table = [
         [[f, sub[0]] for f, sub in classes.members[cid]]
         for cid in classes.classes_of_card(1)
@@ -110,7 +109,7 @@ def reference_emit_component(comp, kind):
 
 
 def _vertex_members(x):
-    classes = classes_of(x)
+    classes = x.classes()
     return tuple(classes.members[cid] for cid in classes.classes_of_card(1))
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from unfolder.complexes import AbstractComplex, PseudoComplex, classes_of
+from unfolder.complexes import AbstractComplex, PseudoComplex
 from unfolder.diagnostics import odd_subcomplex
 from unfolder.errors import BadParameter
 from unfolder.gallery import (

@@ -22,7 +22,6 @@ from unfolder.complexes import (
     StarView,
     as_pseudo,
     dual_graph,
-    gluings_of,
     link_of_class,
     path_from_facets,
     perspectivity,
@@ -53,7 +52,7 @@ def reference_star(x, cid):
     rep_by_facet = {f: s for f, s in members}
     index = {f: i for i, f in enumerate(facet_ids)}
     kept, sub = [], []
-    for gid, g in enumerate(gluings_of(x)):
+    for gid, g in enumerate(x.gluings):
         rep = rep_by_facet.get(g.facet_a)
         if rep is None or not set(rep) <= set(g.ridge_a):
             continue
@@ -88,7 +87,7 @@ def reference_link(x, cid):
 
 def reference_search(x, base):
     """(transports, tree gluings, reached, tagged generators), component of base."""
-    gl = gluings_of(x)
+    gl = x.gluings
     adj = {v: [] for v in range(x.facet_count)}
     for gid, g in enumerate(gl):
         adj[g.facet_a].append((gid, g.facet_b))
@@ -228,7 +227,7 @@ def test_component_splits_match_the_full_scan(name, x):
 def test_a_complex_is_freed_with_its_last_reference(pseudo):
     x = as_pseudo(boundary_simplex(3)) if pseudo else boundary_simplex(3)
     x.classes()
-    gluings_of(x)
+    x.gluings  # an abstract complex derives and keeps them here
     star_of_class(x, 0)
     link_of_class(x, 0)
     projectivity_group(x)

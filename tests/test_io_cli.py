@@ -177,6 +177,20 @@ def test_cli_subdivide_stellar_takes_a_facet(capsys, tmp_path):
     assert len(doc["facets"]) == 8  # two moves, each trading one facet for three
 
 
+def test_cli_gallery_rejects_a_non_integer_knot_length(capsys):
+    code, out, err = _run(capsys, "gallery", "knot-nbhd:x:klein")
+    assert (code, out) == (2, "")
+    assert err == "error: expected an integer, got 'x'\n"  # one line, no traceback
+
+
+def test_cli_subdivide_rejects_a_non_integer_stellar_facet(capsys, tmp_path):
+    src = tmp_path / "t.json"
+    src.write_text(emit(boundary_simplex(3)))
+    code, out, err = _run(capsys, "subdivide", "--kind", "stellar:x", str(src))
+    assert (code, out) == (2, "")
+    assert err == "error: expected an integer, got 'x'\n"  # one line, no traceback
+
+
 def test_cli_gallery_unknown_name(capsys):
     code, _, err = _run(capsys, "gallery", "nope")
     assert code == 2
@@ -294,5 +308,18 @@ def test_no_assert_statements_in_the_library():
         for path in sorted(src.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_no_library_code_calls_gluings_of():
+    # `gluings_of` stays only for the benchmark's probes; the library asks `x.gluings`
+    src = Path(__file__).resolve().parents[1] / "src" / "unfolder"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "gluings_of"
     ]
     assert found == []

@@ -18,7 +18,7 @@ from unfolder.complexes import (
     dual_graph,
     link_of_class,
     star_of_class,
-    to_abstract,
+    to_abstract_with_maps,
     vertex_classes,
 )
 from unfolder.diagnostics import is_locally_strongly_connected, odd_subcomplex
@@ -123,7 +123,7 @@ def _cases():
     cases.append(("as_pseudo(pinched strip)", as_pseudo(pinched_strip())))
     klein = knot_neighborhood(7, "klein").complex
     cases.append(("knot-nbhd:7:klein", klein))
-    cases.append(("to_abstract(knot-nbhd:7:klein)", to_abstract(klein)))
+    cases.append(("to_abstract_with_maps(knot-nbhd:7:klein)", to_abstract_with_maps(klein)[0]))
     for k in range(1, 5):
         cases.append((f"bary{k}(d3)", iterate(barycentric, boundary_simplex(3), k)))
     bary2 = shuffled(iterate(barycentric, boundary_simplex(3), 2), 20261018)

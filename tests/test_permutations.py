@@ -57,7 +57,7 @@ def test_group_generated_and_orbits():
     g = PermutationGroup.generated([((1, 0, 2, 3), "a"), ((0, 1, 3, 2), "b")], 4)
     assert g.order == 4
     assert (1, 0, 3, 2) in g
-    assert g.orbit_partition() == ((0, 1), (2, 3))
+    assert g.orbits() == ((0, 1), (2, 3))
     assert PermutationGroup.trivial(4).is_subgroup_of(g)
     assert not g.is_subgroup_of(PermutationGroup.trivial(4))
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from unfolder.complexes import FacetPath, classes_of, path_from_facets
+from unfolder.complexes import FacetPath, path_from_facets
 from unfolder.errors import DegenerateMap, NotAFacet
 from unfolder.gallery import (
     boundary_simplex,
@@ -74,7 +74,7 @@ def test_full_symmetric_group_on_tetrahedron_boundary():
     pg = projectivity_group(boundary_simplex(3))
     assert pg.order == 6
     assert len(pg.group.elements) == 6  # all of the permutations of 3 labels
-    assert pg.group.orbit_partition() == ((0, 1, 2),)
+    assert pg.group.orbits() == ((0, 1, 2),)
 
 
 def test_transports_start_at_identity_and_land_correctly():
@@ -102,7 +102,7 @@ def test_base_change_is_conjugation():
 
 def test_star_group_of_odd_vertex():
     T = starred_triangle()
-    classes = classes_of(T)
+    classes = T.classes()
     center = classes.class_of((0, (2,)))  # vertex 3 sits last in facet (0, 1, 3)
     sg = star_group(T, center)
     assert sg.order == 2
@@ -110,7 +110,7 @@ def test_star_group_of_odd_vertex():
 
 def test_star_group_of_interior_edge_is_trivial():
     T = starred_triangle()
-    classes = classes_of(T)
+    classes = T.classes()
     edge = classes.class_of((0, (1, 2)))
     assert star_group(T, edge).order == 1
 

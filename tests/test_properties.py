@@ -3,7 +3,7 @@
 import functools
 import random
 
-from unfolder.complexes import Gluing, PseudoComplex, classes_of
+from unfolder.complexes import Gluing, PseudoComplex
 from unfolder.diagnostics import (
     is_pseudo_manifold,
     is_strongly_connected,
@@ -40,7 +40,7 @@ def _random_pseudo(rng: random.Random) -> PseudoComplex | None:
         gluings.append(Gluing(a[0], a[1], b[0], b[1], mapping))
     try:
         P = PseudoComplex(2, n, tuple(gluings))
-        classes_of(P)  # the closure may reject gluings the constructor accepts
+        P.classes()  # the closure may reject gluings the constructor accepts
         return P
     except UnfolderError:
         return None

@@ -6,7 +6,7 @@ from math import comb, factorial
 
 import pytest
 
-from unfolder.complexes import as_pseudo, classes_of, facet_count_of, is_simplicial
+from unfolder.complexes import as_pseudo, is_simplicial
 from unfolder.diagnostics import balanced_coloring, euler_characteristic
 from unfolder.errors import BadParameter
 from unfolder.gallery import (
@@ -103,7 +103,7 @@ def test_barycentric_counts_and_balance():
     K = boundary_simplex(3)
     rec = barycentric(K)
     assert rec.result.facet_count == 4 * 6  # facets x orderings
-    counts = classes_of(rec.result).counts_by_dim()
+    counts = rec.result.classes().counts_by_dim()
     assert counts[0] == 4 + 6 + 4  # one vertex per face
     assert balanced_coloring(rec.result) is not None
     assert euler_characteristic(rec.result) == 2
@@ -165,13 +165,13 @@ def test_crumpling_groups_agree():
         rec = antiprismatic(make())
         lifted, ground = crumpling_group_pair(rec)
         assert lifted.elements == ground.elements
-        assert lifted.orbit_partition() == ground.orbit_partition()
+        assert lifted.orbits() == ground.orbits()
 
 
 def test_iterate_composes_subdivisions():
     K = starred_triangle()
     twice = iterate(antiprismatic, K, 2)
-    assert facet_count_of(twice) == 3 * 13 * 13
+    assert twice.facet_count == 3 * 13 * 13
     assert iterate(antiprismatic, K, 0) is K
 
 

@@ -19,10 +19,7 @@ from unfolder.complexes import (
     Gluing,
     PseudoComplex,
     as_pseudo,
-    classes_of,
     dual_graph,
-    facet_count_of,
-    gluings_of,
     perspectivity,
 )
 from unfolder.diagnostics import balanced_coloring, orientable
@@ -35,7 +32,7 @@ from unfolder.unfoldings import complete_unfolding, partial_unfolding
 
 
 def _crossing_sign(x, gid):
-    g = gluings_of(x)[gid]
+    g = x.gluings[gid]
     order = tuple(g.ridge_b.index(m) for m in g.mapping)
     # the opposite labels are d(d+1)/2 minus the ridge sums, and d(d+1) is even
     return -perm_sign(order) * (-1) ** (sum(g.ridge_a) + sum(g.ridge_b))
@@ -43,7 +40,7 @@ def _crossing_sign(x, gid):
 
 def reference_orientable(x):
     """Propagate facet orientations; True when all loops close with sign +1."""
-    n = facet_count_of(x)
+    n = x.facet_count
     adj = dual_graph(x).neighbours
     sign = [0] * n
     for start in range(n):
@@ -65,7 +62,7 @@ def reference_orientable(x):
 
 def reference_balanced_coloring(x, base=0):
     """Colors spread over a spanning tree, then every gluing is checked."""
-    n = facet_count_of(x)
+    n = x.facet_count
     adj = dual_graph(x).neighbours
     coloring = [None] * n
     coloring[base] = perm_identity(x.dim + 1)
@@ -82,11 +79,11 @@ def reference_balanced_coloring(x, base=0):
     if len(queue) < n:
         missing = sorted(f for f in range(n) if coloring[f] is None)
         raise NotStronglyConnected(f"facets {missing} are not reachable from {base}")
-    for g in gluings_of(x):
+    for g in x.gluings:
         ca, cb = coloring[g.facet_a], coloring[g.facet_b]
         if any(ca[v] != cb[g.mapping[i]] for i, v in enumerate(g.ridge_a)):
             return None
-    classes = classes_of(x)
+    classes = x.classes()
     out = {}
     for cid in classes.classes_of_card(1):
         seen = {coloring[f][l] for f, (l,) in classes.members[cid]}
@@ -182,7 +179,7 @@ def test_analyze_crosses_each_gluing_once(kind, monkeypatch, capsys, tmp_path):
     out = capsys.readouterr().out
     assert "orientable: yes" in out
     assert ("balanced: n/a" if kind == "disconnected" else "balanced: no") in out
-    assert len(calls) == len(gluings_of(x))
+    assert len(calls) == len(x.gluings)
 
 
 def test_the_search_is_kept_per_base():

@@ -2,7 +2,6 @@
 
 import pytest
 
-from unfolder.complexes import classes_of, facet_count_of
 from unfolder.diagnostics import (
     euler_characteristic,
     is_pseudo_manifold,
@@ -31,7 +30,7 @@ from unfolder.unfoldings import (
     composition_tower,
     fibers_over,
     partial_unfolding,
-    projection_is_isomorphism,
+    projects_isomorphically,
 )
 
 
@@ -48,7 +47,7 @@ def tetra_tilde():
 def test_complete_unfolding_size_and_projection(tetra_hat):
     u = tetra_hat
     assert u.kind == "complete"
-    assert facet_count_of(u.total) == 24  # 4 facets x group order 6
+    assert u.total.facet_count == 24  # 4 facets x group order 6
     assert u.width == 6
     assert len(u.projection) == 24
     for i, f in enumerate(u.projection):
@@ -88,16 +87,16 @@ def test_even_fibers_carry_index_one(tetra_hat):
 def test_partial_unfolding_structure(tetra_tilde):
     u = tetra_tilde
     assert u.kind == "partial"
-    assert facet_count_of(u.total) == 12  # 4 facets x 3 local vertices
+    assert u.total.facet_count == 12  # 4 facets x 3 local vertices
     comps = components(u)
     assert len(comps) == 1
     total = comps[0].complex
-    assert facet_count_of(total) == 12
-    counts = classes_of(total).counts_by_dim()
+    assert total.facet_count == 12
+    counts = total.classes().counts_by_dim()
     assert counts[0] == 8
     degrees = sorted(
-        len(classes_of(total).members[cid])
-        for cid in classes_of(total).classes_of_card(1)
+        len(total.classes().members[cid])
+        for cid in total.classes().classes_of_card(1)
     )
     assert degrees == [3, 3, 3, 3, 6, 6, 6, 6]
     assert euler_characteristic(total) == 2
@@ -123,9 +122,9 @@ def test_partial_unfolding_of_starred_triangle_splits():
     T = starred_triangle()
     u = partial_unfolding(T)
     comps = components(u)
-    assert sorted(facet_count_of(c.complex) for c in comps) == [3, 6]
-    small = min(comps, key=lambda c: facet_count_of(c.complex))
-    big = max(comps, key=lambda c: facet_count_of(c.complex))
+    assert sorted(c.complex.facet_count for c in comps) == [3, 6]
+    small = min(comps, key=lambda c: c.complex.facet_count)
+    big = max(comps, key=lambda c: c.complex.facet_count)
     assert isomorphic(small.complex, T) is not None
     assert isomorphic(big.complex, hexagon_cone()) is not None
 
@@ -134,7 +133,7 @@ def test_component_count_equals_orbit_count():
     for make in (starred_triangle, torus_z3, lambda: cycle_graph(4)):
         x = make()
         pg = projectivity_group(x)
-        assert component_count(x) == len(pg.group.orbit_partition())
+        assert component_count(x) == len(pg.group.orbits())
 
 
 def test_component_containing_agrees_with_partition():
@@ -156,27 +155,28 @@ def test_even_cycle_partial_unfolding_gives_two_copies():
 def test_odd_cycle_complete_unfolding_is_a_double_cover():
     C = cycle_graph(5)
     u = complete_unfolding(C)
-    assert facet_count_of(u.total) == 10
+    assert u.total.facet_count == 10
     assert is_strongly_connected(u.total)
 
 
-def test_projection_is_isomorphism_only_for_trivial_groups():
-    assert projection_is_isomorphism(complete_unfolding(hexagon_cone()))
-    assert not projection_is_isomorphism(complete_unfolding(starred_triangle()))
+def test_projects_isomorphically_only_for_trivial_groups():
+    cone, star = hexagon_cone(), starred_triangle()
+    assert projects_isomorphically(complete_unfolding(cone).total, cone)
+    assert not projects_isomorphically(complete_unfolding(star).total, star)
 
 
 @pytest.mark.parametrize("entry", gallery_entries(), ids=lambda e: e.name)
 def test_complete_unfolding_has_a_trivial_group(entry):
     u = complete_unfolding(entry.complex)
     assert projectivity_group(u.total).group.is_trivial
-    last = facet_count_of(u.total) - 1
+    last = u.total.facet_count - 1
     assert projectivity_group(u.total, last).group.is_trivial
 
 
 def test_composition_tower_reaches_the_complete_unfolding():
     tower = composition_tower(boundary_simplex(3))
     assert len(tower.stages) == 3
-    assert facet_count_of(tower.final) == 24
+    assert tower.final.facet_count == 24
     assert tower.witness is not None
     # the witness respects both projections to the root
     for f, t in enumerate(tower.witness.facet_map):
@@ -186,7 +186,7 @@ def test_composition_tower_reaches_the_complete_unfolding():
 def test_composition_tower_on_odd_cycle():
     tower = composition_tower(cycle_graph(5))
     assert len(tower.stages) == 2
-    assert facet_count_of(tower.final) == 10
+    assert tower.final.facet_count == 10
 
 
 def test_branch_census_requires_a_nice_base():
