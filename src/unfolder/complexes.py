@@ -51,6 +51,7 @@ from math import comb
 
 from .errors import (
     BadGluing,
+    BadParameter,
     DegenerateFacet,
     InvalidPath,
     MixedDimension,
@@ -62,6 +63,24 @@ from .errors import (
 from .permutations import Perm
 
 FaceRef = tuple[int, tuple[int, ...]]  # (facet copy id, sorted local vertex tuple)
+
+# Largest dimension and largest face closure (facet count times 2^(dim+1) - 1
+# slots) of a document or a built complex: a projectivity group can reach
+# (dim+1)! elements, and a pseudo document states its facet count in a few
+# bytes.  The gallery, demo and benchmark inputs have dim <= 4 and at most
+# 43200 slots (bary^2 of the 4-simplex's boundary); the benchmark's largest
+# output, an unfolding of 9000 copies of dim 4, needs 279000, a margin of 3.7.
+MAX_DIM = 8
+MAX_CLOSURE_SLOTS = 2**20
+
+
+def check_size(dim: int, facet_count: int) -> None:
+    """Refuse a complex above the limits, before anything is built."""
+    if dim > MAX_DIM:
+        raise BadParameter(f"dim {dim} is above the largest supported dimension {MAX_DIM}")
+    slots = facet_count * (2 ** (dim + 1) - 1)
+    if slots > MAX_CLOSURE_SLOTS:
+        raise BadParameter(f"face closure of {slots} slots is above the limit {MAX_CLOSURE_SLOTS}")
 
 
 @lru_cache(maxsize=None)
@@ -589,6 +608,12 @@ def gluings_within(
         for g in map(gl.__getitem__, kept)
     )
     return tuple(kept), renumbered
+
+
+def component_complex(x: Complex, part: tuple[int, ...]) -> PseudoComplex:
+    """The copies `part` of `x`, sorted and closed under its gluings (a union
+    of dual-graph components), as their own complex."""
+    return PseudoComplex(x.dim, len(part), gluings_within(x, part)[1])
 
 
 def perspectivity(x: Complex, facet: int, gluing_id: int) -> Perm:

@@ -13,8 +13,8 @@ from .complexes import (
     PseudoComplex,
     _roots,
     _subface_pairs,
+    component_complex,
     dual_graph,
-    gluings_within,
     link_of_class,
     nonempty_subsets,
     per_instance,
@@ -183,10 +183,7 @@ def orientable(x: Complex) -> bool:
     parts = dual_graph(x).components()
     if len(parts) > 1:
         # a search on x itself would cost the facet count per component
-        return all(
-            orientable(PseudoComplex(x.dim, len(part), gluings_within(x, part)[1]))
-            for part in parts
-        )
+        return all(orientable(component_complex(x, part)) for part in parts)
     pg = projectivity_group(x)
     gl = x.gluings
     depth = pg.depths

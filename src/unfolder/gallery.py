@@ -17,6 +17,7 @@ from .complexes import (
     Gluing,
     PseudoComplex,
     as_pseudo,
+    check_size,
     path_from_facets,
 )
 from .errors import BadParameter
@@ -287,7 +288,8 @@ class GalleryEntry:
 
 
 def gallery_complex(name: str):
-    """Resolve a gallery name, including the parameterized families."""
+    """Resolve a gallery name, including the parameterized families, whose
+    dimension and facet count pass `check_size` before anything is built."""
     fixed = {
         "starred-triangle": starred_triangle,
         "hexagon-cone": hexagon_cone,
@@ -298,16 +300,24 @@ def gallery_complex(name: str):
     if name in fixed:
         return fixed[name]()
     if name.startswith("boundary-simplex-"):
-        return boundary_simplex(_int_part(name.rsplit("-", 1)[1]))
+        n = _int_part(name.rsplit("-", 1)[1])
+        check_size(n - 1, n + 1)
+        return boundary_simplex(n)
     if name.startswith("cycle-"):
-        return cycle_graph(_int_part(name.split("-", 1)[1]))
+        n = _int_part(name.split("-", 1)[1])
+        check_size(1, n)
+        return cycle_graph(n)
     if name.startswith("knot-nbhd:"):
         parts = name.split(":")
         if len(parts) != 3:
             raise BadParameter(f"expected knot-nbhd:<n>:<variant>, got {name!r}")
-        return knot_neighborhood(_int_part(parts[1]), parts[2]).complex
+        n = _int_part(parts[1])
+        check_size(3, 15 * n)
+        return knot_neighborhood(n, parts[2]).complex
     if name.startswith("surface:"):
-        return surface_family(_int_part(name.split(":", 1)[1]))
+        g = _int_part(name.split(":", 1)[1])
+        check_size(2, 6 * (g + 1))
+        return surface_family(g)
     raise BadParameter(f"unknown gallery name {name!r}")
 
 

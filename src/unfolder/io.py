@@ -20,7 +20,8 @@ label sets sort numerically, so the canonical emit (labels "0", "1", ...)
 round-trips to the identical complex.  Unknown keys are ignored, which lets
 annotated documents (projection tables and the like) feed back into parse.
 Both parsers refuse a dimension above `MAX_DIM` or a face closure above
-`MAX_CLOSURE_SLOTS` with `BadParameter` before they build anything.
+`MAX_CLOSURE_SLOTS` with `BadParameter` before they build anything (through
+`complexes.check_size`, which the gallery, subdivisions and unfoldings share).
 
 The emit writes the indent-1 layout of `json.dumps(doc, indent=1)` itself,
 filling one template per record shape, and takes the vertex-class table from
@@ -33,20 +34,12 @@ import json
 from dataclasses import dataclass
 from typing import Mapping
 
-from .complexes import AbstractComplex, Complex, Gluing, PseudoComplex, vertex_classes
-from .errors import BadGluing, BadParameter, DegenerateFacet, MixedDimension, ParseError
+from .complexes import MAX_CLOSURE_SLOTS as MAX_CLOSURE_SLOTS, MAX_DIM as MAX_DIM  # re-exported
+from .complexes import AbstractComplex, Complex, Gluing, PseudoComplex, check_size, vertex_classes
+from .errors import BadGluing, DegenerateFacet, MixedDimension, ParseError
 from .unfoldings import Component, UnfoldingResult
 
 FORMAT_VERSION = 1
-
-# Largest dimension and largest face closure (facet count times 2^(dim+1) - 1
-# slots) of a document: a projectivity group can reach (dim+1)! elements, and a
-# pseudo document states its facet count in a few bytes.  The gallery, demo and
-# benchmark inputs have dim <= 4 and at most 43200 slots (bary^2 of the
-# 4-simplex's boundary); the benchmark's largest output, an unfolding of 9000
-# copies of dim 4, needs 279000, a margin of 3.7.
-MAX_DIM = 8
-MAX_CLOSURE_SLOTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -83,14 +76,6 @@ def parse_document(text: str) -> ParsedDocument:
     raise ParseError(f"kind must be 'simplicial' or 'pseudo', not {kind!r}")
 
 
-def _check_size(dim: int, facet_count: int) -> None:
-    if dim > MAX_DIM:
-        raise BadParameter(f"dim {dim} is above the largest supported dimension {MAX_DIM}")
-    slots = facet_count * (2 ** (dim + 1) - 1)
-    if slots > MAX_CLOSURE_SLOTS:
-        raise BadParameter(f"face closure of {slots} slots is above the limit {MAX_CLOSURE_SLOTS}")
-
-
 def _label_rows(doc: dict) -> list[list[str]] | None:
     """The facet rows as label strings, or None when the document has none."""
     rows = doc.get("facets")
@@ -123,7 +108,7 @@ def _parse_simplicial(doc: dict) -> ParsedDocument:
     rows = _label_rows(doc)
     if rows is None:
         raise ParseError("facets: a non-empty list is required")
-    _check_size(len(rows[0]) - 1, len(rows))
+    check_size(len(rows[0]) - 1, len(rows))
     labels = sorted({lab for row in rows for lab in row}, key=_label_key)
     index = {lab: i for i, lab in enumerate(labels)}
     K = AbstractComplex.from_facets([[index[lab] for lab in row] for row in rows])
@@ -159,7 +144,7 @@ def _parse_pseudo(doc: dict) -> ParsedDocument:
     dim = doc.get("dim", len(rows[0]) - 1 if rows else None)
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise ParseError("dim: a non-negative integer is required")
-    _check_size(dim, n)
+    check_size(dim, n)
     raw = doc.get("gluings", [])
     if not isinstance(raw, list):
         raise ParseError("gluings: need a list of gluing records")

@@ -5,7 +5,7 @@ Projectivities compose left to right (apply the first path segment first),
 so `perm_compose(p, q)` means "p, then q".
 
 Groups here are small: order at most (d+1)!, where d <= 4 for the gallery
-and benchmark inputs and d <= `io.MAX_DIM` = 8 for any document.  So the
+and benchmark inputs and d <= `complexes.MAX_DIM` = 8 for any document.  So the
 closure is computed by saturation and the full element set is kept.
 """
 

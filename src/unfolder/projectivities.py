@@ -51,43 +51,36 @@ class ProjectivityGroup:
     """Group of projectivities based at one facet, with its spanning data.
 
     `transports[f]` is the projectivity along the breadth-first tree path
-    from the base to facet f, and `depths[f]` that path's length; both are
-    None for facets outside the base's component.  Each non-tree gluing
-    closes one loop, of length depths[a] + depths[b] + 1, whose projectivity
-    is a generator; `generator_gluings` names those gluings in generator
-    order.  The one search of the package: `balanced_coloring` and
-    `orientable` are read off it.
+    from the base to facet f, and `depths[f]` that path's length.  Each
+    non-tree gluing closes one loop, of length depths[a] + depths[b] + 1,
+    whose projectivity is a generator; `generator_gluings` names those
+    gluings in generator order.  The one search of the package:
+    `balanced_coloring` and `orientable` are read off it.
     """
 
     base: int
     group: PermutationGroup
-    transports: tuple[Perm | None, ...]
+    transports: tuple[Perm, ...]
     tree_gluings: tuple[int, ...]
     reached: tuple[int, ...]  # facets in BFS order
-    depths: tuple[int | None, ...]
+    depths: tuple[int, ...]
     generator_gluings: tuple[int, ...]
 
     def transport_to(self, facet: int) -> Perm:
         if not 0 <= facet < len(self.transports):
             raise NotAFacet(f"no facet {facet}")
-        p = self.transports[facet]
-        if p is None:
-            raise NotStronglyConnected(f"facet {facet} is not reachable from {self.base}")
-        return p
+        return self.transports[facet]
 
     @property
     def order(self) -> int:
         return self.group.order
 
 
-def projectivity_group(
-    x: Complex, base: int = 0, restrict_to_component: bool = False
-) -> ProjectivityGroup:
+def projectivity_group(x: Complex, base: int = 0) -> ProjectivityGroup:
     """Breadth-first generators for the projectivity group at `base`.
 
-    The dual graph must be connected unless `restrict_to_component` is set,
-    in which case only the component of `base` contributes.  The search runs
-    once per base and is kept on `x`; the connectivity check runs per call.
+    The dual graph must be connected.  The search runs once per base and is
+    kept on `x`; the connectivity check runs per call.
     """
     n = x.facet_count
     if not 0 <= base < n:
@@ -96,13 +89,15 @@ def projectivity_group(
     if base not in memo:
         memo[base] = _search(x, base)
     pg = memo[base]
-    if len(pg.reached) < n and not restrict_to_component:
+    if len(pg.reached) < n:
         missing = sorted(set(range(n)) - set(pg.reached))
         raise NotStronglyConnected(f"facets {missing} are not reachable from {base}")
     return pg
 
 
 def _search(x: Complex, base: int) -> ProjectivityGroup:
+    """The search from `base` over its dual-graph component; on a disconnected
+    complex the facets outside it keep None, so only its group is read."""
     n = x.facet_count
     adj = dual_graph(x).neighbours
     transports: list[Perm | None] = [None] * n
@@ -165,19 +160,20 @@ def star_group(x: Complex, cid: int, base_parent_facet: int | None = None) -> St
 
     Walks stay inside the star (every crossed ridge contains the class), so
     each element fixes the class representative of the base facet pointwise.
-    If the star's dual graph is disconnected, only the base's component acts.
+    If the star's dual graph is disconnected, only the base's component acts:
+    the search never leaves it.  The star is fresh, so the search is not kept.
     """
     star = star_of_class(x, cid)
     if base_parent_facet is None:
         base_parent_facet = star.parent_facets[0]
     base = star.parent_facets.index(base_parent_facet)
-    pg = projectivity_group(star.complex, base=base, restrict_to_component=True)
+    group = _search(star.complex, base).group
     # generators suffice: the pointwise stabiliser of the class is a subgroup
     rep = star.rep_in[base]
-    for p, tag in pg.group.generators:
+    for p, tag in group.generators:
         if any(p[v] != v for v in rep):
             raise Mismatch(f"a star projectivity of class {cid} moved the class ({tag})")
-    return StarGroup(star=star, base_parent_facet=base_parent_facet, group=pg.group)
+    return StarGroup(star=star, base_parent_facet=base_parent_facet, group=group)
 
 
 def odd_generated_subgroup(x: Complex, base: int = 0) -> PermutationGroup:

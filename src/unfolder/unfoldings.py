@@ -1,10 +1,14 @@
 """Complete and partial unfoldings, their components, and the tower.
 
-The complete unfolding takes one facet copy per admissible coloring; the
-copy (f, g) for a group element g carries the coloring (g * transport_f)^-1
-and two copies glue along a base gluing exactly when their colorings agree
-on the shared ridge.  The partial unfolding takes one copy per (facet,
-local vertex) and glues respecting the perspectivity step.
+Both unfoldings are one construction, `_lift`: a branched covering built from
+an action of the projectivity group on a fibre of `width` points.  Copy
+f * width + i lies over facet f, and a base gluing from a to b lifts to
+(a, i) -> (b, image[i]) with its ridge data unchanged, one gluing per point.
+The complete unfolding's fibre is the group itself, sorted, and a gluing
+acts by its holonomy from the right, so copy (f, g) carries the coloring
+(g * transport_f)^-1.  The partial unfolding's fibre is the d+1 local vertex
+labels, and a gluing acts by its perspectivity step; the orbits of the
+group on the labels are its components.
 """
 
 from __future__ import annotations
@@ -15,8 +19,9 @@ from .complexes import (
     Complex,
     Gluing,
     PseudoComplex,
+    check_size,
+    component_complex,
     dual_graph,
-    gluings_within,
     perspectivity,
 )
 from .errors import (
@@ -26,12 +31,7 @@ from .errors import (
     Mismatch,
     NotAFacet,
 )
-from .permutations import (
-    Perm,
-    perm_compose,
-    perm_identity,
-    perm_inverse,
-)
+from .permutations import Perm, perm_compose, perm_inverse
 from .projectivities import ProjectivityGroup, projectivity_group
 
 
@@ -65,91 +65,63 @@ class UnfoldingResult:
         return range(base_facet * w, (base_facet + 1) * w)
 
 
+def _lift(x: Complex, width: int, images) -> tuple[PseudoComplex, tuple[int, ...]]:
+    """The total of `width` copies per facet of `x`, and its projection.
+
+    Copy f * width + i lies over facet f; gluing gid, from a to b, lifts to
+    (a, i) -> (b, images[gid][i]) with unchanged ridge data.  `images` may
+    be a generator: it is read only after the total passes `check_size`.
+    """
+    n = x.facet_count
+    check_size(x.dim, n * width)
+    lifted = tuple(
+        Gluing(g.facet_a * width + i, g.ridge_a, g.facet_b * width + j, g.ridge_b, g.mapping)
+        for g, image in zip(x.gluings, images)
+        for i, j in enumerate(image)
+    )
+    total = PseudoComplex(x.dim, n * width, lifted)
+    return total, tuple(f for f in range(n) for _ in range(width))
+
+
 def complete_unfolding(x: Complex, base: int = 0) -> UnfoldingResult:
     """Unfold so that every facet acquires all of its admissible colorings.
 
-    Copy (f, i) is f * |group| + i, for the i-th sorted group element g;
-    its coloring is the inverse of g composed after the tree transport to
-    f.  A base gluing from a to b with holonomy h lifts to the gluings
-    (a, g) -> (b, g h), one per element, with unchanged ridge data.  The
-    total has no holonomy of its own: its group is trivial (checks `proj-06`
-    and `unf-02` of `unfolder verify`).
+    The fibre is the sorted group; copy (f, i) carries the coloring of the
+    i-th element g, the inverse of g composed after the tree transport to f.
+    A gluing from a to b with holonomy h moves g to g h.  The total has no
+    holonomy of its own: its group is trivial (checks `proj-06` and `unf-02`
+    of `unfolder verify`).
     """
     pg = projectivity_group(x, base)
     elements = pg.group.sorted_elements()
     index = {g: i for i, g in enumerate(elements)}
-    m = len(elements)
-    n = x.facet_count
+    t = pg.transports
 
-    lifted: list[Gluing] = []
-    for gid, g in enumerate(x.gluings):
-        step = perspectivity(x, g.facet_a, gid)
-        hol = perm_compose(
-            perm_compose(pg.transports[g.facet_a], step),
-            perm_inverse(pg.transports[g.facet_b]),
-        )
-        for i, elt in enumerate(elements):
-            j = index[perm_compose(elt, hol)]
-            lifted.append(
-                Gluing(
-                    g.facet_a * m + i,
-                    g.ridge_a,
-                    g.facet_b * m + j,
-                    g.ridge_b,
-                    g.mapping,
-                )
-            )
+    def images():
+        for gid, g in enumerate(x.gluings):
+            step = perspectivity(x, g.facet_a, gid)
+            hol = perm_compose(perm_compose(t[g.facet_a], step), perm_inverse(t[g.facet_b]))
+            yield [index[perm_compose(elt, hol)] for elt in elements]
 
-    total = PseudoComplex(x.dim, n * m, tuple(lifted))
+    total, projection = _lift(x, len(elements), images())
     labels = tuple(
-        (f, perm_inverse(perm_compose(elt, pg.transports[f])))
-        for f in range(n)
-        for elt in elements
+        (f, perm_inverse(perm_compose(elt, t[f]))) for f in range(x.facet_count) for elt in elements
     )
-    projection = tuple(f for f in range(n) for _ in elements)
-    return UnfoldingResult(
-        kind="complete",
-        base=x,
-        total=total,
-        projection=projection,
-        labels=labels,
-        group=pg,
-    )
+    return UnfoldingResult("complete", x, total, projection, labels, group=pg)
 
 
 def partial_unfolding(x: Complex) -> UnfoldingResult:
     """Unfold so that every facet acquires a distinguished vertex.
 
-    Copy (f, v) is f * (d+1) + v; a base gluing from a to b with
-    perspectivity step s lifts to (a, v) -> (b, s(v)) for each local
-    vertex v.  Works on disconnected inputs.
+    The fibre is the d+1 local vertex labels, and a gluing from a to b moves
+    v to its perspectivity step s(v).  Works on disconnected inputs.
     """
-    d = x.dim
-    width = d + 1
-    n = x.facet_count
-
-    lifted: list[Gluing] = []
-    for gid, g in enumerate(x.gluings):
-        step = perspectivity(x, g.facet_a, gid)
-        for v in range(width):
-            lifted.append(
-                Gluing(
-                    g.facet_a * width + v,
-                    g.ridge_a,
-                    g.facet_b * width + step[v],
-                    g.ridge_b,
-                    g.mapping,
-                )
-            )
-
-    total = PseudoComplex(d, n * width, tuple(lifted))
+    width = x.dim + 1
+    steps = (perspectivity(x, g.facet_a, gid) for gid, g in enumerate(x.gluings))
+    total, projection = _lift(x, width, steps)
+    labels = tuple((f, v) for f in range(x.facet_count) for v in range(width))
     return UnfoldingResult(
-        kind="partial",
-        base=x,
-        total=total,
-        projection=tuple(f for f in range(n) for _ in range(width)),
-        labels=tuple((f, v) for f in range(n) for v in range(width)),
-        component_partition=dual_graph(total).components(),
+        "partial", x, total, projection, labels, component_partition=dual_graph(total).components()
     )
 
 
@@ -173,9 +145,8 @@ def component_parts(u: UnfoldingResult) -> tuple[tuple[int, ...], ...]:
 
 def component_of(u: UnfoldingResult, members: tuple[int, ...]) -> Component:
     """The component made of the copies `members`, as its own complex."""
-    _kept, sub = gluings_within(u.total, members)
     return Component(
-        complex=PseudoComplex(u.total.dim, len(members), sub),
+        complex=component_complex(u.total, members),
         member_copies=members,
         projection=tuple(u.projection[c] for c in members),
         labels=tuple(u.labels[c] for c in members),

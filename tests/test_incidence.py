@@ -9,6 +9,7 @@ lists.  The library must give exactly their results, in the same order.
 import gc
 import random
 import weakref
+from itertools import combinations
 
 import pytest
 from sympy.combinatorics import Permutation
@@ -21,6 +22,7 @@ from unfolder.complexes import (
     PseudoComplex,
     StarView,
     as_pseudo,
+    component_complex,
     dual_graph,
     link_of_class,
     path_from_facets,
@@ -41,7 +43,7 @@ from unfolder.errors import (
 from unfolder.gallery import boundary_simplex, gallery_entries, pinched_strip
 from unfolder.io import emit
 from unfolder.permutations import perm_compose, perm_identity, perm_inverse
-from unfolder.projectivities import projectivity_group
+from unfolder.projectivities import _search, projectivity_group, star_group
 from unfolder.subdivisions import barycentric
 from unfolder.unfoldings import component_containing, components, partial_unfolding
 
@@ -151,6 +153,16 @@ def assert_search_matches(pg, ref):
     assert pg.group.generators == gens
 
 
+def assert_kept_search_matches(x, base, ref):
+    """`projectivity_group` gives the reference search on a connected complex
+    and refuses a disconnected one."""
+    if len(ref[2]) < x.facet_count:
+        with pytest.raises(NotStronglyConnected):
+            projectivity_group(x, base)
+    else:
+        assert_search_matches(projectivity_group(x, base), ref)
+
+
 @pytest.mark.parametrize("name, x", CASES, ids=[n for n, _x in CASES])
 def test_stars_and_links_match_the_full_scan(name, x):
     for cid in range(x.classes().count):
@@ -160,33 +172,57 @@ def test_stars_and_links_match_the_full_scan(name, x):
             lk, lk_star = link_of_class(x, cid)
             assert lk == reference_link(x, cid), (name, cid)
             assert lk_star == star
-            # the star's own group, searched inside its base component
-            pg = projectivity_group(star.complex, restrict_to_component=True)
-            assert_search_matches(pg, reference_search(star.complex, 0))
+            # the star's own search, inside its base component
+            ref = reference_search(star.complex, 0)
+            assert_search_matches(_search(star.complex, 0), ref)
+            assert_kept_search_matches(star.complex, 0, ref)
 
 
 @pytest.mark.parametrize("name, x", CASES, ids=[n for n, _x in CASES])
 def test_projectivity_search_matches_the_list_version(name, x):
     for base in sorted({0, x.facet_count // 2, x.facet_count - 1}):
         ref = reference_search(x, base)
-        pg = projectivity_group(x, base, restrict_to_component=True)
-        assert_search_matches(pg, ref)
-        if len(ref[2]) < x.facet_count:
-            with pytest.raises(NotStronglyConnected):
-                projectivity_group(x, base)
-        else:
-            assert_search_matches(projectivity_group(x, base), ref)
+        assert_search_matches(_search(x, base), ref)
+        assert_kept_search_matches(x, base, ref)
 
 
 @pytest.mark.parametrize("name, x", CASES, ids=[n for n, _x in CASES])
 def test_group_order_and_orbits_agree_with_sympy(name, x):
-    pg = projectivity_group(x, restrict_to_component=True)
+    pg = _search(x, 0)
+    assert_kept_search_matches(x, 0, reference_search(x, 0))
     degree = x.dim + 1
     perms = [Permutation(list(p)) for p, _tag in pg.group.generators]
     oracle = SymPyGroup(perms or [Permutation(list(range(degree)))])
     assert pg.order == oracle.order()
     got = {frozenset(orbit) for orbit in pg.group.orbits()}
     assert got == {frozenset(orbit) for orbit in oracle.orbits()}
+
+
+def two_tetrahedra_at_a_vertex():
+    """Two tetrahedron boundaries sharing vertex 0: its star is two 3-cycles
+    of triangles, and a loop around either swaps the other two vertices."""
+    return AbstractComplex.from_facets(
+        [f for block in ((0, 1, 2, 3), (0, 4, 5, 6)) for f in combinations(block, 3)]
+    )
+
+
+@pytest.mark.parametrize(
+    "x, order", [(pinched_strip(), 1), (two_tetrahedra_at_a_vertex(), 2)], ids=["figure3", "wedge"]
+)
+def test_a_disconnected_star_acts_by_its_base_component(x, order):
+    cid = x.classes().class_of((0, (0,)))  # vertex 0 is local 0 of facet 0 in both
+    star = star_of_class(x, cid)
+    parts = dual_graph(star.complex).components()
+    assert len(parts) == 2
+    with pytest.raises(NotStronglyConnected):
+        projectivity_group(star.complex)
+    for part in parts:
+        for base in part:
+            sg = star_group(x, cid, star.parent_facets[base])
+            ref = projectivity_group(component_complex(star.complex, part), part.index(base))
+            assert sg.group.elements == ref.group.elements
+            assert [p for p, _t in sg.group.generators] == [p for p, _t in ref.group.generators]
+            assert sg.order == order
 
 
 def test_dual_graph_is_kept_on_the_complex():

@@ -10,7 +10,7 @@ from unfolder.cli import main
 from unfolder.complexes import AbstractComplex, PseudoComplex
 from unfolder.errors import BadParameter, UnfolderError
 from unfolder.gallery import boundary_simplex, doubled_triangle_sphere, starred_triangle
-from unfolder import io
+from unfolder import gallery, io, subdivisions
 from unfolder.io import (
     MAX_CLOSURE_SLOTS,
     MAX_DIM,
@@ -183,6 +183,56 @@ def test_cli_gallery_rejects_a_non_integer_knot_length(capsys):
     assert err == "error: expected an integer, got 'x'\n"  # one line, no traceback
 
 
+GALLERY_TOO_LARGE = [
+    ("boundary-simplex-10", f"dim 9 is above the largest supported dimension {MAX_DIM}"),
+    ("cycle-400000", "face closure of 1200000 slots is above the limit 1048576"),
+    ("knot-nbhd:5000:klein", "face closure of 1125000 slots is above the limit 1048576"),
+    ("surface:30000", "face closure of 1260042 slots is above the limit 1048576"),
+]
+
+
+@pytest.mark.parametrize("name, text", GALLERY_TOO_LARGE, ids=[n for n, _t in GALLERY_TOO_LARGE])
+def test_cli_gallery_refuses_a_family_above_the_limits_before_building(
+    name, text, capsys, monkeypatch
+):
+    def refuse(*args):
+        raise AssertionError("a gallery complex was built")
+
+    for builder in ("boundary_simplex", "cycle_graph", "knot_neighborhood", "surface_family"):
+        monkeypatch.setattr(gallery, builder, refuse)
+    code, out, err = _run(capsys, "gallery", name)
+    assert (code, out, err) == (2, "", f"error: {text}\n")
+
+
+def test_cli_gallery_accepts_the_largest_dimension(capsys):
+    code, out, _ = _run(capsys, "gallery", f"boundary-simplex-{MAX_DIM + 1}")
+    assert code == 0
+    assert parse(out).dim == MAX_DIM
+
+
+SUBDIVIDE_TOO_LARGE = [
+    # bary^5 of the tetrahedron's boundary has 31104 facets, bary^6 six times as many
+    (3, ("--kind", "barycentric", "-n", "6"), 4 * 6**6 * 7),
+    # 4683 and 545835 anti-prismatic facets per copy at dims 5 and 7
+    (6, ("--kind", "antiprismatic"), 7 * 4683 * 63),
+    (8, ("--kind", "antiprismatic"), 9 * 545835 * 255),
+]
+
+
+@pytest.mark.parametrize("n, args, slots", SUBDIVIDE_TOO_LARGE, ids=["bary6", "anti-d5", "anti-d7"])
+def test_cli_subdivide_refuses_a_result_above_the_closure_bound(
+    n, args, slots, capsys, monkeypatch, tmp_path
+):
+    src = tmp_path / "d.json"
+    src.write_text(emit(boundary_simplex(n)))
+    if args[1] == "antiprismatic":
+        # the shapes are not enumerated: 22 s at dim 6 alone
+        monkeypatch.setattr(subdivisions, "antiprism_facet_shapes", None)
+    code, out, err = _run(capsys, "subdivide", *args, str(src))
+    assert (code, out) == (2, "")
+    assert err == f"error: face closure of {slots} slots is above the limit {MAX_CLOSURE_SLOTS}\n"
+
+
 def test_cli_subdivide_rejects_a_non_integer_stellar_facet(capsys, tmp_path):
     src = tmp_path / "t.json"
     src.write_text(emit(boundary_simplex(3)))
@@ -309,6 +359,48 @@ def test_no_assert_statements_in_the_library():
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def _annotation_names(tree):
+    """Names in string annotations such as `witness: "IsoWitness"`."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            args = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+            annotations = [node.returns] + [x.annotation for x in args if x is not None]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        else:
+            continue
+        for ann in filter(None, annotations):
+            for sub in ast.walk(ann):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    parsed = ast.parse(sub.value, mode="eval")
+                    found |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+    return found
+
+
+def test_no_unused_imports_in_the_library():
+    # `__init__` imports to re-export; elsewhere `import X as X` marks a re-export
+    src = Path(__file__).resolve().parents[1] / "src" / "unfolder"
+    modules = [path for path in sorted(src.glob("*.py")) if path.name != "__init__.py"]
+    assert len(modules) > 5
+    found = []
+    for path in modules:
+        tree = ast.parse(path.read_text(), str(path))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used |= _annotation_names(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if alias.asname != alias.name and name not in used:
+                    found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
 
 

@@ -1,0 +1,114 @@
+"""Both unfoldings are one lift: the kernel against the two separate loops.
+
+`reference_complete` and `reference_partial` are the lifting loops each
+unfolding used to run on its own.  The shared `_lift` must give the same
+totals (gluing for gluing, in order), projections and labels.
+"""
+
+import pytest
+from test_incidence import shuffled_bary2
+
+from unfolder import unfoldings
+from unfolder.cli import main
+from unfolder.complexes import (
+    MAX_CLOSURE_SLOTS,
+    Gluing,
+    PseudoComplex,
+    dual_graph,
+    perspectivity,
+)
+from unfolder.errors import BadParameter
+from unfolder.gallery import boundary_simplex, gallery_entries, knot_neighborhood
+from unfolder.io import emit
+from unfolder.permutations import perm_compose, perm_inverse
+from unfolder.projectivities import projectivity_group
+from unfolder.unfoldings import complete_unfolding, partial_unfolding
+
+
+def reference_complete(x, base):
+    pg = projectivity_group(x, base)
+    elements = pg.group.sorted_elements()
+    index = {g: i for i, g in enumerate(elements)}
+    m = len(elements)
+    n = x.facet_count
+    lifted = []
+    for gid, g in enumerate(x.gluings):
+        step = perspectivity(x, g.facet_a, gid)
+        hol = perm_compose(
+            perm_compose(pg.transports[g.facet_a], step),
+            perm_inverse(pg.transports[g.facet_b]),
+        )
+        for i, elt in enumerate(elements):
+            j = index[perm_compose(elt, hol)]
+            lifted.append(
+                Gluing(g.facet_a * m + i, g.ridge_a, g.facet_b * m + j, g.ridge_b, g.mapping)
+            )
+    total = PseudoComplex(x.dim, n * m, tuple(lifted))
+    labels = tuple(
+        (f, perm_inverse(perm_compose(elt, pg.transports[f]))) for f in range(n) for elt in elements
+    )
+    projection = tuple(f for f in range(n) for _ in elements)
+    return total, projection, labels
+
+
+def reference_partial(x):
+    width = x.dim + 1
+    n = x.facet_count
+    lifted = []
+    for gid, g in enumerate(x.gluings):
+        step = perspectivity(x, g.facet_a, gid)
+        for v in range(width):
+            b = g.facet_b * width + step[v]
+            lifted.append(Gluing(g.facet_a * width + v, g.ridge_a, b, g.ridge_b, g.mapping))
+    total = PseudoComplex(x.dim, n * width, tuple(lifted))
+    projection = tuple(f for f in range(n) for _ in range(width))
+    labels = tuple((f, v) for f in range(n) for v in range(width))
+    return total, projection, labels
+
+
+CASES = [(e.name, e.complex) for e in gallery_entries()]
+CASES += [
+    (f"knot-nbhd:{n}:{variant}", knot_neighborhood(n, variant).complex)
+    for n in (2, 3, 4)
+    for variant in ("orientable", "klein")
+]
+CASES += list(zip(("bary2-shuffled", "bary2-shuffled-pseudo"), shuffled_bary2()))
+
+
+@pytest.mark.parametrize("name, x", CASES, ids=[n for n, _x in CASES])
+def test_both_unfoldings_match_the_separate_lifting_loops(name, x):
+    u = partial_unfolding(x)
+    assert (u.total, u.projection, u.labels) == reference_partial(x)
+    assert u.component_partition == dual_graph(u.total).components()
+    for base in sorted({0, x.facet_count // 2}):
+        u = complete_unfolding(x, base)
+        assert (u.total, u.projection, u.labels) == reference_complete(x, base), base
+        assert u.group is projectivity_group(x, base)
+
+
+TOO_LARGE = [
+    # 2000 copies of dim 8 pass the parser (1022000 slots); 9 each do not
+    ("partial", PseudoComplex(8, 2000, ()), 2000 * 9 * 511),
+    # 8 facets of dim 6 times the 5040 elements of S7
+    ("complete", boundary_simplex(7), 8 * 5040 * 127),
+]
+
+
+@pytest.mark.parametrize("mode, x, slots", TOO_LARGE, ids=[m for m, _x, _s in TOO_LARGE])
+def test_the_lift_refuses_a_total_above_the_closure_bound(
+    mode, x, slots, capsys, monkeypatch, tmp_path
+):
+    path = tmp_path / "x.json"
+    path.write_text(emit(x))
+
+    def refuse(*args):
+        raise AssertionError("a lifted gluing was built")
+
+    monkeypatch.setattr(unfoldings, "Gluing", refuse)
+    text = f"face closure of {slots} slots is above the limit {MAX_CLOSURE_SLOTS}"
+    unfold = partial_unfolding if mode == "partial" else complete_unfolding
+    with pytest.raises(BadParameter, match=f"^{text}$"):
+        unfold(x)
+    assert main(["unfold", "--mode", mode, str(path)]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {text}\n")

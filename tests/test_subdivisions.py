@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import factorial
 
 import pytest
 
@@ -16,6 +16,7 @@ from unfolder.gallery import (
     torus_z3,
 )
 from unfolder.subdivisions import (
+    antiprism_facet_count,
     antiprism_facet_shapes,
     antiprismatic,
     barycentric,
@@ -25,14 +26,6 @@ from unfolder.subdivisions import (
     stellar,
     unfold_commutes_with_antiprismatic,
 )
-
-
-def ordered_partition_count(n: int) -> int:
-    """Number of ordered set partitions of an n-set, by recurrence."""
-    memo = [1]
-    for m in range(1, n + 1):
-        memo.append(sum(comb(m, k) * memo[m - k] for k in range(1, m + 1)))
-    return memo[n]
 
 
 def shape_volume(shape, dim: int) -> Fraction:
@@ -70,9 +63,15 @@ def _det(rows):
     return total
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("dim", [0, 1, 2, 3, 4])
 def test_shape_count_is_the_ordered_partition_number(dim):
-    assert len(antiprism_facet_shapes(dim)) == ordered_partition_count(dim + 1)
+    assert len(antiprism_facet_shapes(dim)) == antiprism_facet_count(dim)
+
+
+def test_ordered_partition_numbers_frozen():
+    # OEIS A000670, the Fubini numbers, for 1..9 points
+    counts = [1, 3, 13, 75, 541, 4683, 47293, 545835, 7087261]
+    assert [antiprism_facet_count(d) for d in range(9)] == counts
 
 
 @pytest.mark.parametrize("dim, count", [(1, 3), (2, 13), (3, 75)])

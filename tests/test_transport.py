@@ -189,10 +189,14 @@ def test_the_search_is_kept_per_base():
     assert projectivity_group(x, 0) is not projectivity_group(x, 2)
 
 
-def test_a_kept_restricted_search_still_refuses_a_disconnected_complex():
+def test_a_kept_search_refuses_a_disconnected_complex_on_every_call():
     x = PseudoComplex(1, 4, (Gluing(0, (0,), 2, (1,), (1,)),))
-    pg = projectivity_group(x, restrict_to_component=True)
-    assert pg.reached == (0, 2)
-    with pytest.raises(NotStronglyConnected, match=r"^facets \[1, 3\] are not reachable from 0$"):
-        projectivity_group(x)
-    assert projectivity_group(x, restrict_to_component=True) is pg
+    message = r"^facets \[1, 3\] are not reachable from 0$"
+    kept = []
+    for _ in range(3):
+        with pytest.raises(NotStronglyConnected, match=message):
+            projectivity_group(x)
+        kept.append(x.__dict__["_memo_projectivity_group"][0])
+    # one search, kept and read again by each refusing call
+    assert kept[0].reached == (0, 2)
+    assert kept[1] is kept[0] and kept[2] is kept[0]
