@@ -5,8 +5,8 @@ Projectivities compose left to right (apply the first path segment first),
 so `perm_compose(p, q)` means "p, then q".
 
 Groups here are small: order at most (d+1)!, where d <= 4 for the gallery
-and benchmark inputs and d <= `complexes.MAX_DIM` = 8 for any document.  So the
-closure is computed by saturation and the full element set is kept.
+and benchmark inputs and d <= `complexes.MAX_DIM` = 8 for any document.  So
+the closure is computed by saturation and the full element set is kept.
 """
 
 from __future__ import annotations
