@@ -130,6 +130,16 @@ from .unfoldings import (
     partial_unfolding,
     projects_isomorphically,
 )
-from .verify import CheckResult, run_suite
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """`CheckResult` and `run_suite`, imported on first use: `verify` is the
+    largest module and only `unfolder verify` runs it, so no other command
+    pays for compiling and loading it."""
+    if name in ("CheckResult", "run_suite"):
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -40,6 +40,12 @@ in (cardinality, smallest member) order with sorted members, so nothing is
 sorted afterwards.  `derived_gluings` reads ridges and mappings from a table
 too: facets are sorted tuples, so the ridge that omits position o sits at
 the other positions, in order, in both facets.
+
+`FaceClasses` keeps the face closure's slot numbering for its index: one
+flat list, `slot_class`, holds the class id of each slot, and both builders
+fill it as they scan.  A reader adds a copy's offset f * per to the
+position of a subset in `nonempty_subsets` (`subset_index`) and builds no
+(copy, subset) key.
 """
 
 from __future__ import annotations
@@ -90,6 +96,13 @@ def nonempty_subsets(n: int) -> tuple[tuple[int, ...], ...]:
     for k in range(1, n + 1):
         out.extend(combinations(range(n), k))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def subset_index(n: int) -> dict[tuple[int, ...], int]:
+    """Position of each subset in `nonempty_subsets(n)`; shared, not to be
+    changed."""
+    return {s: i for i, s in enumerate(nonempty_subsets(n))}
 
 
 def per_instance(fn):
@@ -175,7 +188,7 @@ def _subface_pairs(
 ) -> tuple[tuple[int, int], ...]:
     """For each non-empty subset of a valid gluing's ridge: the indices in
     `nonempty_subsets(d + 1)` of its face on side a and of its image."""
-    index = {s: i for i, s in enumerate(nonempty_subsets(d + 1))}
+    index = subset_index(d + 1)
     return tuple(
         (index[tuple(ridge_a[p] for p in pos)], index[tuple(sorted(mapping[p] for p in pos))])
         for k in range(1, d + 1)
@@ -236,10 +249,13 @@ class FaceClasses:
     """Face structure of a complex, indexed by class ids.
 
     Classes are ordered by (cardinality, smallest member reference), which
-    makes ids deterministic for a fixed input.
+    makes ids deterministic for a fixed input.  `slot_class` holds one class
+    id per slot: subset i of `nonempty_subsets(dim + 1)` in copy f is slot
+    f * per + i, with per = 2^(dim+1) - 1.  Hot loops read it at a copy's
+    offset; `class_of` is the same lookup by reference.
     """
 
-    __slots__ = ("dim", "facet_count", "members", "class_by_ref", "cards", "face_keys")
+    __slots__ = ("dim", "facet_count", "members", "slot_class", "per", "cards", "face_keys")
 
     def __init__(
         self,
@@ -247,11 +263,13 @@ class FaceClasses:
         facet_count: int,
         members: tuple[tuple[FaceRef, ...], ...],
         face_keys: tuple[tuple[int, ...], ...] | None,
+        slot_class: list[int],
     ) -> None:
         self.dim = dim
         self.facet_count = facet_count
         self.members = members
-        self.class_by_ref = {ref: cid for cid, refs in enumerate(members) for ref in refs}
+        self.slot_class = slot_class
+        self.per = 2 ** (dim + 1) - 1
         self.cards = tuple(len(refs[0][1]) for refs in members)
         self.face_keys = face_keys  # global vertex tuples when built from an AbstractComplex
 
@@ -259,17 +277,28 @@ class FaceClasses:
     def from_abstract(facets: tuple[tuple[int, ...], ...], dim: int) -> "FaceClasses":
         # faces of each size in (facet, subset) order: a face first shows at
         # its smallest member, so insertion order is the class order
-        by_face: dict[tuple[int, ...], list[FaceRef]] = {}
+        per = 2 ** (dim + 1) - 1
+        ids: dict[tuple[int, ...], int] = {}
+        members: list[list[FaceRef]] = []
+        slot_class = [0] * (len(facets) * per)
+        lo = 0
         for k in range(1, dim + 2):
             subs = tuple(combinations(range(dim + 1), k))
             for f, verts in enumerate(facets):
+                slot = f * per + lo
                 for sub, face in zip(subs, combinations(verts, k)):
-                    refs = by_face.get(face)
-                    if refs is None:
-                        by_face[face] = [(f, sub)]
+                    cid = ids.get(face)
+                    if cid is None:
+                        cid = ids[face] = len(members)
+                        members.append([(f, sub)])
                     else:
-                        refs.append((f, sub))
-        return FaceClasses(dim, len(facets), tuple(map(tuple, by_face.values())), tuple(by_face))
+                        members[cid].append((f, sub))
+                    slot_class[slot] = cid
+                    slot += 1
+            lo += len(subs)
+        for cid, refs in enumerate(members):  # in place: one list freed per tuple
+            members[cid] = tuple(refs)
+        return FaceClasses(dim, len(facets), tuple(members), tuple(ids), slot_class)
 
     @staticmethod
     def from_glued(dim: int, facet_count: int, gluings: tuple[Gluing, ...]) -> "FaceClasses":
@@ -293,14 +322,20 @@ class FaceClasses:
                 f"faces {(f, subs[i])} and {(f, subs[j])} of one copy are identified"
             )
         members = _members(roots, per, facet_count, _subset_spans(dim + 1), subs)
-        return FaceClasses(dim, facet_count, tuple(members), None)
+        # a class's root is its smallest slot: its first member's
+        index = subset_index(dim + 1)
+        ids = {f * per + index[s]: cid for cid, (f, s) in enumerate(refs[0] for refs in members)}
+        return FaceClasses(dim, facet_count, tuple(members), None, [ids[r] for r in roots])
 
     @property
     def count(self) -> int:
         return len(self.members)
 
     def class_of(self, ref: FaceRef) -> int:
-        return self.class_by_ref[ref]
+        f, sub = ref
+        if not 0 <= f < self.facet_count:
+            raise KeyError(ref)
+        return self.slot_class[f * self.per + subset_index(self.dim + 1)[sub]]
 
     def classes_of_card(self, card: int) -> list[int]:
         return [cid for cid in range(self.count) if self.cards[cid] == card]
@@ -314,7 +349,8 @@ class FaceClasses:
     def vertex_classes_of(self, cid: int) -> tuple[int, ...]:
         """Sorted class ids of the vertices of class `cid`."""
         f, sub = self.members[cid][0]
-        return tuple(sorted(self.class_of((f, (l,))) for l in sub))
+        at = f * self.per  # vertex l of copy f is slot at + l
+        return tuple(sorted(self.slot_class[at + l] for l in sub))
 
     def contains(self, small: int, large: int) -> bool:
         """True when some copy exhibits `small` as a subface of `large`."""
@@ -487,9 +523,14 @@ def is_simplicial(P: PseudoComplex) -> tuple[bool, tuple[int, int] | None]:
     are distinct faces with identical vertex class sets.
     """
     classes = P.classes()
+    sc, per, w = classes.slot_class, classes.per, P.dim + 1
+    # copy f's vertex class ids, one row per copy: its first w slots
+    rows = [sc[f * per : f * per + w] for f in range(P.facet_count)]
     seen: dict[tuple[int, ...], int] = {}
-    for cid in range(classes.count):
-        key = classes.vertex_classes_of(cid)
+    for cid, refs in enumerate(classes.members):
+        f, sub = refs[0]
+        row = rows[f]
+        key = tuple(sorted([row[l] for l in sub]))
         if key in seen:
             return False, (seen[key], cid)
         seen[key] = cid

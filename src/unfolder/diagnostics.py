@@ -18,6 +18,7 @@ from .complexes import (
     link_of_class,
     nonempty_subsets,
     per_instance,
+    subset_index,
 )
 from .errors import (
     BadParameter,
@@ -53,7 +54,7 @@ def is_locally_strongly_connected(x: Complex) -> tuple[bool, int | None]:
     # only faces of cardinality <= d-1 count; they come first among a copy's
     # subsets (m of them) and among a gluing's subface pairs (2^d - 2)
     m = 2 ** (d + 1) - d - 3
-    index = {s: i for i, s in enumerate(nonempty_subsets(d + 1)[:m])}
+    index = subset_index(d + 1)
     pairs = (
         (g.facet_a * m + i, g.facet_b * m + j)
         for g in x.derived_gluings()
@@ -94,12 +95,13 @@ def balanced_coloring(x: Complex) -> dict[int, int] | None:
 
 
 def _link_graph_is_bipartite(classes: FaceClasses, cid: int, ends) -> bool:
-    """`ends[s]`: the two ridges of a copy through its (d-1)-subset s."""
-    class_of = classes.class_by_ref
+    """`ends[s]`: the subset indices of the two ridges of a copy through its
+    (d-1)-subset s."""
+    sc, per = classes.slot_class, classes.per
     adj: dict[int, list[int]] = {}
     for f, s in classes.members[cid]:
         ra, rb = ends[s]
-        u, v = class_of[f, ra], class_of[f, rb]
+        u, v = sc[f * per + ra], sc[f * per + rb]
         if u == v:
             raise Mismatch(f"loop in the link graph of class {cid}")
         adj.setdefault(u, []).append(v)
@@ -148,8 +150,11 @@ def odd_subcomplex(x: Complex) -> OddSubcomplex:
         raise NotLocallyStronglyConnected(f"star of face class {witness} is disconnected")
     d = x.dim
     classes = x.classes()
+    index = subset_index(d + 1)
     subs = (s for s in nonempty_subsets(d + 1) if len(s) == d - 1)
-    ends = {s: [tuple(sorted((*s, a))) for a in range(d + 1) if a not in s] for s in subs}
+    ends = {
+        s: [index[tuple(sorted((*s, a)))] for a in range(d + 1) if a not in s] for s in subs
+    }
     codim2 = classes.classes_of_card(d - 1)
     odd = tuple(c for c in codim2 if not _link_graph_is_bipartite(classes, c, ends))
     if not odd:
@@ -293,12 +298,11 @@ class IsoWitness:
 
 
 def _facet_fingerprints(classes: FaceClasses, dim: int) -> list[tuple[int, ...]]:
-    subs = nonempty_subsets(dim + 1)
+    cards = [len(s) for s in nonempty_subsets(dim + 1)]
+    sc, per, members = classes.slot_class, classes.per, classes.members
     out = []
     for f in range(classes.facet_count):
-        sizes = sorted(
-            (len(s), len(classes.members[classes.class_of((f, s))])) for s in subs
-        )
+        sizes = sorted(zip(cards, (len(members[c]) for c in sc[f * per : (f + 1) * per])))
         out.append(tuple(v for pair in sizes for v in pair))
     return out
 
@@ -371,12 +375,18 @@ def isomorphic(
     class_map: dict[int, int] = {}
     class_rev: dict[int, int] = {}
 
+    index = subset_index(d + 1)
+    images: dict[Perm, tuple[int, ...]] = {}  # lam -> the subset index of each image
+    sp, sq, per = cp.slot_class, cq.slot_class, cp.per
+
     def try_assign(f: int, t: int, lam: Perm) -> list[tuple[int, int]] | None:
+        image = images.get(lam)
+        if image is None:
+            image = images[lam] = tuple(index[tuple(sorted(lam[v] for v in s))] for s in subs)
         added: list[tuple[int, int]] = []
-        for s in subs:
-            a = cp.class_of((f, s))
-            image = tuple(sorted(lam[v] for v in s))
-            b = cq.class_of((t, image))
+        for i, j in enumerate(image):
+            a = sp[f * per + i]
+            b = sq[t * per + j]
             have = class_map.get(a)
             if have is not None:
                 if have != b:

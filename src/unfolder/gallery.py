@@ -240,15 +240,20 @@ def knot_neighborhood(n: int, variant: str = "orientable") -> KnotNeighborhood:
 
 def surface_sphere(g: int) -> AbstractComplex:
     """The 2(g+1)-facet sphere: boundary tetrahedron plus g-1 stellar moves,
-    always at the lexicographically first facet."""
-    from .subdivisions import stellar
+    always at the lexicographically first facet.
+
+    The moves run on a heap of facets, built into a complex once: a move pops
+    the least facet and pushes its three cones to a new, largest vertex."""
+    from heapq import heappop, heappush  # only this builder needs it
 
     if g < 1:
         raise BadParameter("spheres in this family need g >= 1")
-    Q = boundary_simplex(3)
-    for _ in range(g - 1):
-        Q = stellar(Q, 0)
-    return Q
+    heap = list(boundary_simplex(3).facets)  # sorted, so already a heap
+    for apex in range(4, g + 3):
+        target = heappop(heap)
+        for v in target:
+            heappush(heap, tuple(w for w in target if w != v) + (apex,))
+    return AbstractComplex.from_facets(heap)
 
 
 def surface_family(g: int) -> AbstractComplex:

@@ -16,9 +16,9 @@ from itertools import combinations
 from itertools import permutations as all_permutations
 from math import comb, factorial
 
-from .complexes import AbstractComplex, Complex, check_size
+from .complexes import AbstractComplex, Complex, check_size, subset_index
 from .errors import BadParameter, Mismatch, NotAFacet
-from .permutations import Perm, PermutationGroup
+from .permutations import Perm, PermutationGroup, perm_compose, perm_inverse
 from .projectivities import projectivity_group
 
 LocalPair = tuple[tuple[int, ...], int]  # (sorted local subset, local vertex)
@@ -110,16 +110,18 @@ def barycentric(x: Complex) -> SubdivisionRecord:
     d = x.dim
     check_size(d, x.facet_count * factorial(d + 1))
     classes = x.classes()
-    orderings = tuple(all_permutations(range(d + 1)))
+    sc, per, index = classes.slot_class, classes.per, subset_index(d + 1)
+    # each ordering's flag as subset indices, read at every copy's offset
+    flags = [
+        tuple(index[tuple(sorted(ordering[: i + 1]))] for i in range(d + 1))
+        for ordering in all_permutations(range(d + 1))
+    ]
     raw: list[tuple[int, ...]] = []
     provenance: list[tuple[int, int]] = []
     for f in range(x.facet_count):
-        for k, ordering in enumerate(orderings):
-            flag = tuple(
-                classes.class_of((f, tuple(sorted(ordering[: i + 1]))))
-                for i in range(d + 1)
-            )
-            raw.append(tuple(sorted(flag)))
+        at = f * per
+        for k, flag in enumerate(flags):
+            raw.append(tuple(sorted([sc[at + i] for i in flag])))
             provenance.append((f, k))
     result = AbstractComplex.from_facets(raw)
     if result.facet_count != len(raw):
@@ -152,16 +154,16 @@ def antiprismatic(x: Complex) -> SubdivisionRecord:
     d = x.dim
     check_size(d, x.facet_count * antiprism_facet_count(d))
     classes = x.classes()
-    shapes = antiprism_facet_shapes(d)
+    sc, per, index = classes.slot_class, classes.per, subset_index(d + 1)
+    # each shape's pairs as subset indices; vertex w is subset w
+    shapes = [tuple((index[tau], w) for tau, w in shape) for shape in antiprism_facet_shapes(d)]
     pair_set: set[tuple[int, int]] = set()
     per_copy: list[list[tuple[tuple[int, int], ...]]] = []
     for f in range(x.facet_count):
+        at = f * per
         rows: list[tuple[tuple[int, int], ...]] = []
         for shape in shapes:
-            pairs = tuple(
-                (classes.class_of((f, tau)), classes.class_of((f, (w,))))
-                for tau, w in shape
-            )
+            pairs = tuple((sc[at + i], sc[at + w]) for i, w in shape)
             rows.append(pairs)
             pair_set.update(pairs)
         per_copy.append(rows)
@@ -198,15 +200,21 @@ def crumpling_group_pair(
 ) -> tuple[PermutationGroup, PermutationGroup]:
     """Projectivity groups of subdivision and source, on the source's labels.
 
-    The subdivision group is computed at the central facet of the base copy
-    and transported through the crumpling identification of its vertices, so
-    the two groups act on the same label set and can be compared directly.
+    The subdivision group at the central facet of the base copy is read off
+    the subdivision's search at facet 0: conjugating each element by the
+    tree transport to the central facet gives it, as a change of base does,
+    so no second search runs.  It is then transported through the crumpling
+    identification of the central facet's vertices, so the two groups act
+    on the same label set and can be compared directly.
     """
     x = rec.source
     d = x.dim
     classes = x.classes()
     central = rec.central_facet(base)
-    sub_pg = projectivity_group(rec.result, base=central)
+    pg = projectivity_group(rec.result)
+    t = pg.transport_to(central)
+    t_inv = perm_inverse(t)
+    at_central = {perm_compose(perm_compose(t_inv, g), t) for g in pg.group.elements}
     base_pg = projectivity_group(x, base=base)
 
     facet_verts = rec.result.facets[central]
@@ -216,7 +224,7 @@ def crumpling_group_pair(
         f, (l,) = next(r for r in classes.members[w_class] if r[0] == base)
         mu.append(l)
     transported = []
-    for g in sub_pg.group.sorted_elements():
+    for g in sorted(at_central):
         h = [0] * (d + 1)
         for pos in range(d + 1):
             h[mu[pos]] = mu[g[pos]]

@@ -23,6 +23,7 @@ from .complexes import (
     component_complex,
     dual_graph,
     perspectivity,
+    subset_index,
 )
 from .errors import (
     BadParameter,
@@ -283,10 +284,11 @@ def fibers_over(u: UnfoldingResult) -> dict[int, tuple[int, ...]]:
     """Face classes of the total complex grouped by their base class."""
     base_classes = u.base.classes()
     total_classes = u.total.classes()
+    sc, per, index = base_classes.slot_class, base_classes.per, subset_index(u.base.dim + 1)
     fibers: dict[int, list[int]] = {cid: [] for cid in range(base_classes.count)}
     for cid in range(total_classes.count):
         f, sub = total_classes.members[cid][0]
-        fibers[base_classes.class_of((u.projection[f], sub))].append(cid)
+        fibers[sc[u.projection[f] * per + index[sub]]].append(cid)
     return {cid: tuple(v) for cid, v in fibers.items()}
 
 

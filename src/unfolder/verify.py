@@ -89,13 +89,95 @@ class CheckResult:
     detail: str
 
 
+class _Facts:
+    """What the checks read of one subdivision, worked out once.
+
+    `build()` makes the subdivision record; each named fact is then worked
+    out from it in the given order, each in its own `try`.  A fact that
+    raises is stored as its exception, and reading it re-raises that, so a
+    check fails with the text it would have failed with on a fresh build; a
+    build that raises stands for every fact.  Exceptions are kept without
+    traceback or chained exceptions: their frames would keep the subdivision
+    alive.  The subdivision record itself is dropped once the facts are in.
+    """
+
+    def __init__(self, build, **facts) -> None:
+        self._values: dict[str, object] = {}
+        try:
+            rec = build()
+        except Exception as err:  # noqa: BLE001 - re-raised by every read
+            self._values = dict.fromkeys(facts, _bare(err))
+            return
+        for name, fact in facts.items():
+            try:
+                self._values[name] = fact(rec)
+            except Exception as err:  # noqa: BLE001 - re-raised by the read
+                self._values[name] = _bare(err)
+
+    def __getitem__(self, name: str):
+        value = self._values[name]
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+
+def _bare(err: Exception) -> Exception:
+    """`err` without the traceback and chained exceptions that hold frames."""
+    err.__context__ = err.__cause__ = None
+    return err.with_traceback(None)
+
+
+def _simplicial(rec) -> tuple[bool, tuple[int, int] | None]:
+    return is_simplicial(as_pseudo(rec.result))
+
+
+def _crumpling_agreement(rec) -> tuple[bool, bool, bool]:
+    """Whether the crumpling group pair agrees in order, orbits and elements."""
+    lifted, ground = crumpling_group_pair(rec)
+    return (
+        lifted.order == ground.order,
+        lifted.orbits() == ground.orbits(),
+        set(lifted.elements) == set(ground.elements),
+    )
+
+
+def _unfolds(rec) -> tuple[bool, bool] | None:
+    """Whether the complete unfolding of a barycentric subdivision keeps its
+    facet count and projects isomorphically; None for a source that is not
+    locally strongly connected or a subdivision above 1500 facets."""
+    b = rec.result
+    if not (is_locally_strongly_connected(rec.source)[0] and b.facet_count <= 1500):
+        return None
+    u = complete_unfolding(b)
+    same = u.total.facet_count == b.facet_count
+    return same, same and projects_isomorphically(u.total, b)
+
+
 class _Context:
-    """Gallery entries with memoized unfoldings."""
+    """Gallery entries with memoized unfoldings and subdivision facts.
+
+    `anti(e)` and `bary(e)` build an entry's anti-prismatic and barycentric
+    subdivision on first use, keep the facts that the checks read, and drop
+    the subdivision: kept whole, the subdivisions of the four knot-nbhd
+    entries (2250-3375 facets each) with their face classes, gluings and
+    searches raised the suite's peak resident memory from 33 to 90 MB.  The anti-prismatic facts
+    are `simplicial`, the `(ok, witness)` of `is_simplicial` on its ridge-glued
+    embedding (worked out first, so that transient closure does not sit on
+    top of the subdivision's own face classes); `hom` and `order`, the
+    crumpling homomorphism check and the group order; `crumpling`, the
+    crumpling group pair's agreement in order, orbits and elements;
+    `balanced`; and `euler`.  The barycentric facts are `balanced`;
+    `unfolds`, for a locally strongly connected entry with a subdivision of
+    at most 1500 facets, whether the complete unfolding keeps the facet
+    count and projects isomorphically (else None); and `euler`.
+    """
 
     def __init__(self) -> None:
         self.entries = gallery_entries()
         self._uc: dict[str, object] = {}
         self._up: dict[str, object] = {}
+        self._anti: dict[str, _Facts] = {}
+        self._bary: dict[str, _Facts] = {}
         self._lsc: list | None = None
 
     def uc(self, e):
@@ -107,6 +189,31 @@ class _Context:
         if e.name not in self._up:
             self._up[e.name] = partial_unfolding(e.complex)
         return self._up[e.name]
+
+    def anti(self, e) -> _Facts:
+        if e.name not in self._anti:
+            self._anti[e.name] = _Facts(
+                lambda: antiprismatic(e.complex),
+                simplicial=_simplicial,
+                hom=lambda rec: induced_homomorphism_check(
+                    rec.result, rec.source, crumpling_map(rec)
+                ),
+                order=lambda rec: projectivity_group(rec.result).order,
+                crumpling=_crumpling_agreement,
+                balanced=lambda rec: balanced_coloring(rec.result) is not None,
+                euler=lambda rec: euler_characteristic(rec.result),
+            )
+        return self._anti[e.name]
+
+    def bary(self, e) -> _Facts:
+        if e.name not in self._bary:
+            self._bary[e.name] = _Facts(
+                lambda: barycentric(e.complex),
+                balanced=lambda rec: balanced_coloring(rec.result) is not None,
+                unfolds=_unfolds,
+                euler=lambda rec: euler_characteristic(rec.result),
+            )
+        return self._bary[e.name]
 
     def lsc_entries(self):
         if self._lsc is None:
@@ -406,30 +513,25 @@ def check_unf_07(ctx: _Context) -> str:
 def check_sub_01(ctx: _Context) -> str:
     n = 0
     for e in ctx.entries:
-        b = barycentric(e.complex).result
-        _require(balanced_coloring(b) is not None, f"{e.name}: not balanced")
-        if is_locally_strongly_connected(e.complex)[0] and b.facet_count <= 1500:
-            u = complete_unfolding(b)
-            _require(u.total.facet_count == b.facet_count, e.name)
-            _require(projects_isomorphically(u.total, b), e.name)
+        b = ctx.bary(e)
+        _require(b["balanced"], f"{e.name}: not balanced")
+        if b["unfolds"] is not None:
+            same_count, isomorphic = b["unfolds"]
+            _require(same_count, e.name)
+            _require(isomorphic, e.name)
         n += 1
     return f"{n} barycentric subdivisions balanced; unfolding fixes the l.s.c. ones"
 
 
 def check_sub_02(ctx: _Context) -> str:
-    targets = [
-        (e.name, e.complex)
-        for e in ctx.entries
-        if e.complex.facet_count <= 50
-    ]
-    targets.append(("doubled-triangle", doubled_triangle_sphere()))
-    targets.append(("boundary-simplex-4", boundary_simplex(4)))
-    for name, x in targets:
-        rec = antiprismatic(x)
-        result = rec.result
-        ok, witness = is_simplicial(
-            result if isinstance(result, PseudoComplex) else as_pseudo(result)
-        )
+    targets = [(e.name, ctx.anti(e)) for e in ctx.entries if e.complex.facet_count <= 50]
+    for name, x in (
+        ("doubled-triangle", doubled_triangle_sphere()),
+        ("boundary-simplex-4", boundary_simplex(4)),
+    ):
+        targets.append((name, _Facts(lambda: antiprismatic(x), simplicial=_simplicial)))
+    for name, facts in targets:
+        ok, witness = facts["simplicial"]
         _require(ok, f"{name}: {witness}")
     return f"{len(targets)} anti-prismatic subdivisions are simplicial"
 
@@ -440,13 +542,11 @@ def check_sub_03(ctx: _Context) -> str:
     for e in ctx.entries:
         if e.name not in names:
             continue
-        K = e.complex
-        rec = antiprismatic(K)
-        f = crumpling_map(rec)
-        _require(induced_homomorphism_check(rec.result, K, f), e.name)
-        up = projectivity_group(rec.result)
+        a = ctx.anti(e)
+        _require(a["hom"], e.name)
         _require(
-            up.order == projectivity_group(K).order, f"{e.name}: image misses part of the group"
+            a["order"] == projectivity_group(e.complex).order,
+            f"{e.name}: image misses part of the group",
         )
         n += 1
     return f"{n} crumpling maps induce bijective homomorphisms"
@@ -457,11 +557,10 @@ def check_sub_04(ctx: _Context) -> str:
     for e in ctx.entries:
         if e.complex.facet_count > 50:
             continue
-        rec = antiprismatic(e.complex)
-        lifted, ground = crumpling_group_pair(rec)
-        _require(lifted.order == ground.order, e.name)
-        _require(lifted.orbits() == ground.orbits(), e.name)
-        _require(set(lifted.elements) == set(ground.elements), e.name)
+        orders, orbits, elements = ctx.anti(e)["crumpling"]
+        _require(orders, e.name)
+        _require(orbits, e.name)
+        _require(elements, e.name)
         n += 1
     return f"{n} crumpling group pairs agree in order and orbits"
 
@@ -482,7 +581,7 @@ def check_sub_06(ctx: _Context) -> str:
         if e.complex.facet_count > 50:
             continue
         before = balanced_coloring(e.complex) is not None
-        after = balanced_coloring(antiprismatic(e.complex).result) is not None
+        after = ctx.anti(e)["balanced"]
         _require(before == after, f"{e.name}: balancedness changed")
         n += 1
     return f"balancedness preserved both ways on {n} complexes"
@@ -565,8 +664,8 @@ def check_diag_05(ctx: _Context) -> str:
         if e.complex.facet_count > 50:
             continue
         chi = euler_characteristic(e.complex)
-        _require(euler_characteristic(barycentric(e.complex).result) == chi, e.name)
-        _require(euler_characteristic(antiprismatic(e.complex).result) == chi, e.name)
+        _require(ctx.bary(e)["euler"] == chi, e.name)
+        _require(ctx.anti(e)["euler"] == chi, e.name)
         n += 1
     return f"additive on disjoint unions, preserved by both subdivisions ({n} complexes)"
 

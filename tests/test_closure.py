@@ -55,6 +55,17 @@ class ReferenceUnionFind:
             self.rank[ra] += 1
 
 
+def reference_slot_class(dim, facet_count, members):
+    """The class id of each (copy, subset) slot, written from the members."""
+    subs = nonempty_subsets(dim + 1)
+    sub_index = {s: i for i, s in enumerate(subs)}
+    slots = [None] * (facet_count * len(subs))
+    for cid, refs in enumerate(members):
+        for f, s in refs:
+            slots[f * len(subs) + sub_index[s]] = cid
+    return slots
+
+
 def reference_from_abstract(facets, dim):
     by_face = {}
     for f, verts in enumerate(facets):
@@ -64,7 +75,8 @@ def reference_from_abstract(facets, dim):
     ordered = sorted(by_face.items(), key=lambda kv: (len(kv[0]), min(kv[1])))
     members = tuple(tuple(sorted(refs)) for _face, refs in ordered)
     keys = tuple(face for face, _refs in ordered)
-    return FaceClasses(dim, len(facets), members, keys)
+    slots = reference_slot_class(dim, len(facets), members)
+    return FaceClasses(dim, len(facets), members, keys, slots)
 
 
 def reference_from_glued(dim, facet_count, gluings):
@@ -98,7 +110,8 @@ def reference_from_glued(dim, facet_count, gluings):
             seen_facets.add(f)
     ordered = sorted(groups.values(), key=lambda refs: (len(refs[0][1]), min(refs)))
     members = tuple(tuple(sorted(refs)) for refs in ordered)
-    return FaceClasses(dim, facet_count, members, None)
+    slots = reference_slot_class(dim, facet_count, members)
+    return FaceClasses(dim, facet_count, members, None, slots)
 
 
 def reference_derived_gluings(K):
@@ -146,7 +159,7 @@ def reference_vertex_classes(x):
 
 
 def face_classes_shape(fc):
-    return (fc.dim, fc.facet_count, fc.members, fc.cards, fc.face_keys, fc.class_by_ref)
+    return (fc.dim, fc.facet_count, fc.members, fc.cards, fc.face_keys, fc.slot_class)
 
 
 def outcome(fn, *args):
@@ -225,6 +238,16 @@ def test_face_classes_and_gluings_match_the_reference(x):
     got = FaceClasses.from_glued(x.dim, x.facet_count, x.gluings)
     want = reference_from_glued(x.dim, x.facet_count, x.gluings)
     assert face_classes_shape(got) == face_classes_shape(want)
+
+
+def test_class_of_answers_as_the_reference_dict_did():
+    for x in (boundary_simplex(3), as_pseudo(iterate(barycentric, boundary_simplex(2), 1))):
+        classes = x.classes()
+        by_ref = {ref: cid for cid, refs in enumerate(classes.members) for ref in refs}
+        assert {ref: classes.class_of(ref) for ref in by_ref} == by_ref
+        for bad in ((-1, (0,)), (x.facet_count, (0,)), (0, (0, 0)), (0, (9,))):
+            with pytest.raises(KeyError):
+                classes.class_of(bad)
 
 
 @pytest.mark.parametrize("x", [x for _name, x in CASES], ids=IDS)

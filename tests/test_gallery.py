@@ -140,6 +140,20 @@ def test_surface_family_counts(g):
         assert len(odd.odd_faces) == 2 * (g + 1)
 
 
+def test_surface_sphere_makes_the_stellar_moves_of_its_definition():
+    def star_first_facet(facets):
+        target, rest = facets[0], facets[1:]
+        apex = max(v for f in facets for v in f) + 1
+        cones = [tuple(sorted([w for w in target if w != v] + [apex])) for v in target]
+        return sorted(rest + cones)
+
+    facets = sorted(boundary_simplex(3).facets)
+    for g in range(1, 40):
+        if g > 1:
+            facets = star_first_facet(facets)
+        assert list(surface_sphere(g).facets) == facets
+
+
 def test_surface_sphere_sizes():
     assert surface_sphere(1).facets == boundary_simplex(3).facets
     assert len(surface_sphere(2).facets) == 6

@@ -1,20 +1,24 @@
 """Subdivision operators and their interaction with unfolding."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
 import pytest
 
-from unfolder.complexes import as_pseudo, is_simplicial
+from unfolder.complexes import PseudoComplex, as_pseudo, is_simplicial
 from unfolder.diagnostics import balanced_coloring, euler_characteristic
 from unfolder.errors import BadParameter
 from unfolder.gallery import (
     boundary_simplex,
     doubled_triangle_sphere,
+    gallery_entries,
     starred_triangle,
     torus_z3,
 )
+from unfolder.permutations import PermutationGroup
+from unfolder.projectivities import projectivity_group
 from unfolder.subdivisions import (
     antiprism_facet_count,
     antiprism_facet_shapes,
@@ -196,3 +200,76 @@ def test_barycentric_of_unbalanced_complex_unfolds_trivially():
     assert projectivity_group(K).order == 6
     b = barycentric(K).result
     assert projectivity_group(b).group.is_trivial
+
+
+def _sources():
+    out = {e.name: e.complex for e in gallery_entries()}
+    out["boundary-simplex-4"] = boundary_simplex(4)
+    out["doubled-triangle"] = doubled_triangle_sphere()
+    return out
+
+
+SOURCES = _sources()
+
+
+@lru_cache(maxsize=None)
+def _anti(name):
+    return antiprismatic(SOURCES[name])
+
+
+def reference_crumpling_group_pair(rec, base=0):
+    """The crumpling group pair from a second search, at the central facet."""
+    x = rec.source
+    d = x.dim
+    classes = x.classes()
+    central = rec.central_facet(base)
+    sub_pg = projectivity_group(rec.result, base=central)
+    mu = []
+    for vid in rec.result.facets[central]:
+        _tau_class, w_class = rec.vertex_provenance[vid]
+        _f, (l,) = next(r for r in classes.members[w_class] if r[0] == base)
+        mu.append(l)
+    transported = []
+    for g in sub_pg.group.sorted_elements():
+        h = [0] * (d + 1)
+        for pos in range(d + 1):
+            h[mu[pos]] = mu[g[pos]]
+        transported.append(tuple(h))
+    lifted = PermutationGroup(
+        degree=d + 1,
+        elements=frozenset(transported),
+        generators=tuple((p, "transported") for p in transported),
+    )
+    return lifted, projectivity_group(x, base=base).group
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_crumpling_group_pair_matches_a_search_at_the_central_facet(name):
+    lifted, ground = crumpling_group_pair(_anti(name))
+    want_lifted, want_ground = reference_crumpling_group_pair(_anti(name))
+    assert lifted.elements == want_lifted.elements
+    assert lifted.generators == want_lifted.generators
+    assert ground == want_ground
+
+
+def reference_is_simplicial(P):
+    """The per-class loop: one `class_of` lookup per vertex of each class."""
+    classes = P.classes()
+    seen = {}
+    for cid in range(classes.count):
+        f, sub = classes.members[cid][0]
+        key = tuple(sorted(classes.class_of((f, (l,))) for l in sub))
+        if key in seen:
+            return False, (seen[key], cid)
+        seen[key] = cid
+    return True, None
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))  # figure3 is `pinched_strip()`
+@pytest.mark.parametrize("subdivided", [False, True])
+def test_is_simplicial_matches_the_per_class_loop(name, subdivided):
+    x = _anti(name).result if subdivided else SOURCES[name]
+    P = x if isinstance(x, PseudoComplex) else as_pseudo(x)
+    assert is_simplicial(P) == reference_is_simplicial(P)
+    if name == "nonsimplicial" and not subdivided:
+        assert not is_simplicial(P)[0]
