@@ -31,7 +31,7 @@ from .io import ParsedDocument, emit, emit_component, emit_unfolding, parse_docu
 from .permutations import perm_cycle_string
 from .projectivities import projectivity_group
 from .subdivisions import antiprismatic, barycentric, iterate, stellar
-from .unfoldings import complete_unfolding, component_of, component_parts, partial_unfolding
+from .unfoldings import complete_unfolding, component_of, component_parts, components, partial_unfolding
 
 GALLERY_NAMES = (
     "boundary-simplex-<n>",
@@ -131,24 +131,22 @@ def cmd_unfold(ns: argparse.Namespace) -> int:
         u = complete_unfolding(x, base=ns.base)
     else:
         u = partial_unfolding(x)
-    parts = component_parts(u)
     if ns.component is not None:
+        parts = component_parts(u)
         if not 0 <= ns.component < len(parts):
-            raise BadParameter(
-                f"component {ns.component} of {len(parts)} does not exist"
-            )
-        comp = component_of(u, parts[ns.component])
-        _write_or_print(emit_component(comp, u.kind), ns.output)
+            raise BadParameter(f"component {ns.component} of {len(parts)} does not exist")
+        _write_or_print(emit_component(component_of(u, parts[ns.component]), u.kind), ns.output)
         return 0
     if ns.output is not None:
-        _write_or_print(emit_unfolding(u), ns.output)
-        if u.kind == "partial" and len(parts) > 1:
-            stem = Path(ns.output)
-            for k, members in enumerate(parts):
-                side = stem.with_name(f"{stem.stem}.component{k}{stem.suffix}")
-                side.write_text(emit_component(component_of(u, members), u.kind))
-                print(f"wrote {side}")
+        comps = components(u) if u.kind == "partial" and len(component_parts(u)) > 1 else ()
+        _write_or_print(emit_unfolding(u, comps), ns.output)
+        stem = Path(ns.output)
+        for k, comp in enumerate(comps):
+            side = stem.with_name(f"{stem.stem}.component{k}{stem.suffix}")
+            side.write_text(emit_component(comp, u.kind))
+            print(f"wrote {side}")
         return 0
+    parts = component_parts(u)
     sizes = sorted(map(len, parts))
     print(f"mode: {u.kind}")
     print(f"base facets: {x.facet_count}")

@@ -54,6 +54,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .errors import (
     BadGluing,
@@ -214,11 +215,12 @@ def _ridge_error(
     return None
 
 
-@dataclass(frozen=True)
-class Gluing:
+class Gluing(NamedTuple):
     """One ridge-to-ridge identification between two distinct facet copies.
 
     `mapping[i]` is the local vertex of `facet_b` matched with `ridge_a[i]`.
+    A named tuple, as a lift builds one per copy and gluing; only this
+    module's hot loops unpack it by position.
     """
 
     facet_a: int
@@ -308,9 +310,9 @@ class FaceClasses:
         per = len(subs)
 
         def pairs():
-            for g in gluings:
-                a, b = g.facet_a * per, g.facet_b * per
-                for i, j in _subface_pairs(dim, g.ridge_a, g.mapping):
+            for fa, ridge_a, fb, _ridge_b, mapping in gluings:
+                a, b = fa * per, fb * per
+                for i, j in _subface_pairs(dim, ridge_a, mapping):
                     yield a + i, b + j
 
         roots = _roots(facet_count * per, pairs())
@@ -457,6 +459,14 @@ class PseudoComplex:
         for g in self.gluings:
             g.validate(self.dim, self.facet_count)
 
+    @classmethod
+    def trusted(cls, dim: int, facet_count: int, gluings: tuple[Gluing, ...]) -> "PseudoComplex":
+        """A complex whose gluings copy checked ridge data onto copies in range,
+        as a lift's, a component's and a star's do: not checked again."""
+        x = object.__new__(cls)
+        x.__dict__.update(dim=dim, facet_count=facet_count, gluings=gluings)
+        return x
+
     @per_instance
     def classes(self) -> FaceClasses:
         return FaceClasses.from_glued(self.dim, self.facet_count, self.gluings)
@@ -493,9 +503,9 @@ def vertex_classes(x: Complex) -> tuple[tuple[FaceRef, ...], ...]:
         )
     else:
         pairs = (
-            (g.facet_a * w + va, g.facet_b * w + vb)
-            for g in x.gluings
-            for va, vb in zip(g.ridge_a, g.mapping)
+            (a * w + va, b * w + vb)
+            for a, ridge_a, b, _ridge_b, mapping in x.gluings
+            for va, vb in zip(ridge_a, mapping)
         )
     roots = _roots(n * w, pairs)
     # the first vertex, in slot order, that meets an earlier one of its copy
@@ -654,7 +664,7 @@ def gluings_within(
 def component_complex(x: Complex, part: tuple[int, ...]) -> PseudoComplex:
     """The copies `part` of `x`, sorted and closed under its gluings (a union
     of dual-graph components), as their own complex."""
-    return PseudoComplex(x.dim, len(part), gluings_within(x, part)[1])
+    return PseudoComplex.trusted(x.dim, len(part), gluings_within(x, part)[1])
 
 
 def perspectivity(x: Complex, facet: int, gluing_id: int) -> Perm:
@@ -751,7 +761,7 @@ def star_of_class(x: Complex, cid: int) -> StarView:
     kept, sub_gluings = gluings_within(
         x, facet_ids, lambda g: set(rep_by_facet[g.facet_a]) <= set(g.ridge_a)
     )
-    star = PseudoComplex(x.dim, len(facet_ids), sub_gluings)
+    star = PseudoComplex.trusted(x.dim, len(facet_ids), sub_gluings)
     reps = tuple(rep_by_facet[f] for f in facet_ids)
     return StarView(cid, facet_ids, kept, star, reps)
 

@@ -281,21 +281,6 @@ class IsoWitness:
     facet_map: tuple[int, ...]
     vertex_maps: tuple[Perm, ...]
 
-    def vertex_bijection(
-        self, p: Complex, q: Complex
-    ) -> dict[tuple[int, ...], tuple[int, ...]] | dict[int, int]:
-        """Induced map on vertices (abstract inputs) or vertex classes."""
-        cp, cq = p.classes(), q.classes()
-        out: dict = {}
-        for cid in cp.classes_of_card(1):
-            f, (l,) = cp.members[cid][0]
-            image = cq.class_of((self.facet_map[f], (self.vertex_maps[f][l],)))
-            if cp.face_keys is not None and cq.face_keys is not None:
-                out[cp.face_keys[cid][0]] = cq.face_keys[image][0]
-            else:
-                out[cid] = image
-        return out
-
 
 def _facet_fingerprints(classes: FaceClasses, dim: int) -> list[tuple[int, ...]]:
     cards = [len(s) for s in nonempty_subsets(dim + 1)]

@@ -25,18 +25,20 @@ Both parsers refuse a dimension above `MAX_DIM` or a face closure above
 
 The emit writes the indent-1 layout of `json.dumps(doc, indent=1)` itself,
 filling one template per record shape, and takes the vertex-class table from
-`vertex_classes`, the vertex-only closure; the format is unchanged by either.
+`vertex_classes`, the vertex-only closure, or for a total written with its
+components from theirs; the format is unchanged by any of these.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping
 
 from .complexes import MAX_CLOSURE_SLOTS as MAX_CLOSURE_SLOTS, MAX_DIM as MAX_DIM  # re-exported
 from .complexes import AbstractComplex, Complex, Gluing, PseudoComplex, check_size, vertex_classes
-from .errors import BadGluing, DegenerateFacet, MixedDimension, ParseError
+from .errors import BadGluing, BadParameter, DegenerateFacet, MixedDimension, ParseError, SelfIdentification
 from .unfoldings import Component, UnfoldingResult
 
 FORMAT_VERSION = 1
@@ -61,6 +63,9 @@ def parse_document(text: str) -> ParsedDocument:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except (ValueError, RecursionError) as e:
+        # an integer literal above Python's digit limit, or nesting too deep
+        raise ParseError(str(e)) from None
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")
     version = doc.get("format_version", FORMAT_VERSION)
@@ -95,6 +100,10 @@ def _label_rows(doc: dict) -> list[list[str]] | None:
                 )
             labels.append(str(entry))
         out.append(labels)
+    try:
+        "".join(map("".join, out)).encode("utf-8")
+    except UnicodeEncodeError as e:
+        raise ParseError(f"facets: labels must be UTF-8 text ({e.reason})") from None
     sizes = {len(r) for r in out}
     if len(sizes) != 1:
         raise MixedDimension(f"facet sizes differ: {sorted(sizes)}")
@@ -177,12 +186,17 @@ def emit(x: Complex, vertex_labels: Mapping[int, str] | None = None) -> str:
     return _object(0, _fields(x, vertex_labels), "\n")
 
 
-def emit_unfolding(u: UnfoldingResult) -> str:
-    """Unfolding document: the glued total complex plus the projection table."""
+def emit_unfolding(u: UnfoldingResult, comps: tuple[Component, ...] = ()) -> str:
+    """Unfolding document: the glued total complex plus the projection table.
+
+    Given `components(u)`, the total's vertex classes are merged from
+    theirs, each class on its first slot, instead of closed again; any
+    other set of components raises `BadParameter`."""
     extra = []
     if u.component_partition is not None:
         extra = [("components", _list(2, [_ints(3, c) for c in u.component_partition]))]
-    return _unfolding_document(u.total, u.kind, u.projection, u.labels, extra)
+    merged = _merged_vertex_classes(u.total, comps) if comps else None
+    return _unfolding_document(u.total, u.kind, u.projection, u.labels, extra, merged)
 
 
 def emit_component(comp: Component, kind: str) -> str:
@@ -191,9 +205,23 @@ def emit_component(comp: Component, kind: str) -> str:
     return _unfolding_document(comp.complex, kind, comp.projection, comp.labels, extra)
 
 
-def _fields(x: Complex, vertex_labels: Mapping[int, str] | None = None) -> list:
+def _merged_vertex_classes(P: PseudoComplex, comps) -> list:
+    if sorted(chain.from_iterable(c.member_copies for c in comps)) != list(range(P.facet_count)):
+        raise BadParameter(f"the components do not cover the {P.facet_count} copies once each")
+    try:
+        closed = [vertex_classes(c.complex) for c in comps]
+    except SelfIdentification:
+        vertex_classes(P)  # raises, naming the copy by its id in the total
+        raise
+    pairs = zip(comps, closed)
+    merged = [tuple((c.member_copies[f], s) for f, s in refs) for c, cs in pairs for refs in cs]
+    return sorted(merged, key=lambda refs: refs[0])  # by first member, as one closure orders
+
+
+def _fields(x: Complex, vertex_labels: Mapping[int, str] | None = None, members=None) -> list:
     """(key, written value) pairs of a complex's document; each record shape
-    is one `%s` template, built once per document."""
+    is one `%s` template, built once per document.  A glued document's
+    vertex class `members` are `vertex_classes(x)` unless given."""
     kind = "pseudo" if isinstance(x, PseudoComplex) else "simplicial"
     head = [("format_version", str(FORMAT_VERSION)), ("kind", f'"{kind}"'), ("dim", str(x.dim))]
     if kind == "simplicial":
@@ -209,13 +237,13 @@ def _fields(x: Complex, vertex_labels: Mapping[int, str] | None = None) -> list:
     )
     pair = _list(3, ["%s", "%s"])
     classes = _list(
-        1, [_list(2, [pair % (f, l) for f, (l,) in refs]) for refs in vertex_classes(x)]
+        1, [_list(2, [pair % (f, l) for f, (l,) in refs]) for refs in members or vertex_classes(x)]
     )
     size = [("facet_count", str(x.facet_count)), ("gluings", gluings)]
     return head + size + [("vertex_classes", classes)]
 
 
-def _unfolding_document(P: PseudoComplex, kind: str, projection, labels, extra) -> str:
+def _unfolding_document(P: PseudoComplex, kind: str, projection, labels, extra, members=None) -> str:
     if kind == "complete":
         tag = _object(3, [("facet", "%s"), ("coloring", '"%s"')])
         labels = [(f, "".join(map(str, c))) for f, c in labels]
@@ -223,7 +251,7 @@ def _unfolding_document(P: PseudoComplex, kind: str, projection, labels, extra) 
         tag = _object(3, [("facet", "%s"), ("vertex", "%s")])
     copies = _list(2, [tag % label for label in labels])
     table = [("mode", json.dumps(kind)), ("projection", _ints(2, projection)), ("copies", copies)]
-    return _object(0, _fields(P) + [("unfolding", _object(1, table + extra))], "\n")
+    return _object(0, _fields(P, members=members) + [("unfolding", _object(1, table + extra))], "\n")
 
 
 def _list(depth: int, items) -> str:

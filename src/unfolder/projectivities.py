@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import (
+    AbstractComplex,
     Complex,
     FacetPath,
     StarView,
@@ -206,12 +207,15 @@ def induced_homomorphism_check(
 ) -> bool:
     """Check that a non-degenerate map embeds one projectivity group in another.
 
-    `vertex_map` must send every facet of K onto a facet of L without
-    collapsing vertices.  Conjugating by the induced label bijection of the
-    base facets must send each generator into the target group.  That is
-    enough: conjugation by a fixed bijection is an injective homomorphism,
-    and the images of generators generate the image of the group.
+    Both sides must be simplicial, and `vertex_map` must send every facet
+    of K onto a facet of L without collapsing vertices.  Conjugating by the
+    induced label bijection of the base facets must send each generator
+    into the target group.  That is enough: conjugation by a fixed
+    bijection is an injective homomorphism, and the images of generators
+    generate the image of the group.
     """
+    if not (isinstance(K, AbstractComplex) and isinstance(L, AbstractComplex)):
+        raise DegenerateMap("both sides of the map must be simplicial complexes")
     d = K.dim
     if L.dim != d:
         raise DegenerateMap(f"dimensions differ: {d} vs {L.dim}")

@@ -61,10 +61,6 @@ class UnfoldingResult:
         # copies per base facet: |group| for complete, d+1 for partial
         return len(self.projection) // self.base.facet_count
 
-    def copies_of(self, base_facet: int) -> range:
-        w = self.width
-        return range(base_facet * w, (base_facet + 1) * w)
-
 
 def _lift(x: Complex, width: int, images) -> tuple[PseudoComplex, tuple[int, ...]]:
     """The total of `width` copies per facet of `x`, and its projection.
@@ -80,7 +76,7 @@ def _lift(x: Complex, width: int, images) -> tuple[PseudoComplex, tuple[int, ...
         for g, image in zip(x.gluings, images)
         for i, j in enumerate(image)
     )
-    total = PseudoComplex(x.dim, n * width, lifted)
+    total = PseudoComplex.trusted(x.dim, n * width, lifted)
     return total, tuple(f for f in range(n) for _ in range(width))
 
 
@@ -99,10 +95,13 @@ def complete_unfolding(x: Complex, base: int = 0) -> UnfoldingResult:
     t = pg.transports
 
     def images():
+        by_holonomy: dict[Perm, list[int]] = {}  # at most |G| fibre images
         for gid, g in enumerate(x.gluings):
             step = perspectivity(x, g.facet_a, gid)
             hol = perm_compose(perm_compose(t[g.facet_a], step), perm_inverse(t[g.facet_b]))
-            yield [index[perm_compose(elt, hol)] for elt in elements]
+            if hol not in by_holonomy:
+                by_holonomy[hol] = [index[perm_compose(elt, hol)] for elt in elements]
+            yield by_holonomy[hol]
 
     total, projection = _lift(x, len(elements), images())
     labels = tuple(

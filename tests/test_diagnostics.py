@@ -155,14 +155,13 @@ def test_isomorphic_respects_projection_constraints():
         assert u.projection[f] == u.projection[t]
 
 
-def test_vertex_bijection_of_witness():
+def test_facet_map_of_witness_is_a_bijection():
     A = boundary_simplex(3)
     B = AbstractComplex.from_facets(
         [(4, 5, 6), (4, 5, 7), (4, 6, 7), (5, 6, 7)]
     )
     w = isomorphic(A, B)
-    pairs = w.vertex_bijection(A, B)
-    assert len(pairs) == 4
+    assert sorted(w.facet_map) == list(range(B.facet_count))
 
 
 def test_is_nice_examples():

@@ -3,11 +3,13 @@
 The reference builders below are the dict-and-`json.dumps` version of the
 emit: each document is built as nested dicts and lists, its vertex classes
 come from the full face-class closure, and `json.dumps(doc, indent=1)`
-writes it.  The library must write exactly the same text.
+writes it.  A component's reference document is built from `components(u)`,
+a complex of its own.  The library must write exactly the same text.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,11 +24,12 @@ from unfolder.complexes import (
     PseudoComplex,
     vertex_classes,
 )
-from unfolder.errors import SelfIdentification
+from unfolder.diagnostics import is_strongly_connected
+from unfolder.errors import BadParameter, SelfIdentification
 from unfolder.gallery import gallery_entries, starred_triangle
 from unfolder.io import emit, emit_component, emit_unfolding, parse
 from unfolder.subdivisions import antiprismatic
-from unfolder.unfoldings import complete_unfolding, components, partial_unfolding
+from unfolder.unfoldings import complete_unfolding, component_of, components, partial_unfolding
 from unfolder.verify import CHECKS, _Context
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -108,6 +111,29 @@ def reference_emit_component(comp, kind):
     return json.dumps(doc, indent=1) + "\n"
 
 
+def assert_components_match_the_reference(u):
+    """Every component's document, written from its cut of the total, and
+    the total's document with its vertex classes merged from all the
+    components, equal the references; so does each component cut alone."""
+    comps = components(u)
+    want = [reference_emit_component(c, u.kind) for c in comps]
+    assert [emit_component(c, u.kind) for c in comps] == want
+    assert emit_unfolding(u, comps) == reference_emit_unfolding(u)
+    for c, text in zip(comps, want):
+        assert emit_component(component_of(u, c.member_copies), u.kind) == text
+
+
+def test_emit_unfolding_refuses_components_that_miss_or_repeat_copies():
+    u = partial_unfolding(starred_triangle())
+    comps = components(u)
+    assert len(comps) == 2
+    again = component_of(u, comps[1].member_copies)
+    for wrong in (comps[:1], comps[1:], (comps[0], comps[0]), (again, again)):
+        with pytest.raises(BadParameter, match="do not cover"):
+            emit_unfolding(u, wrong)
+    assert emit_unfolding(u, comps) == reference_emit_unfolding(u)
+
+
 def _vertex_members(x):
     classes = x.classes()
     return tuple(classes.members[cid] for cid in classes.classes_of_card(1))
@@ -123,8 +149,7 @@ def test_emit_matches_the_reference_on_the_gallery(entry):
     for u in (complete_unfolding(x), partial_unfolding(x)):
         assert emit(u.total) == reference_emit(u.total)
         assert emit_unfolding(u) == reference_emit_unfolding(u)
-        for comp in components(u):
-            assert emit_component(comp, u.kind) == reference_emit_component(comp, u.kind)
+        assert_components_match_the_reference(u)
 
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=[e.name for e in ENTRIES])
@@ -152,8 +177,8 @@ def test_emit_edge_cases():
     assert u.total.facet_count == 1
     assert emit_unfolding(u) == reference_emit_unfolding(u)
     assert '"gluings": []' in emit_unfolding(u)
-    for comp in components(partial_unfolding(dim0)):
-        assert emit_component(comp, "partial") == reference_emit_component(comp, "partial")
+    assert_components_match_the_reference(partial_unfolding(dim0))
+    assert_components_match_the_reference(complete_unfolding(dim0))
 
 
 def test_simplicial_labels_are_escaped_like_json():
@@ -204,6 +229,33 @@ def test_vertex_classes_match_the_full_closure_on_random_complexes(P):
             vertex_classes(P)
         return
     assert vertex_classes(P) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(pseudo_complexes())
+def test_component_documents_match_the_reference_on_random_complexes(P):
+    units = [partial_unfolding(P)]
+    if is_strongly_connected(P):
+        units.append(complete_unfolding(P))
+    for u in units:
+        try:
+            emit(u.total)
+        except SelfIdentification as e:
+            # the merged table names the copy by its id in the total, as the
+            # total's own closure does
+            comps = components(u)
+            with pytest.raises(SelfIdentification, match=re.escape(str(e))):
+                emit_unfolding(u, comps)
+            for c in comps:
+                try:
+                    want = reference_emit_component(c, u.kind)
+                except SelfIdentification:
+                    with pytest.raises(SelfIdentification):
+                        emit_component(c, u.kind)
+                else:
+                    assert emit_component(c, u.kind) == want
+            continue
+        assert_components_match_the_reference(u)
 
 
 def test_checks_still_fail_under_python_optimize():

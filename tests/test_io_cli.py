@@ -5,17 +5,17 @@ import json
 from pathlib import Path
 
 import pytest
+from test_emit import reference_emit_component, reference_emit_unfolding
 
 from unfolder.cli import main
 from unfolder.complexes import AbstractComplex, PseudoComplex
-from unfolder.errors import BadParameter, UnfolderError
+from unfolder.errors import BadParameter, ParseError, UnfolderError
 from unfolder.gallery import boundary_simplex, doubled_triangle_sphere, starred_triangle
 from unfolder import gallery, io, subdivisions
 from unfolder.io import (
     MAX_CLOSURE_SLOTS,
     MAX_DIM,
     emit,
-    emit_component,
     emit_unfolding,
     parse,
     parse_document,
@@ -102,6 +102,20 @@ def test_parse_rejects_malformed_documents(text):
         parse(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"facets": [["\\ud800", "1"]]}',
+        '{"facets": [[' + "9" * 5000 + ", 1]]}",
+        '{"facets": ' + "[" * 100000 + "]" * 100000 + "}",
+    ],
+    ids=["lone-surrogate-label", "integer-above-the-digit-limit", "nesting-above-the-recursion-limit"],
+)
+def test_parse_refuses_json_that_python_cannot_hold_or_print(text):
+    with pytest.raises(ParseError):
+        parse(text)
+
+
 def _run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -142,6 +156,10 @@ def test_cli_unfold_writes_component_sidecars(capsys, tmp_path):
     assert sidecars == ["unf.component0.json", "unf.component1.json"]
     comp = parse_document((tmp_path / "unf.component0.json").read_text())
     assert comp.kind == "pseudo"
+    u = partial_unfolding(starred_triangle())
+    assert out_path.read_text() == reference_emit_unfolding(u)
+    for name, c in zip(sidecars, components(u)):
+        assert (tmp_path / name).read_text() == reference_emit_component(c, "partial")
 
 
 def test_cli_unfold_single_component_selection(capsys, tmp_path):
@@ -268,29 +286,47 @@ def test_cli_verify_rejects_unknown_suite(capsys):
 
 def test_cli_unfold_component_builds_only_that_component(capsys, monkeypatch, tmp_path):
     import unfolder.cli as cli
+    from unfolder import complexes
 
     src = tmp_path / "t.json"
     src.write_text(emit(starred_triangle()))
     u = partial_unfolding(starred_triangle())
-    want = [emit_component(comp, "partial") for comp in components(u)]
-    built = []
-    monkeypatch.setattr(
-        cli, "component_of", lambda u, members: built.append(members) or component_of(u, members)
-    )
+    want = [reference_emit_component(comp, "partial") for comp in components(u)]
+    built, closed = [], []
+
+    def one(u, members):
+        built.append(members)
+        return component_of(u, members)
+
+    def roots(size, pairs):  # every vertex closure runs through it, one slot per vertex
+        closed.append(size // 3)
+        return complexes_roots(size, pairs)
+
+    complexes_roots = complexes._roots
+    monkeypatch.setattr(cli, "component_of", one)
+    monkeypatch.setattr(complexes, "_roots", roots)
     for k, text in enumerate(want):
         built.clear()
+        closed.clear()
         code, out, _ = _run(capsys, "unfold", "--mode", "partial", "--component", str(k), str(src))
         assert code == 0
         assert out == text
-        assert built == [u.component_partition[k]]
+        members = u.component_partition[k]
+        assert built == [members]
+        assert closed == [len(members)]
     built.clear()
+    closed.clear()
     code, out, err = _run(capsys, "unfold", "--mode", "partial", "--component", "2", str(src))
-    assert (code, out, built) == (2, "", [])
+    assert (code, out, built, closed) == (2, "", [], [])
     assert err == "error: component 2 of 2 does not exist\n"
     code, out, _ = _run(capsys, "unfold", "--mode", "partial", str(src))
     assert code == 0
     assert "2 components, sizes 3 and 6" in out
-    assert built == []
+    assert (built, closed) == ([], [])
+    # -o closes each copy once, component by component, and never the total
+    code, _, _ = _run(capsys, "unfold", "--mode", "partial", "-o", str(tmp_path / "u.json"), str(src))
+    assert code == 0
+    assert closed == [len(m) for m in u.component_partition]
 
 
 MAX_DIM_DOCUMENTS = [

@@ -2,7 +2,7 @@
 
 import pytest
 
-from unfolder.complexes import FacetPath, path_from_facets
+from unfolder.complexes import FacetPath, as_pseudo, path_from_facets
 from unfolder.errors import DegenerateMap, NotAFacet
 from unfolder.gallery import (
     boundary_simplex,
@@ -146,3 +146,14 @@ def test_induced_homomorphism_rejects_collapse():
     squash = {v: 0 for v in rec.result.vertices()}
     with pytest.raises(DegenerateMap):
         induced_homomorphism_check(rec.result, K, squash)
+
+
+def test_induced_homomorphism_refuses_a_pseudo_complex_on_either_side():
+    K = boundary_simplex(2)
+    identity = {v: v for v in K.vertices()}
+    for source, target in ((K, as_pseudo(K)), (as_pseudo(K), K)):
+        with pytest.raises(DegenerateMap, match="both sides of the map must be simplicial"):
+            induced_homomorphism_check(source, target, identity)
+    rec = antiprismatic(knot_neighborhood(2).complex)
+    with pytest.raises(DegenerateMap):
+        induced_homomorphism_check(rec.result, rec.source, crumpling_map(rec))

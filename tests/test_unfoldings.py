@@ -55,7 +55,7 @@ def test_complete_unfolding_size_and_projection(tetra_hat):
         assert u.labels[i][0] == f
     # each copy of a base facet carries a distinct admissible coloring
     for f in range(4):
-        colorings = {u.labels[i][1] for i in u.copies_of(f)}
+        colorings = {u.labels[i][1] for i in range(f * 6, (f + 1) * 6)}
         assert len(colorings) == 6
 
 
