@@ -35,21 +35,20 @@ f * per + i stands for item i of copy f (subset i of `nonempty_subsets` for
 the glued face closure, local vertex i for `vertex_classes`, copy f itself
 for `is_connected_complex`).  The smaller root wins each union, so a class's
 root is its smallest slot.  A gluing's slot pairs come from a table kept per
-(dim, ridge_a, mapping), and one scan per subset size numbers the classes
-in (cardinality, smallest member) order with sorted members, so nothing is
-sorted afterwards.  `derived_gluings` reads ridges and mappings from a table
-too: facets are sorted tuples, so the ridge that omits position o sits at
-the other positions, in order, in both facets.
+(dim, ridge_a, mapping), and one scan per subset size turns the roots into
+class ids in (cardinality, smallest member) order, so nothing is sorted
+afterwards.  `derived_gluings` reads ridges and mappings from a table too:
+facets are sorted tuples, so the ridge that omits position o sits at the
+other positions, in order, in both facets.
 
-`FaceClasses` keeps the face closure's slot numbering for its index: one
-flat list, `slot_class`, holds the class id of each slot, and both builders
-fill it as they scan.  A reader adds a copy's offset f * per to the
-position of a subset in `nonempty_subsets` (`subset_index`) and builds no
-(copy, subset) key.
+`FaceClasses` is flat arrays over that slot numbering, and a reader adds a
+copy's offset f * per to a subset's position in `nonempty_subsets`
+(`subset_index`): no (copy, subset) tuple is built until `members` is read.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
 from itertools import combinations
@@ -248,31 +247,33 @@ class Gluing(NamedTuple):
 
 
 class FaceClasses:
-    """Face structure of a complex, indexed by class ids.
+    """Face structure of a complex, indexed by class ids, as flat arrays.
 
     Classes are ordered by (cardinality, smallest member reference), which
     makes ids deterministic for a fixed input.  `slot_class` holds one class
     id per slot: subset i of `nonempty_subsets(dim + 1)` in copy f is slot
-    f * per + i, with per = 2^(dim+1) - 1.  Hot loops read it at a copy's
-    offset; `class_of` is the same lookup by reference.
+    f * per + i, with per = 2^(dim+1) - 1.  `cards[cid]` is a class's
+    cardinality and `first[cid]` its smallest slot (`first_ref` as a
+    reference).  Hot loops read `slot_class` at a copy's offset; `class_of`
+    is the same lookup by reference.  The member counts, `sizes`, and the
+    sorted member tuples, `members`, are built on first read and kept.
     """
-
-    __slots__ = ("dim", "facet_count", "members", "slot_class", "per", "cards", "face_keys")
 
     def __init__(
         self,
         dim: int,
         facet_count: int,
-        members: tuple[tuple[FaceRef, ...], ...],
+        cards: list[int],
+        first: list[int],
         face_keys: tuple[tuple[int, ...], ...] | None,
         slot_class: list[int],
     ) -> None:
         self.dim = dim
         self.facet_count = facet_count
-        self.members = members
+        self.cards = cards
+        self.first = first
         self.slot_class = slot_class
         self.per = 2 ** (dim + 1) - 1
-        self.cards = tuple(len(refs[0][1]) for refs in members)
         self.face_keys = face_keys  # global vertex tuples when built from an AbstractComplex
 
     @staticmethod
@@ -281,26 +282,20 @@ class FaceClasses:
         # its smallest member, so insertion order is the class order
         per = 2 ** (dim + 1) - 1
         ids: dict[tuple[int, ...], int] = {}
-        members: list[list[FaceRef]] = []
+        cards, first = [], []  # per class: its cardinality and smallest slot
         slot_class = [0] * (len(facets) * per)
-        lo = 0
-        for k in range(1, dim + 2):
-            subs = tuple(combinations(range(dim + 1), k))
+        for k, (lo, _hi) in enumerate(_subset_spans(dim + 1), 1):
             for f, verts in enumerate(facets):
                 slot = f * per + lo
-                for sub, face in zip(subs, combinations(verts, k)):
+                for face in combinations(verts, k):
                     cid = ids.get(face)
                     if cid is None:
-                        cid = ids[face] = len(members)
-                        members.append([(f, sub)])
-                    else:
-                        members[cid].append((f, sub))
+                        cid = ids[face] = len(first)
+                        first.append(slot)
                     slot_class[slot] = cid
                     slot += 1
-            lo += len(subs)
-        for cid, refs in enumerate(members):  # in place: one list freed per tuple
-            members[cid] = tuple(refs)
-        return FaceClasses(dim, len(facets), tuple(members), tuple(ids), slot_class)
+            cards += [k] * (len(first) - len(cards))
+        return FaceClasses(dim, len(facets), cards, first, tuple(ids), slot_class)
 
     @staticmethod
     def from_glued(dim: int, facet_count: int, gluings: tuple[Gluing, ...]) -> "FaceClasses":
@@ -315,23 +310,52 @@ class FaceClasses:
                 for i, j in _subface_pairs(dim, ridge_a, mapping):
                     yield a + i, b + j
 
-        roots = _roots(facet_count * per, pairs())
+        slot_class = _roots(facet_count * per, pairs())
         # named: the class with the smallest root, at its first repeated copy
-        bad = min(_repeats(roots, per, facet_count), default=None)
+        bad = min(_repeats(slot_class, per, facet_count), default=None)
         if bad is not None:
             _r, f, i, j = bad
             raise SelfIdentification(
                 f"faces {(f, subs[i])} and {(f, subs[j])} of one copy are identified"
             )
-        members = _members(roots, per, facet_count, _subset_spans(dim + 1), subs)
-        # a class's root is its smallest slot: its first member's
-        index = subset_index(dim + 1)
-        ids = {f * per + index[s]: cid for cid, (f, s) in enumerate(refs[0] for refs in members)}
-        return FaceClasses(dim, facet_count, tuple(members), None, [ids[r] for r in roots])
+        # each span's scan meets the roots (smallest slots) in class order,
+        # each before the rest of its class, and turns them into class ids
+        cards, first = [], []  # per class: its cardinality and smallest slot
+        for k, (lo, hi) in enumerate(_subset_spans(dim + 1), 1):
+            for at in range(lo, len(slot_class), per):
+                for slot in range(at, at + hi - lo):
+                    r = slot_class[slot]
+                    if r == slot:
+                        slot_class[slot] = len(first)
+                        first.append(slot)
+                    else:
+                        slot_class[slot] = slot_class[r]
+            cards += [k] * (len(first) - len(cards))
+        return FaceClasses(dim, facet_count, cards, first, None, slot_class)
 
     @property
     def count(self) -> int:
-        return len(self.members)
+        return len(self.first)
+
+    @cached_property
+    def sizes(self) -> list[int]:
+        """The number of members of each class."""
+        sizes = [0] * self.count
+        for cid in self.slot_class:
+            sizes[cid] += 1
+        return sizes
+
+    @cached_property
+    def members(self) -> tuple[tuple[FaceRef, ...], ...]:
+        """The sorted (copy, subset) members of each class."""
+        n = self.dim + 1
+        spans, subs = _subset_spans(n), nonempty_subsets(n)
+        return tuple(_members(self.slot_class, self.per, self.facet_count, spans, subs))
+
+    def first_ref(self, cid: int) -> FaceRef:
+        """The smallest member of class `cid`."""
+        f, i = divmod(self.first[cid], self.per)
+        return f, nonempty_subsets(self.dim + 1)[i]
 
     def class_of(self, ref: FaceRef) -> int:
         f, sub = ref
@@ -340,29 +364,22 @@ class FaceClasses:
         return self.slot_class[f * self.per + subset_index(self.dim + 1)[sub]]
 
     def classes_of_card(self, card: int) -> list[int]:
-        return [cid for cid in range(self.count) if self.cards[cid] == card]
+        return list(range(bisect_left(self.cards, card), bisect_right(self.cards, card)))
 
     def counts_by_dim(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for card in self.cards:
-            out[card - 1] = out.get(card - 1, 0) + 1
-        return out
+        # every copy has a face of each cardinality 1..dim+1
+        return {card - 1: len(self.classes_of_card(card)) for card in range(1, self.dim + 2)}
 
     def vertex_classes_of(self, cid: int) -> tuple[int, ...]:
         """Sorted class ids of the vertices of class `cid`."""
-        f, sub = self.members[cid][0]
+        f, sub = self.first_ref(cid)
         at = f * self.per  # vertex l of copy f is slot at + l
         return tuple(sorted(self.slot_class[at + l] for l in sub))
 
     def contains(self, small: int, large: int) -> bool:
         """True when some copy exhibits `small` as a subface of `large`."""
-        small_refs = {(f, s) for f, s in self.members[small]}
-        for f, s in self.members[large]:
-            sset = set(s)
-            for fs, ss in small_refs:
-                if fs == f and set(ss) <= sset:
-                    return True
-        return False
+        at = dict(self.members[small])  # a class meets a copy at most once
+        return any(f in at and set(at[f]) <= set(s) for f, s in self.members[large])
 
 
 @dataclass(frozen=True)
@@ -533,14 +550,9 @@ def is_simplicial(P: PseudoComplex) -> tuple[bool, tuple[int, int] | None]:
     are distinct faces with identical vertex class sets.
     """
     classes = P.classes()
-    sc, per, w = classes.slot_class, classes.per, P.dim + 1
-    # copy f's vertex class ids, one row per copy: its first w slots
-    rows = [sc[f * per : f * per + w] for f in range(P.facet_count)]
     seen: dict[tuple[int, ...], int] = {}
-    for cid, refs in enumerate(classes.members):
-        f, sub = refs[0]
-        row = rows[f]
-        key = tuple(sorted([row[l] for l in sub]))
+    for cid in range(classes.count):
+        key = classes.vertex_classes_of(cid)
         if key in seen:
             return False, (seen[key], cid)
         seen[key] = cid
@@ -560,15 +572,10 @@ def to_abstract_with_maps(
     if not ok:
         raise NotSimplicial(f"face classes {witness} share a vertex set")
     classes = P.classes()
-    vertex_ids: dict[int, int] = {}
-    for cid in classes.classes_of_card(1):
-        vertex_ids[cid] = len(vertex_ids)
-    facet_tuples: list[tuple[int, ...]] = []
-    for f in range(P.facet_count):
-        verts = tuple(
-            sorted(vertex_ids[classes.class_of((f, (l,)))] for l in range(P.dim + 1))
-        )
-        facet_tuples.append(verts)
+    sc, per, w = classes.slot_class, classes.per, P.dim + 1
+    # vertex classes have the smallest ids, so they are numbered 0..V-1 already
+    vertex_ids = {cid: cid for cid in classes.classes_of_card(1)}
+    facet_tuples = [tuple(sorted(sc[f * per : f * per + w])) for f in range(P.facet_count)]
     K = AbstractComplex.from_facets(facet_tuples)
     position = {t: i for i, t in enumerate(K.facets)}
     facet_map = tuple(position[t] for t in facet_tuples)
@@ -795,9 +802,7 @@ def link_of_class(x: Complex, cid: int) -> tuple[PseudoComplex, StarView]:
 def is_connected_complex(x: Complex) -> bool:
     """Connectivity through shared faces (vertex classes suffice)."""
     classes = x.classes()
-    pairs = (
-        (classes.members[cid][0][0], f)
-        for cid in classes.classes_of_card(1)
-        for f, _s in classes.members[cid]
-    )
+    sc, first, per, w = classes.slot_class, classes.first, classes.per, x.dim + 1
+    # each vertex slot of copy f joins f to the copy of its class's first member
+    pairs = ((first[c] // per, f) for f in range(x.facet_count) for c in sc[f * per : f * per + w])
     return max(_roots(x.facet_count, pairs)) == 0

@@ -54,19 +54,17 @@ def is_locally_strongly_connected(x: Complex) -> tuple[bool, int | None]:
     # only faces of cardinality <= d-1 count; they come first among a copy's
     # subsets (m of them) and among a gluing's subface pairs (2^d - 2)
     m = 2 ** (d + 1) - d - 3
-    index = subset_index(d + 1)
     pairs = (
         (g.facet_a * m + i, g.facet_b * m + j)
         for g in x.derived_gluings()
         for i, j in _subface_pairs(d, g.ridge_a, g.mapping)[: 2**d - 2]
     )
     roots = _roots(x.facet_count * m, pairs)
-    for cid in range(classes.count):
-        if classes.cards[cid] > d - 1:
-            break
-        if len({roots[f * m + index[s]] for f, s in classes.members[cid]}) > 1:
-            return False, cid
-    return True, None
+    # a class splits where one of its slots has another root than its first
+    sc, per, root_of = classes.slot_class, classes.per, {}
+    rows = (zip(sc[f * per : f * per + m], roots[f * m : f * m + m]) for f in range(x.facet_count))
+    split = [c for row in rows for c, r in row if root_of.setdefault(c, r) != r]
+    return (False, min(split)) if split else (True, None)
 
 
 def balanced_coloring(x: Complex) -> dict[int, int] | None:
@@ -83,25 +81,22 @@ def balanced_coloring(x: Complex) -> dict[int, int] | None:
     if not pg.group.is_trivial:
         return None
     # a vertex class must wear one color even where no gluing ties its
-    # references together (pinched complexes fail exactly here)
+    # references together (pinched complexes fail exactly here); the scan
+    # meets each class first at its smallest member, so in class-id order
     classes = x.classes()
+    sc, per, w = classes.slot_class, classes.per, x.dim + 1
     out: dict[int, int] = {}
-    for cid in classes.classes_of_card(1):
-        seen = {pg.transports[f].index(l) for f, (l,) in classes.members[cid]}
-        if len(seen) > 1:
-            return None
-        out[cid] = seen.pop()
+    for f, t in enumerate(pg.transports):
+        for cid, color in zip(sc[f * per : f * per + w], perm_inverse(t)):
+            if out.setdefault(cid, color) != color:
+                return None
     return out
 
 
-def _link_graph_is_bipartite(classes: FaceClasses, cid: int, ends) -> bool:
-    """`ends[s]`: the subset indices of the two ridges of a copy through its
-    (d-1)-subset s."""
-    sc, per = classes.slot_class, classes.per
+def _link_graph_is_bipartite(cid: int, edges: list[tuple[int, int]]) -> bool:
+    """`edges`: the two ridge classes through each member of class `cid`."""
     adj: dict[int, list[int]] = {}
-    for f, s in classes.members[cid]:
-        ra, rb = ends[s]
-        u, v = sc[f * per + ra], sc[f * per + rb]
+    for u, v in edges:
         if u == v:
             raise Mismatch(f"loop in the link graph of class {cid}")
         adj.setdefault(u, []).append(v)
@@ -129,8 +124,8 @@ class OddSubcomplex:
 
     The link graph of a class has one vertex per ridge class through it and
     one edge per member (f, s): the two ridges of copy f through s.  So one
-    pass over the members decides it, with no link built.  Parallel edges
-    form 2-cycles, which are even.
+    scan of each copy's slots collects every link graph, with no link
+    built.  Parallel edges form 2-cycles, which are even.
 
     `as_complex` collects the odd faces plus all their subfaces on vertex
     class ids (original vertex ids for abstract input); None when empty.
@@ -150,13 +145,20 @@ def odd_subcomplex(x: Complex) -> OddSubcomplex:
         raise NotLocallyStronglyConnected(f"star of face class {witness} is disconnected")
     d = x.dim
     classes = x.classes()
+    sc, per = classes.slot_class, classes.per
     index = subset_index(d + 1)
-    subs = (s for s in nonempty_subsets(d + 1) if len(s) == d - 1)
-    ends = {
-        s: [index[tuple(sorted((*s, a)))] for a in range(d + 1) if a not in s] for s in subs
-    }
+    # each (d-1)-subset of a copy and the two ridges through it, as subset indices
+    ends = [
+        (index[s], *[index[tuple(sorted((*s, a)))] for a in range(d + 1) if a not in s])
+        for s in nonempty_subsets(d + 1)
+        if len(s) == d - 1
+    ]
     codim2 = classes.classes_of_card(d - 1)
-    odd = tuple(c for c in codim2 if not _link_graph_is_bipartite(classes, c, ends))
+    edges: dict[int, list[tuple[int, int]]] = {c: [] for c in codim2}
+    for at in range(0, len(sc), per):
+        for i, ra, rb in ends:
+            edges[sc[at + i]].append((sc[at + ra], sc[at + rb]))
+    odd = tuple(c for c in codim2 if not _link_graph_is_bipartite(c, edges[c]))
     if not odd:
         return OddSubcomplex(odd, None)
     if classes.face_keys is not None:
@@ -169,7 +171,7 @@ def odd_subcomplex(x: Complex) -> OddSubcomplex:
 def is_pseudo_manifold(x: Complex) -> str:
     """Ridge-degree census: 'closed', 'with-boundary', or 'no'."""
     classes = x.classes()
-    degrees = [len(classes.members[cid]) for cid in classes.classes_of_card(x.dim)]
+    degrees = [classes.sizes[cid] for cid in classes.classes_of_card(x.dim)]
     if any(k > 2 for k in degrees):
         return "no"
     return "closed" if all(k == 2 for k in degrees) else "with-boundary"
@@ -284,11 +286,11 @@ class IsoWitness:
 
 def _facet_fingerprints(classes: FaceClasses, dim: int) -> list[tuple[int, ...]]:
     cards = [len(s) for s in nonempty_subsets(dim + 1)]
-    sc, per, members = classes.slot_class, classes.per, classes.members
+    sc, per, sizes = classes.slot_class, classes.per, classes.sizes
     out = []
     for f in range(classes.facet_count):
-        sizes = sorted(zip(cards, (len(members[c]) for c in sc[f * per : (f + 1) * per])))
-        out.append(tuple(v for pair in sizes for v in pair))
+        pairs = sorted(zip(cards, (sizes[c] for c in sc[f * per : (f + 1) * per])))
+        out.append(tuple(v for pair in pairs for v in pair))
     return out
 
 
@@ -310,9 +312,7 @@ def isomorphic(
         return None
     d = p.dim
     cp, cq = p.classes(), q.classes()
-    if sorted(zip(cp.cards, map(len, cp.members))) != sorted(
-        zip(cq.cards, map(len, cq.members))
-    ):
+    if sorted(zip(cp.cards, cp.sizes)) != sorted(zip(cq.cards, cq.sizes)):
         return None
     subs = nonempty_subsets(d + 1)
     fp = _facet_fingerprints(cp, d)
@@ -379,7 +379,7 @@ def isomorphic(
                 continue
             if class_rev.get(b) is not None:
                 break
-            if len(cp.members[a]) != len(cq.members[b]):
+            if cp.sizes[a] != cq.sizes[b]:
                 break
             class_map[a] = b
             class_rev[b] = a

@@ -137,10 +137,8 @@ def _label_key(label: str):
 
 def _positions(item: dict, key: str, k: int) -> tuple[int, ...]:
     val = item.get(key)
-    ok = isinstance(val, list) and all(
-        isinstance(v, int) and not isinstance(v, bool) for v in val
-    )
-    if not ok:
+    # one pass over the element types; a JSON bool is not of type int
+    if not isinstance(val, list) or not set(map(type, val)) <= {int}:
         raise ParseError(f"gluings[{k}].{key}: need a list of integer positions")
     return tuple(val)
 

@@ -23,7 +23,6 @@ from .complexes import (
     component_complex,
     dual_graph,
     perspectivity,
-    subset_index,
 )
 from .errors import (
     BadParameter,
@@ -282,12 +281,11 @@ def composition_tower(
 def fibers_over(u: UnfoldingResult) -> dict[int, tuple[int, ...]]:
     """Face classes of the total complex grouped by their base class."""
     base_classes = u.base.classes()
-    total_classes = u.total.classes()
-    sc, per, index = base_classes.slot_class, base_classes.per, subset_index(u.base.dim + 1)
+    sc, per = base_classes.slot_class, base_classes.per
     fibers: dict[int, list[int]] = {cid: [] for cid in range(base_classes.count)}
-    for cid in range(total_classes.count):
-        f, sub = total_classes.members[cid][0]
-        fibers[sc[u.projection[f] * per + index[sub]]].append(cid)
+    for cid, slot in enumerate(u.total.classes().first):
+        f, i = divmod(slot, per)  # the total's copies share the base's slot layout
+        fibers[sc[u.projection[f] * per + i]].append(cid)
     return {cid: tuple(v) for cid, v in fibers.items()}
 
 
@@ -310,7 +308,7 @@ def branching_index(u: UnfoldingResult, cover_cid: int) -> int:
         elif base_cid != here:
             raise Mismatch("cover class projects to two distinct base classes")
     counts = set(seen.values())
-    if len(counts) != 1 or len(seen) != len(base_classes.members[base_cid]):
+    if len(counts) != 1 or len(seen) != base_classes.sizes[base_cid]:
         raise Mismatch(
             f"cover class {cover_cid} does not spread evenly over base "
             f"class {base_cid}"

@@ -707,8 +707,7 @@ def check_gen_02(ctx: _Context) -> str:
         odd = odd_subcomplex(kn.complex).odd_faces
         got = sorted(
             tuple(sorted(kn.abstract.facets[f][l] for l in sub))
-            for cid in odd
-            for f, sub in [classes.members[cid][0]]
+            for f, sub in map(classes.first_ref, odd)
         )
         _require(
             got == sorted(kn.core_edges), f"{variant} n={n}: odd faces are not the core"

@@ -5,6 +5,11 @@ face classes, derived gluings and vertex classes, kept as they were: every
 subface is rebuilt with `combinations` and `sorted`, and the classes
 are sorted into id order at the end.  The library must give the same
 classes, ids, gluings and `SelfIdentification` messages.
+
+The readers that scan each copy's slots (local strong connectivity, the
+balanced coloring, the odd subcomplex, the pseudo-manifold census) are
+checked against references that walk each class's member tuples, and the
+readers that need only counts must never build those tuples.
 """
 
 import random
@@ -16,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_emit import pseudo_complexes
 
+from unfolder import cli
 from unfolder.complexes import (
     AbstractComplex,
     FaceClasses,
@@ -24,11 +30,26 @@ from unfolder.complexes import (
     _roots,
     as_pseudo,
     is_connected_complex,
+    is_simplicial,
     nonempty_subsets,
     vertex_classes,
 )
-from unfolder.errors import SelfIdentification, UnfolderError
-from unfolder.gallery import boundary_simplex, gallery_entries
+from unfolder.diagnostics import (
+    balanced_coloring,
+    euler_characteristic,
+    is_locally_strongly_connected,
+    is_pseudo_manifold,
+    odd_subcomplex,
+)
+from unfolder.errors import (
+    Mismatch,
+    NotLocallyStronglyConnected,
+    SelfIdentification,
+    UnfolderError,
+)
+from unfolder.gallery import boundary_simplex, gallery_entries, knot_neighborhood, pinched_strip
+from unfolder.io import emit
+from unfolder.projectivities import projectivity_group
 from unfolder.subdivisions import antiprismatic, barycentric, iterate
 
 
@@ -66,6 +87,20 @@ def reference_slot_class(dim, facet_count, members):
     return slots
 
 
+def reference_face_classes(dim, facet_count, members, keys):
+    """A `FaceClasses` built from reference members, which it keeps, with
+    the sizes counted from them."""
+    subs = nonempty_subsets(dim + 1)
+    sub_index = {s: i for i, s in enumerate(subs)}
+    cards = [len(refs[0][1]) for refs in members]
+    first = [f * len(subs) + sub_index[s] for f, s in (refs[0] for refs in members)]
+    slots = reference_slot_class(dim, facet_count, members)
+    fc = FaceClasses(dim, facet_count, cards, first, keys, slots)
+    fc.members = members
+    fc.sizes = [len(refs) for refs in members]
+    return fc
+
+
 def reference_from_abstract(facets, dim):
     by_face = {}
     for f, verts in enumerate(facets):
@@ -75,8 +110,7 @@ def reference_from_abstract(facets, dim):
     ordered = sorted(by_face.items(), key=lambda kv: (len(kv[0]), min(kv[1])))
     members = tuple(tuple(sorted(refs)) for _face, refs in ordered)
     keys = tuple(face for face, _refs in ordered)
-    slots = reference_slot_class(dim, len(facets), members)
-    return FaceClasses(dim, len(facets), members, keys, slots)
+    return reference_face_classes(dim, len(facets), members, keys)
 
 
 def reference_from_glued(dim, facet_count, gluings):
@@ -110,8 +144,7 @@ def reference_from_glued(dim, facet_count, gluings):
             seen_facets.add(f)
     ordered = sorted(groups.values(), key=lambda refs: (len(refs[0][1]), min(refs)))
     members = tuple(tuple(sorted(refs)) for refs in ordered)
-    slots = reference_slot_class(dim, facet_count, members)
-    return FaceClasses(dim, facet_count, members, None, slots)
+    return reference_face_classes(dim, facet_count, members, None)
 
 
 def reference_derived_gluings(K):
@@ -159,7 +192,16 @@ def reference_vertex_classes(x):
 
 
 def face_classes_shape(fc):
-    return (fc.dim, fc.facet_count, fc.members, fc.cards, fc.face_keys, fc.slot_class)
+    return (
+        fc.dim,
+        fc.facet_count,
+        fc.members,
+        fc.cards,
+        fc.first,
+        fc.sizes,
+        fc.face_keys,
+        fc.slot_class,
+    )
 
 
 def outcome(fn, *args):
@@ -330,3 +372,123 @@ def test_roots_are_the_smallest_slot_of_each_networkx_component(data):
         for v in comp:
             want[v] = min(comp)
     assert _roots(n, pairs) == want
+
+
+def reference_lsc_witness(x):
+    """The first class of cardinality <= d-1 whose star, the facets holding
+    it joined through shared ridges, is disconnected."""
+    classes = x.classes()
+    if isinstance(x, PseudoComplex) or x.dim < 2:
+        return True, None
+    for cid in range(classes.count):
+        if classes.cards[cid] > x.dim - 1:
+            break
+        face = set(classes.face_keys[cid])
+        star = [set(f) for f in x.facets if face <= set(f)]
+        g = nx.Graph()
+        g.add_nodes_from(range(len(star)))
+        g.add_edges_from(
+            (i, j) for i, j in combinations(range(len(star)), 2) if len(star[i] & star[j]) == x.dim
+        )
+        if not nx.is_connected(g):
+            return False, cid
+    return True, None
+
+
+def reference_balanced_coloring(x):
+    pg = projectivity_group(x)
+    if not pg.group.is_trivial:
+        return None
+    classes = x.classes()
+    out = {}
+    for cid in classes.classes_of_card(1):
+        seen = {pg.transports[f].index(l) for f, (l,) in classes.members[cid]}
+        if len(seen) > 1:
+            return None
+        out[cid] = seen.pop()
+    return list(out.items())
+
+
+def reference_odd_subcomplex(x):
+    """Odd faces from each class's members, with networkx deciding
+    bipartiteness, and the facets of the odd subcomplex."""
+    ok, witness = reference_lsc_witness(x)
+    if not ok:
+        raise NotLocallyStronglyConnected(f"star of face class {witness} is disconnected")
+    classes, d = x.classes(), x.dim
+    odd = []
+    for cid in classes.classes_of_card(d - 1):
+        g = nx.MultiGraph()
+        for f, s in classes.members[cid]:
+            ridges = (tuple(sorted((*s, a))) for a in range(d + 1) if a not in s)
+            u, v = (classes.class_of((f, r)) for r in ridges)
+            if u == v:
+                raise Mismatch(f"loop in the link graph of class {cid}")
+            g.add_edge(u, v)
+        if not nx.is_bipartite(g):
+            odd.append(cid)
+    if classes.face_keys is not None:
+        facets = [classes.face_keys[cid] for cid in odd]
+    else:
+        facets = [
+            tuple(sorted(classes.class_of((f, (l,))) for l in sub))
+            for f, sub in (classes.members[cid][0] for cid in odd)
+        ]
+    return tuple(odd), (AbstractComplex.from_facets(facets) if odd else None)
+
+
+def reference_pseudo_manifold(x):
+    classes = x.classes()
+    degrees = [len(classes.members[cid]) for cid in classes.classes_of_card(x.dim)]
+    if any(k > 2 for k in degrees):
+        return "no"
+    return "closed" if all(k == 2 for k in degrees) else "with-boundary"
+
+
+def slot_scans_and_references(x):
+    """(library, reference) outcome pairs of the four slot-scan readers."""
+
+    def coloring(x):
+        got = balanced_coloring(x)
+        return None if got is None else list(got.items())
+
+    def odd(x):
+        got = odd_subcomplex(x)
+        return got.odd_faces, got.as_complex
+
+    return [
+        (outcome(is_locally_strongly_connected, x), outcome(reference_lsc_witness, x)),
+        (outcome(coloring, x), outcome(reference_balanced_coloring, x)),
+        (outcome(odd, x), outcome(reference_odd_subcomplex, x)),
+        (outcome(is_pseudo_manifold, x), outcome(reference_pseudo_manifold, x)),
+    ]
+
+
+@pytest.mark.parametrize("e", gallery_entries(), ids=lambda e: e.name)
+def test_slot_scans_match_the_member_references(e):
+    x = e.complex
+    for y in (x, as_pseudo(x)) if isinstance(x, AbstractComplex) else (x,):
+        for got, want in slot_scans_and_references(y):
+            assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(pseudo_complexes(), abstract_complexes()))
+def test_slot_scans_match_the_member_references_on_random_complexes(x):
+    for got, want in slot_scans_and_references(x):
+        assert got == want
+
+
+def test_counts_and_first_members_build_no_member_tuple(monkeypatch, capsys, tmp_path):
+    def refuse(classes):
+        raise AssertionError("member tuples built")
+
+    monkeypatch.setattr(FaceClasses, "members", property(refuse))
+    klein = knot_neighborhood(3, "klein").complex
+    for x in (boundary_simplex(3), klein, pinched_strip()):
+        path = tmp_path / "x.json"
+        path.write_text(emit(x))
+        assert cli.main(["analyze", str(path)]) == 0
+        assert "odd subcomplex: " in capsys.readouterr().out
+    assert is_simplicial(as_pseudo(antiprismatic(boundary_simplex(3)).result)) == (True, None)
+    assert euler_characteristic(antiprismatic(klein).result) == 0
