@@ -35,9 +35,10 @@ f * per + i stands for item i of copy f (subset i of `nonempty_subsets` for
 the glued face closure, local vertex i for `vertex_classes`, copy f itself
 for `is_connected_complex`).  The smaller root wins each union, so a class's
 root is its smallest slot.  A gluing's slot pairs come from a table kept per
-(dim, ridge_a, mapping), and one scan per subset size turns the roots into
-class ids in (cardinality, smallest member) order, so nothing is sorted
-afterwards.  `derived_gluings` reads ridges and mappings from a table too:
+(dim, ridge_a, mapping), its two perspectivity steps from one kept per
+(dim, ridge_a, ridge_b, mapping), and one scan per subset size turns the
+roots into class ids in (cardinality, smallest member) order, so nothing is
+sorted afterwards.  `derived_gluings` reads ridges and mappings from a table too:
 facets are sorted tuples, so the ridge that omits position o sits at the
 other positions, in order, in both facets.
 
@@ -214,12 +215,28 @@ def _ridge_error(
     return None
 
 
+@lru_cache(maxsize=4096)
+def _steps(
+    d: int, ridge_a: tuple[int, ...], ridge_b: tuple[int, ...], mapping: tuple[int, ...]
+) -> tuple[Perm, Perm]:
+    """The perspectivities a -> b and b -> a of a valid gluing's ridge data
+    in dimension `d`; a complex's gluings share few shapes, so nearly every
+    call is a cache hit.  A ridge leaves out d(d+1)/2 minus its sum."""
+    top = d * (d + 1) // 2
+    forward = [top - sum(ridge_b)] * (d + 1)
+    back = [top - sum(ridge_a)] * (d + 1)
+    for v, w in zip(ridge_a, mapping):
+        forward[v] = w
+        back[w] = v
+    return tuple(forward), tuple(back)
+
+
 class Gluing(NamedTuple):
     """One ridge-to-ridge identification between two distinct facet copies.
 
     `mapping[i]` is the local vertex of `facet_b` matched with `ridge_a[i]`.
-    A named tuple, as a lift builds one per copy and gluing; only this
-    module's hot loops unpack it by position.
+    A named tuple, as a lift builds one per copy and gluing; only hot loops
+    unpack it by position.
     """
 
     facet_a: int
@@ -479,7 +496,8 @@ class PseudoComplex:
     @classmethod
     def trusted(cls, dim: int, facet_count: int, gluings: tuple[Gluing, ...]) -> "PseudoComplex":
         """A complex whose gluings copy checked ridge data onto copies in range,
-        as a lift's, a component's and a star's do: not checked again."""
+        as a lift's, a component's, a star's and `as_pseudo`'s do: not checked
+        again."""
         x = object.__new__(cls)
         x.__dict__.update(dim=dim, facet_count=facet_count, gluings=gluings)
         return x
@@ -540,7 +558,8 @@ def as_pseudo(K: AbstractComplex) -> PseudoComplex:
     every face of codimension > 1 has a connected link; a complex that fails
     that condition acquires split faces, mirroring what its unfolding does.
     """
-    return PseudoComplex(K.dim, K.facet_count, K.derived_gluings())
+    # derived gluings join distinct facets along valid ridges by construction
+    return PseudoComplex.trusted(K.dim, K.facet_count, K.derived_gluings())
 
 
 def is_simplicial(P: PseudoComplex) -> tuple[bool, tuple[int, int] | None]:
@@ -550,9 +569,12 @@ def is_simplicial(P: PseudoComplex) -> tuple[bool, tuple[int, int] | None]:
     are distinct faces with identical vertex class sets.
     """
     classes = P.classes()
+    sc, per, subs = classes.slot_class, classes.per, nonempty_subsets(P.dim + 1)
     seen: dict[tuple[int, ...], int] = {}
-    for cid in range(classes.count):
-        key = classes.vertex_classes_of(cid)
+    for cid, slot in enumerate(classes.first):
+        # the class's first copy: its vertex l is slot at + l
+        at = slot - slot % per
+        key = tuple(sorted([sc[at + l] for l in subs[slot - at]]))
         if key in seen:
             return False, (seen[key], cid)
         seen[key] = cid
@@ -678,24 +700,15 @@ def perspectivity(x: Complex, facet: int, gluing_id: int) -> Perm:
     """Vertex bijection V(facet) -> V(other) through one gluing.
 
     Ridge vertices follow the gluing's bijection; the two opposite vertices
-    are matched with each other.
+    are matched with each other.  It is read from `_steps`, kept per shape.
     """
     gl = x.gluings
     if not 0 <= gluing_id < len(gl):
         raise InvalidPath(f"no gluing {gluing_id}")
-    g = gl[gluing_id]
-    if facet == g.facet_a:
-        src_dst, ridge_dst = zip(g.ridge_a, g.mapping), g.ridge_b
-    elif facet == g.facet_b:
-        src_dst, ridge_dst = zip(g.mapping, g.ridge_a), g.ridge_a
-    else:
+    fa, ridge_a, fb, ridge_b, mapping = gl[gluing_id]
+    if facet != fa and facet != fb:
         raise InvalidPath(f"gluing {gluing_id} does not touch facet {facet}")
-    # a ridge leaves out d(d+1)/2 minus its sum; the ridge overwrites the rest
-    d = x.dim
-    out = [d * (d + 1) // 2 - sum(ridge_dst)] * (d + 1)
-    for v, w in src_dst:
-        out[v] = w
-    return tuple(out)
+    return _steps(x.dim, ridge_a, ridge_b, mapping)[facet != fa]
 
 
 @dataclass(frozen=True)

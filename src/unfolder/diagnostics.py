@@ -3,6 +3,7 @@ checks, Euler characteristic, mod-2 boundary solving, isomorphism search."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations as all_permutations
 
@@ -158,23 +159,37 @@ def odd_subcomplex(x: Complex) -> OddSubcomplex:
     for at in range(0, len(sc), per):
         for i, ra, rb in ends:
             edges[sc[at + i]].append((sc[at + ra], sc[at + rb]))
-    odd = tuple(c for c in codim2 if not _link_graph_is_bipartite(c, edges[c]))
+    odd: list[int] = []
+    for c in codim2:
+        e = edges[c]
+        if len(e) > 2:
+            if not _link_graph_is_bipartite(c, e):
+                odd.append(c)
+        # an odd cycle needs three edges or a loop
+        elif any(u == v for u, v in e):
+            raise Mismatch(f"loop in the link graph of class {c}")
     if not odd:
-        return OddSubcomplex(odd, None)
+        return OddSubcomplex((), None)
     if classes.face_keys is not None:
         facets = [classes.face_keys[cid] for cid in odd]
     else:
         facets = [classes.vertex_classes_of(cid) for cid in odd]
-    return OddSubcomplex(odd, AbstractComplex.from_facets(facets))
+    return OddSubcomplex(tuple(odd), AbstractComplex.from_facets(facets))
 
 
 def is_pseudo_manifold(x: Complex) -> str:
     """Ridge-degree census: 'closed', 'with-boundary', or 'no'."""
     classes = x.classes()
-    degrees = [classes.sizes[cid] for cid in classes.classes_of_card(x.dim)]
-    if any(k > 2 for k in degrees):
+    sc, per, d = classes.slot_class, classes.per, x.dim
+    # a copy's d+1 ridges are the subsets just before the whole copy; a
+    # 0-dimensional complex has none
+    degrees: Counter[int] = Counter()
+    if d > 0:
+        for at in range(per - d - 2, len(sc), per):
+            degrees.update(sc[at : at + d + 1])
+    if any(k > 2 for k in degrees.values()):
         return "no"
-    return "closed" if all(k == 2 for k in degrees) else "with-boundary"
+    return "closed" if all(k == 2 for k in degrees.values()) else "with-boundary"
 
 
 def orientable(x: Complex) -> bool:

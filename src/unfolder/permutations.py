@@ -1,8 +1,10 @@
 """Permutations on {0..n-1} and tiny permutation groups.
 
-A permutation is a plain tuple `p` of length n with p[i] = image of i.
+A permutation is a plain tuple `p` of length n with p[i] = image of i, so
+it is also an index map: reading q at every entry of p applies p, then q.
 Projectivities compose left to right (apply the first path segment first),
-so `perm_compose(p, q)` means "p, then q".
+so `perm_compose(p, q)` means "p, then q", and the projectivity search
+composes its transports with a gluing's step in that same way.
 
 Groups here are small: order at most (d+1)!, where d <= 4 for the gallery
 and benchmark inputs and d <= `complexes.MAX_DIM` = 8 for any document.  So
@@ -21,8 +23,8 @@ def perm_identity(n: int) -> Perm:
 
 
 def perm_compose(p: Perm, q: Perm) -> Perm:
-    """Apply p first, then q."""
-    return tuple(q[p[i]] for i in range(len(p)))
+    """Apply p first, then q: q read at each image of p."""
+    return tuple(map(q.__getitem__, p))
 
 
 def perm_inverse(p: Perm) -> Perm:

@@ -4,6 +4,10 @@ Crossing one gluing matches ridge vertices through the gluing bijection and
 the two opposite vertices with each other.  Composing those steps along a
 closed walk based at a fixed facet permutes that facet's vertex labels; all
 such permutations form the group of projectivities of the complex.
+
+A step depends only on the gluing's ridge data, and a complex has few
+distinct shapes, so `complexes._steps` keeps both directions of each shape
+and a crossing is one lookup and one index map.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from .complexes import (
     Complex,
     FacetPath,
     StarView,
+    _steps,
     dual_graph,
     perspectivity,
     star_of_class,
@@ -98,11 +103,14 @@ def projectivity_group(x: Complex, base: int = 0) -> ProjectivityGroup:
 
 def _search(x: Complex, base: int) -> ProjectivityGroup:
     """The search from `base` over its dual-graph component; on a disconnected
-    complex the facets outside it keep None, so only its group is read."""
+    complex the facets outside it keep None, so only its group is read.  Each
+    gluing is crossed once, as a tree step or as a generator's loop."""
     n = x.facet_count
+    d = x.dim
+    gl = x.gluings
     adj = dual_graph(x).neighbours
     transports: list[Perm | None] = [None] * n
-    transports[base] = perm_identity(x.dim + 1)
+    transports[base] = perm_identity(d + 1)
     depths: list[int | None] = [None] * n
     depths[base] = 0
     order: list[int] = [base]
@@ -115,23 +123,26 @@ def _search(x: Complex, base: int) -> ProjectivityGroup:
         head += 1
         for gid, w in adj[f]:
             if transports[w] is None:
-                transports[w] = perm_compose(transports[f], perspectivity(x, f, gid))
+                fa, ridge_a, _fb, ridge_b, mapping = gl[gid]
+                step = _steps(d, ridge_a, ridge_b, mapping)[f != fa]
+                transports[w] = tuple(map(step.__getitem__, transports[f]))
                 depths[w] = depths[f] + 1
                 tree.append(gid)
                 order.append(w)
             elif gid not in crossed:
                 non_tree.append((gid, f))
             crossed.add(gid)
-    gl = x.gluings
     gens: list[tuple[Perm, str]] = []
+    ident = perm_identity(d + 1)
     for gid, f in non_tree:
-        w = gl[gid].other(f)
-        loop = perm_compose(
-            perm_compose(transports[f], perspectivity(x, f, gid)),
-            perm_inverse(transports[w]),
-        )
+        fa, ridge_a, fb, ridge_b, mapping = gl[gid]
+        step = _steps(d, ridge_a, ridge_b, mapping)[f != fa]
+        moved = tuple(map(step.__getitem__, transports[f]))
+        t_w = transports[fb if f == fa else fa]
+        # the loop is moved, then back along the tree: the identity when they agree
+        loop = ident if moved == t_w else tuple(map(perm_inverse(t_w).__getitem__, moved))
         gens.append((loop, f"gluing {gid}"))
-    group = PermutationGroup.generated(gens, x.dim + 1)
+    group = PermutationGroup.generated(gens, d + 1)
     return ProjectivityGroup(
         base=base,
         group=group,

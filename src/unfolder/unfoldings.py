@@ -19,10 +19,10 @@ from .complexes import (
     Complex,
     Gluing,
     PseudoComplex,
+    _steps,
     check_size,
     component_complex,
     dual_graph,
-    perspectivity,
 )
 from .errors import (
     BadParameter,
@@ -95,9 +95,9 @@ def complete_unfolding(x: Complex, base: int = 0) -> UnfoldingResult:
 
     def images():
         by_holonomy: dict[Perm, list[int]] = {}  # at most |G| fibre images
-        for gid, g in enumerate(x.gluings):
-            step = perspectivity(x, g.facet_a, gid)
-            hol = perm_compose(perm_compose(t[g.facet_a], step), perm_inverse(t[g.facet_b]))
+        for fa, ridge_a, fb, ridge_b, mapping in x.gluings:
+            step = _steps(x.dim, ridge_a, ridge_b, mapping)[0]
+            hol = perm_compose(perm_compose(t[fa], step), perm_inverse(t[fb]))
             if hol not in by_holonomy:
                 by_holonomy[hol] = [index[perm_compose(elt, hol)] for elt in elements]
             yield by_holonomy[hol]
@@ -116,7 +116,7 @@ def partial_unfolding(x: Complex) -> UnfoldingResult:
     v to its perspectivity step s(v).  Works on disconnected inputs.
     """
     width = x.dim + 1
-    steps = (perspectivity(x, g.facet_a, gid) for gid, g in enumerate(x.gluings))
+    steps = (_steps(x.dim, g.ridge_a, g.ridge_b, g.mapping)[0] for g in x.gluings)
     total, projection = _lift(x, width, steps)
     labels = tuple((f, v) for f in range(x.facet_count) for v in range(width))
     return UnfoldingResult(

@@ -276,6 +276,8 @@ def test_face_classes_and_gluings_match_the_reference(x):
         want = reference_from_abstract(x.facets, x.dim)
         assert face_classes_shape(got) == face_classes_shape(want)
         assert x.derived_gluings() == reference_derived_gluings(x)
+        # as_pseudo does not check the derived gluings again
+        assert as_pseudo(x) == PseudoComplex(x.dim, x.facet_count, x.derived_gluings())
         x = as_pseudo(x)
     got = FaceClasses.from_glued(x.dim, x.facet_count, x.gluings)
     want = reference_from_glued(x.dim, x.facet_count, x.gluings)
@@ -355,6 +357,7 @@ def test_random_abstract_complexes_match_the_reference(K):
     want = reference_from_abstract(K.facets, K.dim)
     assert face_classes_shape(got) == face_classes_shape(want)
     assert K.derived_gluings() == reference_derived_gluings(K)
+    assert as_pseudo(K) == PseudoComplex(K.dim, K.facet_count, K.derived_gluings())
     assert vertex_classes(K) == reference_vertex_classes(K)
     assert is_connected_complex(K) == connected_by_networkx(K)
 

@@ -9,11 +9,14 @@ lists.  The library must give exactly their results, in the same order.
 import gc
 import random
 import weakref
+from dataclasses import fields
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 from sympy.combinatorics import Permutation
 from sympy.combinatorics import PermutationGroup as SymPyGroup
+from test_emit import pseudo_complexes
 
 from unfolder import cli, complexes, diagnostics, projectivities
 from unfolder.complexes import (
@@ -21,6 +24,7 @@ from unfolder.complexes import (
     Gluing,
     PseudoComplex,
     StarView,
+    _steps,
     as_pseudo,
     component_complex,
     dual_graph,
@@ -44,8 +48,13 @@ from unfolder.gallery import boundary_simplex, gallery_entries, pinched_strip
 from unfolder.io import emit
 from unfolder.permutations import perm_compose, perm_identity, perm_inverse
 from unfolder.projectivities import _search, projectivity_group, star_group
-from unfolder.subdivisions import barycentric
-from unfolder.unfoldings import component_containing, components, partial_unfolding
+from unfolder.subdivisions import antiprismatic, barycentric
+from unfolder.unfoldings import (
+    complete_unfolding,
+    component_containing,
+    components,
+    partial_unfolding,
+)
 
 
 def reference_star(x, cid):
@@ -87,8 +96,42 @@ def reference_link(x, cid):
     return PseudoComplex(d - len(star.rep_in[0]), len(star.parent_facets), tuple(out))
 
 
+def reference_compose(p, q):
+    """p, then q, one index at a time."""
+    return tuple(q[p[i]] for i in range(len(p)))
+
+
+def reference_perspectivity(x, facet, gid):
+    """The step through gluing `gid` from `facet`, built from the ridge data
+    on every call."""
+    g = x.gluings[gid]
+    if facet == g.facet_a:
+        src_dst, ridge_dst = zip(g.ridge_a, g.mapping), g.ridge_b
+    else:
+        assert facet == g.facet_b
+        src_dst, ridge_dst = zip(g.mapping, g.ridge_a), g.ridge_a
+    # a ridge leaves out d(d+1)/2 minus its sum; the ridge overwrites the rest
+    d = x.dim
+    out = [d * (d + 1) // 2 - sum(ridge_dst)] * (d + 1)
+    for v, w in src_dst:
+        out[v] = w
+    return tuple(out)
+
+
+def reference_closure(gens, degree):
+    """Every product of generators, by saturation."""
+    elems = {tuple(range(degree))}
+    while True:
+        grown = elems | {reference_compose(e, g) for e in elems for g in gens}
+        if grown == elems:
+            return frozenset(elems)
+        elems = grown
+
+
 def reference_search(x, base):
-    """(transports, tree gluings, reached, tagged generators), component of base."""
+    """Each `ProjectivityGroup` field of the search from `base`, by name, with
+    the group as (generators, elements); facets outside base's component keep
+    None."""
     gl = x.gluings
     adj = {v: [] for v in range(x.facet_count)}
     for gid, g in enumerate(gl):
@@ -98,6 +141,8 @@ def reference_search(x, base):
         adj[v].sort()
     transports = [None] * x.facet_count
     transports[base] = perm_identity(x.dim + 1)
+    depths = [None] * x.facet_count
+    depths[base] = 0
     order, tree, non_tree = [base], [], []
     head = 0
     while head < len(order):
@@ -105,7 +150,9 @@ def reference_search(x, base):
         head += 1
         for gid, w in adj[f]:
             if transports[w] is None:
-                transports[w] = perm_compose(transports[f], perspectivity(x, f, gid))
+                step = reference_perspectivity(x, f, gid)
+                transports[w] = reference_compose(transports[f], step)
+                depths[w] = depths[f] + 1
                 tree.append(gid)
                 order.append(w)
             elif gid not in tree and all(g != gid for g, _ in non_tree):
@@ -113,12 +160,20 @@ def reference_search(x, base):
     gens = []
     for gid, f in non_tree:
         w = gl[gid].other(f)
-        loop = perm_compose(
-            perm_compose(transports[f], perspectivity(x, f, gid)),
+        loop = reference_compose(
+            reference_compose(transports[f], reference_perspectivity(x, f, gid)),
             perm_inverse(transports[w]),
         )
         gens.append((loop, f"gluing {gid}"))
-    return tuple(transports), tuple(tree), tuple(order), tuple(gens)
+    return {
+        "base": base,
+        "group": (tuple(gens), reference_closure([p for p, _t in gens], x.dim + 1)),
+        "transports": tuple(transports),
+        "tree_gluings": tuple(tree),
+        "reached": tuple(order),
+        "depths": tuple(depths),
+        "generator_gluings": tuple(gid for gid, _f in non_tree),
+    }
 
 
 def shuffled_bary2():
@@ -146,17 +201,19 @@ CASES += list(zip(("bary2-shuffled", "bary2-shuffled-pseudo"), shuffled_bary2())
 
 
 def assert_search_matches(pg, ref):
-    transports, tree, reached, gens = ref
-    assert pg.transports == transports
-    assert pg.tree_gluings == tree
-    assert pg.reached == reached
-    assert pg.group.generators == gens
+    assert set(ref) == {f.name for f in fields(pg)}
+    for name, want in ref.items():
+        if name == "group":
+            assert (pg.group.generators, pg.group.elements) == want
+            assert pg.group.degree == len(pg.transports[pg.base])
+        else:
+            assert getattr(pg, name) == want, name
 
 
 def assert_kept_search_matches(x, base, ref):
     """`projectivity_group` gives the reference search on a connected complex
     and refuses a disconnected one."""
-    if len(ref[2]) < x.facet_count:
+    if len(ref["reached"]) < x.facet_count:
         with pytest.raises(NotStronglyConnected):
             projectivity_group(x, base)
     else:
@@ -184,6 +241,60 @@ def test_projectivity_search_matches_the_list_version(name, x):
         ref = reference_search(x, base)
         assert_search_matches(_search(x, base), ref)
         assert_kept_search_matches(x, base, ref)
+
+
+def assert_steps_match_the_formula(x, name=""):
+    """Both directions of every gluing's kept steps equal the formula, and
+    they are inverse to each other."""
+    ident = perm_identity(x.dim + 1)
+    for gid, g in enumerate(x.gluings):
+        forward, back = _steps(x.dim, g.ridge_a, g.ridge_b, g.mapping)
+        assert forward == reference_perspectivity(x, g.facet_a, gid), (name, gid)
+        assert back == reference_perspectivity(x, g.facet_b, gid), (name, gid)
+        assert perspectivity(x, g.facet_a, gid) == forward
+        assert perspectivity(x, g.facet_b, gid) == back
+        assert perm_compose(forward, back) == ident == perm_compose(back, forward)
+
+
+def _step_cases():
+    """The gallery, both subdivisions of its small entries, and the lifts of
+    both unfoldings."""
+    out = list(CASES)
+    for name, x in CASES:
+        if x.facet_count <= 12:
+            out.append((f"bary({name})", barycentric(x).result))
+            out.append((f"anti({name})", antiprismatic(x).result))
+        if x.facet_count <= 40:
+            out.append((f"partial({name})", partial_unfolding(x).total))
+            if dual_graph(x).is_connected():
+                out.append((f"complete({name})", complete_unfolding(x).total))
+    return out
+
+
+def test_steps_match_the_perspectivity_formula():
+    cases = _step_cases()
+    assert len(cases) > 3 * len(CASES)
+    for name, x in cases:
+        assert_steps_match_the_formula(x, name)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(pseudo_complexes())
+def test_steps_match_the_perspectivity_formula_on_random_complexes(P):
+    assert_steps_match_the_formula(P)
+
+
+def test_perspectivity_refuses_a_step_off_its_gluing():
+    x = boundary_simplex(2)
+    assert (x.gluings[0].facet_a, x.gluings[0].facet_b) == (0, 1)
+    for facet, gid, message in (
+        (0, 3, "no gluing 3"),
+        (0, -1, "no gluing -1"),
+        (2, 0, "gluing 0 does not touch facet 2"),
+        (-1, 0, "gluing 0 does not touch facet -1"),
+    ):
+        with pytest.raises(InvalidPath, match=f"^{message}$"):
+            perspectivity(x, facet, gid)
 
 
 @pytest.mark.parametrize("name, x", CASES, ids=[n for n, _x in CASES])

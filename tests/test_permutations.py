@@ -1,6 +1,9 @@
 """Permutation arithmetic and concrete group containers."""
 
+from itertools import permutations
+
 import pytest
+from sympy.combinatorics import Permutation
 
 from unfolder.permutations import (
     PermutationGroup,
@@ -19,6 +22,16 @@ def test_compose_reads_left_to_right():
     p = (1, 0, 2)
     q = (0, 2, 1)
     assert perm_compose(p, q) == (2, 0, 1)
+
+
+def test_compose_matches_sympy_on_all_pairs_in_s4():
+    group = list(permutations(range(4)))
+    for p in group:
+        for q in group:
+            want = tuple(q[p[i]] for i in range(4))
+            assert perm_compose(p, q) == want
+            # sympy's product p * q also applies p first
+            assert tuple((Permutation(list(p)) * Permutation(list(q))).array_form) == want
 
 
 def test_inverse_cancels():

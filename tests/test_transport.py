@@ -144,16 +144,18 @@ def test_random_pseudo_complexes_match_the_propagation_reference():
 
 
 def _count_crossings(monkeypatch):
+    """Record every read of a gluing's steps, the one seam a crossing passes:
+    `perspectivity` reads `_steps` too, so it is counted through it."""
     calls = []
-    real = complexes.perspectivity
+    real = complexes._steps
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
     for module in (cli, complexes, diagnostics, projectivities, unfoldings):
-        if hasattr(module, "perspectivity"):
-            monkeypatch.setattr(module, "perspectivity", counted)
+        if hasattr(module, "_steps"):
+            monkeypatch.setattr(module, "_steps", counted)
     return calls
 
 
