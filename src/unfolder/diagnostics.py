@@ -10,7 +10,6 @@ from itertools import permutations as all_permutations
 from .complexes import (
     AbstractComplex,
     Complex,
-    FaceClasses,
     PseudoComplex,
     _roots,
     _subface_pairs,
@@ -299,16 +298,6 @@ class IsoWitness:
     vertex_maps: tuple[Perm, ...]
 
 
-def _facet_fingerprints(classes: FaceClasses, dim: int) -> list[tuple[int, ...]]:
-    cards = [len(s) for s in nonempty_subsets(dim + 1)]
-    sc, per, sizes = classes.slot_class, classes.per, classes.sizes
-    out = []
-    for f in range(classes.facet_count):
-        pairs = sorted(zip(cards, (sizes[c] for c in sc[f * per : (f + 1) * per])))
-        out.append(tuple(v for pair in pairs for v in pair))
-    return out
-
-
 def isomorphic(
     p: Complex,
     q: Complex,
@@ -316,9 +305,19 @@ def isomorphic(
 ) -> IsoWitness | None:
     """Backtracking search for a face-structure isomorphism.
 
-    Facet correspondences are pruned by per-facet class-size fingerprints;
-    when projection constraints are given, the facet image must project to
-    the same target and the vertex map is forced by the two local maps.
+    Facets of p are placed in breadth-first order over its dual graph.  The
+    first facet of a component tries every free facet of q.  A later facet,
+    reached across ridge class R, tries only the free holders of the image
+    of R, which its parent already fixed and its own image must hold.  The
+    pool is the holders of that ridge class, not the dual-graph neighbours
+    of the parent's image: a ridge of a `PseudoComplex` can hold more than
+    two copies, and an isomorphism of face structure need not keep the
+    gluing pattern (four edges glued as a star around one copy are
+    isomorphic to the same four glued as a chain).  In dimension 0 the
+    ridges are empty, so every facet takes the full pool.  Unconstrained,
+    every label map is tried, and a wrong one fails at its first vertex;
+    with projection constraints the image must project to the same target,
+    and the label map is forced by the two local maps.
     """
     if p.dim != q.dim:
         return None
@@ -330,14 +329,15 @@ def isomorphic(
     if sorted(zip(cp.cards, cp.sizes)) != sorted(zip(cq.cards, cq.sizes)):
         return None
     subs = nonempty_subsets(d + 1)
-    fp = _facet_fingerprints(cp, d)
-    fq = _facet_fingerprints(cq, d)
-    if sorted(fp) != sorted(fq):
-        return None
+    index = subset_index(d + 1)
+    sp, sq, per = cp.slot_class, cq.slot_class, cp.per
 
+    # breadth-first order, and the ridge class each non-root facet is reached across
     order: list[int] = []
+    via: list[int | None] = [None] * n
     seen = [False] * n
     adj = dual_graph(p).neighbours
+    gl = p.gluings
     for root in range(n):
         if seen[root]:
             continue
@@ -348,16 +348,29 @@ def isomorphic(
             f = queue[head]
             head += 1
             order.append(f)
-            for _gid, w in adj[f]:
+            for gid, w in adj[f]:
                 if not seen[w]:
                     seen[w] = True
                     queue.append(w)
+                    if d > 0:
+                        g = gl[gid]
+                        via[w] = sp[w * per + index[g.ridge_a if g.facet_a == w else g.ridge_b]]
+
+    # q's copies by ridge class; a copy's d+1 ridges sit just before the whole
+    # copy, and no two of its slots share a class, so each holder shows once
+    holders: dict[int, list[int]] = {}
+    if d > 0:
+        for t in range(n):
+            at = t * per + per - d - 2
+            for c in sq[at : at + d + 1]:
+                holders.setdefault(c, []).append(t)
 
     lambdas = tuple(all_permutations(range(d + 1)))
 
     def candidates(f: int, used: list[bool]):
-        for t in range(n):
-            if used[t] or fq[t] != fp[f]:
+        r = via[f]
+        for t in range(n) if r is None else holders[class_map[r]]:
+            if used[t]:
                 continue
             if constraints is not None:
                 want, have = constraints[0], constraints[1]
@@ -375,9 +388,7 @@ def isomorphic(
     class_map: dict[int, int] = {}
     class_rev: dict[int, int] = {}
 
-    index = subset_index(d + 1)
     images: dict[Perm, tuple[int, ...]] = {}  # lam -> the subset index of each image
-    sp, sq, per = cp.slot_class, cq.slot_class, cp.per
 
     def try_assign(f: int, t: int, lam: Perm) -> list[tuple[int, int]] | None:
         image = images.get(lam)

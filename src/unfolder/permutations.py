@@ -143,19 +143,3 @@ class PermutationGroup:
             out.append(tuple(sorted(orbit)))
             remaining -= orbit
         return tuple(out)
-
-    def is_subgroup_of(self, other: "PermutationGroup") -> bool:
-        return self.degree == other.degree and self.elements <= other.elements
-
-    def conjugate_onto(self, other: "PermutationGroup") -> Perm | None:
-        """Search c with c^-1 * self * c == other (as element sets)."""
-        if self.degree != other.degree or self.order != other.order:
-            return None
-        import itertools
-
-        for c in itertools.permutations(range(self.degree)):
-            ci = perm_inverse(c)
-            image = {perm_compose(perm_compose(ci, p), c) for p in self.elements}
-            if image == set(other.elements):
-                return tuple(c)
-        return None

@@ -188,16 +188,16 @@ def star_group(x: Complex, cid: int, base_parent_facet: int | None = None) -> St
     return StarGroup(star=star, base_parent_facet=base_parent_facet, group=group)
 
 
-def odd_generated_subgroup(x: Complex, base: int = 0) -> PermutationGroup:
+def odd_generated_subgroup(x: Complex) -> PermutationGroup:
     """Subgroup generated by loops around the odd codimension-2 faces.
 
     Each odd face class contributes the generators of its star group,
-    conjugated back to the base facet along the spanning-tree transport.
+    conjugated back to facet 0 along the spanning-tree transport.
     """
     from .diagnostics import odd_subcomplex  # import cycle with diagnostics
 
     odd = odd_subcomplex(x).odd_faces
-    pg = projectivity_group(x, base)
+    pg = projectivity_group(x)
     gens: list[tuple[Perm, str]] = []
     for cid in odd:
         sg = star_group(x, cid)
@@ -209,19 +209,13 @@ def odd_generated_subgroup(x: Complex, base: int = 0) -> PermutationGroup:
     return PermutationGroup.generated(gens, x.dim + 1)
 
 
-def induced_homomorphism_check(
-    K,
-    L,
-    vertex_map: dict[int, int],
-    base_k: int = 0,
-    base_l: int | None = None,
-) -> bool:
+def induced_homomorphism_check(K, L, vertex_map: dict[int, int]) -> bool:
     """Check that a non-degenerate map embeds one projectivity group in another.
 
     Both sides must be simplicial, and `vertex_map` must send every facet
     of K onto a facet of L without collapsing vertices.  Conjugating by the
-    induced label bijection of the base facets must send each generator
-    into the target group.  That is enough: conjugation by a fixed
+    induced label bijection from facet 0 of K to its image must send each
+    generator into the target group.  That is enough: conjugation by a fixed
     bijection is an injective homomorphism, and the images of generators
     generate the image of the group.
     """
@@ -236,16 +230,12 @@ def induced_homomorphism_check(
             raise DegenerateMap(f"facet {f} collapses under the vertex map")
         if tuple(sorted(image)) not in L.facets:
             raise DegenerateMap(f"facet {f} does not land on a facet")
-    image_base = tuple(sorted(vertex_map[v] for v in K.facets[base_k]))
-    if base_l is None:
-        base_l = L.facet_id(image_base)
-    elif L.facets[base_l] != image_base:
-        raise DegenerateMap("base facet does not map onto the chosen target facet")
-    verts_k = K.facets[base_k]
+    verts_k = K.facets[0]
+    base_l = L.facet_id(tuple(sorted(vertex_map[v] for v in verts_k)))
     verts_l = L.facets[base_l]
     phi = tuple(verts_l.index(vertex_map[v]) for v in verts_k)
     phi_inv = perm_inverse(phi)
-    gk = projectivity_group(K, base_k).group
+    gk = projectivity_group(K).group
     gl = projectivity_group(L, base_l).group
     return all(
         perm_compose(perm_compose(phi_inv, g), phi) in gl for g, _tag in gk.generators

@@ -195,12 +195,10 @@ def crumpling_map(rec: SubdivisionRecord) -> dict[int, int]:
     return {v: pair[1] for v, pair in rec.vertex_provenance.items()}
 
 
-def crumpling_group_pair(
-    rec: SubdivisionRecord, base: int = 0
-) -> tuple[PermutationGroup, PermutationGroup]:
+def crumpling_group_pair(rec: SubdivisionRecord) -> tuple[PermutationGroup, PermutationGroup]:
     """Projectivity groups of subdivision and source, on the source's labels.
 
-    The subdivision group at the central facet of the base copy is read off
+    The subdivision group at the central facet of copy 0 is read off
     the subdivision's search at facet 0: conjugating each element by the
     tree transport to the central facet gives it, as a change of base does,
     so no second search runs.  It is then transported through the crumpling
@@ -210,18 +208,18 @@ def crumpling_group_pair(
     x = rec.source
     d = x.dim
     classes = x.classes()
-    central = rec.central_facet(base)
+    central = rec.central_facet(0)
     pg = projectivity_group(rec.result)
     t = pg.transport_to(central)
     t_inv = perm_inverse(t)
     at_central = {perm_compose(perm_compose(t_inv, g), t) for g in pg.group.elements}
-    base_pg = projectivity_group(x, base=base)
+    base_pg = projectivity_group(x)
 
     facet_verts = rec.result.facets[central]
     mu: list[int] = []
     for vid in facet_verts:
         _tau_class, w_class = rec.vertex_provenance[vid]
-        f, (l,) = next(r for r in classes.members[w_class] if r[0] == base)
+        f, (l,) = next(r for r in classes.members[w_class] if r[0] == 0)
         mu.append(l)
     transported = []
     for g in sorted(at_central):
@@ -248,7 +246,7 @@ def iterate(op, x: Complex, n: int) -> Complex:
     return cur
 
 
-def unfold_commutes_with_antiprismatic(x: Complex, base: int = 0, mode: str = "complete"):
+def unfold_commutes_with_antiprismatic(x: Complex, mode: str = "complete"):
     """Witness that unfolding then subdividing equals subdividing then
     unfolding, compatibly with the two projections onto the subdivided base.
 
@@ -265,7 +263,7 @@ def unfold_commutes_with_antiprismatic(x: Complex, base: int = 0, mode: str = "c
     rec = antiprismatic(x)
     if mode == "complete":
         left = complete_unfolding(rec.result)
-        up = complete_unfolding(x, base)
+        up = complete_unfolding(x)
     else:
         left = partial_unfolding(rec.result)
         up = partial_unfolding(x)

@@ -71,20 +71,8 @@ def test_group_generated_and_orbits():
     assert g.order == 4
     assert (1, 0, 3, 2) in g
     assert g.orbits() == ((0, 1), (2, 3))
-    assert PermutationGroup.trivial(4).is_subgroup_of(g)
-    assert not g.is_subgroup_of(PermutationGroup.trivial(4))
 
 
 def test_sorted_elements_deterministic():
     g = PermutationGroup.generated([((1, 2, 0), "r")], 3)
     assert g.sorted_elements() == [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
-
-
-def test_conjugate_onto_finds_relabeling():
-    a = PermutationGroup.generated([((1, 0, 2), "s")], 3)
-    b = PermutationGroup.generated([((0, 2, 1), "t")], 3)
-    c = a.conjugate_onto(b)
-    assert c is not None
-    ci = perm_inverse(c)
-    image = {perm_compose(perm_compose(ci, p), c) for p in a.elements}
-    assert image == set(b.elements)
