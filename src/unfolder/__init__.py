@@ -121,7 +121,6 @@ from .unfoldings import (
     branching_index,
     complete_unfolding,
     component_containing,
-    component_count,
     component_of,
     component_parts,
     components,

@@ -27,8 +27,8 @@ Face classes, derived gluings and one incidence index per complex are built
 on first use and kept on the instance (`per_instance`), so they are freed
 with it.  The index, `dual_graph(x).neighbours`, lists each facet's
 (gluing id, neighbour) pairs in id order; one pass over the gluings builds
-it, and its `components()` are kept on it too.  Stars and links read it in
-O(|star| * (d+1)) instead of O(#gluings).
+it.  Stars and links read it in O(|star| * (d+1)) instead of O(#gluings), and
+the one search of the dual graph, `projectivities._search`, walks it.
 
 Every union-find here is one kernel over integer slots, `_roots`: slot
 f * per + i stands for item i of copy f (subset i of `nonempty_subsets` for
@@ -77,6 +77,7 @@ FaceRef = tuple[int, tuple[int, ...]]  # (facet copy id, sorted local vertex tup
 # bytes.  The gallery, demo and benchmark inputs have dim <= 4 and at most
 # 43200 slots (bary^2 of the 4-simplex's boundary); the benchmark's largest
 # output, an unfolding of 9000 copies of dim 4, needs 279000, a margin of 3.7.
+# `derived_gluings` holds an abstract complex's gluing count to the same bound.
 MAX_DIM = 8
 MAX_CLOSURE_SLOTS = 2**20
 
@@ -461,7 +462,11 @@ class AbstractComplex:
 
     @per_instance
     def derived_gluings(self) -> tuple[Gluing, ...]:
-        """One gluing per pair of facets sharing a ridge (identity on globals)."""
+        """One gluing per pair of facets sharing a ridge (identity on globals).
+
+        A ridge held by k facets gives C(k, 2) gluings, so the count is
+        checked against `MAX_CLOSURE_SLOTS` before any is built; a
+        pseudo-manifold has at most n(d+1)/2."""
         # Facets are sorted, so the ridge that omits position o sits at the
         # other positions in order on both sides: side b's mapping is its ridge.
         d = self.dim
@@ -470,6 +475,9 @@ class AbstractComplex:
         for i, f in enumerate(self.facets):
             for o, ridge in zip(range(d, -1, -1), combinations(f, d)):
                 by_ridge.setdefault(ridge, []).append((i, o))
+        count = sum(comb(len(holders), 2) for holders in by_ridge.values())
+        if count > MAX_CLOSURE_SLOTS:
+            raise BadParameter(f"{count} derived gluings are above the limit {MAX_CLOSURE_SLOTS}")
         # two facets share at most one ridge, so this is (i, j) order
         pairs = sorted(
             (i, j, oi, oj)
@@ -636,30 +644,6 @@ class DualGraph:
     def adjacency(self) -> dict[int, list[tuple[int, int]]]:
         """node -> sorted list of (edge id, neighbour)."""
         return {v: list(nb) for v, nb in enumerate(self.neighbours)}
-
-    def is_connected(self) -> bool:
-        return len(self.components()) <= 1
-
-    @per_instance
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        """The sorted node tuples of each component, by smallest node; kept."""
-        adj = self.neighbours
-        seen: set[int] = set()
-        comps: list[tuple[int, ...]] = []
-        for start in range(self.node_count):
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for _eid, w in adj[v]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
 
 
 @per_instance

@@ -13,8 +13,6 @@ from .complexes import (
     PseudoComplex,
     _roots,
     _subface_pairs,
-    component_complex,
-    dual_graph,
     link_of_class,
     nonempty_subsets,
     per_instance,
@@ -28,11 +26,12 @@ from .errors import (
     NotLocallyStronglyConnected,
 )
 from .permutations import Perm, perm_compose, perm_identity, perm_inverse, perm_sign
-from .projectivities import projectivity_group
+from .projectivities import _search, projectivity_group
 
 
 def is_strongly_connected(x: Complex) -> bool:
-    return dual_graph(x).is_connected()
+    """Read off the kept search from facet 0: connected when it is one tree."""
+    return _search(x, 0).spans
 
 
 @per_instance
@@ -196,21 +195,16 @@ def orientable(x: Complex) -> bool:
 
     Read off the projectivity search: crossing a gluing keeps the facet
     orientation exactly when its perspectivity is odd, so a loop of length L
-    keeps it exactly when its projectivity has sign (-1)^L.  The loops of
-    the generators span all loops, so those are the ones checked.  A
-    disconnected complex is checked component by component, each as its own
-    complex searched from its smallest facet.
+    keeps it exactly when its projectivity has sign (-1)^L.  The loops at
+    each tree's root span all loops of its component, so the loops of the
+    search forest from facet 0 answer for every component at once.
     """
-    parts = dual_graph(x).components()
-    if len(parts) > 1:
-        # a search on x itself would cost the facet count per component
-        return all(orientable(component_complex(x, part)) for part in parts)
-    pg = projectivity_group(x)
+    pg = _search(x, 0)
     gl = x.gluings
     depth = pg.depths
     return all(
         perm_sign(p) == (-1) ** (depth[gl[gid].facet_a] + depth[gl[gid].facet_b] + 1)
-        for (p, _tag), gid in zip(pg.group.generators, pg.generator_gluings)
+        for p, gid, _root in pg.loops
     )
 
 
@@ -305,7 +299,7 @@ def isomorphic(
 ) -> IsoWitness | None:
     """Backtracking search for a face-structure isomorphism.
 
-    Facets of p are placed in breadth-first order over its dual graph.  The
+    Facets of p are placed in the order of its kept search forest.  The
     first facet of a component tries every free facet of q.  A later facet,
     reached across ridge class R, tries only the free holders of the image
     of R, which its parent already fixed and its own image must hold.  The
@@ -332,29 +326,16 @@ def isomorphic(
     index = subset_index(d + 1)
     sp, sq, per = cp.slot_class, cq.slot_class, cp.per
 
-    # breadth-first order, and the ridge class each non-root facet is reached across
-    order: list[int] = []
+    # the search order, and the ridge class each non-root facet is reached across
+    search = _search(p, 0)
+    order = search.reached
     via: list[int | None] = [None] * n
-    seen = [False] * n
-    adj = dual_graph(p).neighbours
-    gl = p.gluings
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            f = queue[head]
-            head += 1
-            order.append(f)
-            for gid, w in adj[f]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-                    if d > 0:
-                        g = gl[gid]
-                        via[w] = sp[w * per + index[g.ridge_a if g.facet_a == w else g.ridge_b]]
+    if d > 0:
+        tree = map(p.gluings.__getitem__, search.tree_gluings)
+        for f in order:
+            if search.roots[f] != f:
+                g = next(tree)
+                via[f] = sp[f * per + index[g.ridge_a if g.facet_a == f else g.ridge_b]]
 
     # q's copies by ridge class; a copy's d+1 ridges sit just before the whole
     # copy, and no two of its slots share a class, so each holder shows once

@@ -13,7 +13,7 @@ the closure is computed by saturation and the full element set is kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 Perm = tuple[int, ...]
 
@@ -96,20 +96,17 @@ def closure(generators: list[Perm], degree: int) -> frozenset[Perm]:
 
 @dataclass(frozen=True)
 class PermutationGroup:
-    """A concrete subgroup of Sym({0..degree-1}) with tagged generators."""
+    """A concrete subgroup of Sym({0..degree-1}) with tagged generators,
+    which generate `elements`."""
 
     degree: int
     elements: frozenset[Perm]
-    generators: tuple[tuple[Perm, str], ...] = field(default=())
+    generators: tuple[tuple[Perm, str], ...]
 
     @staticmethod
     def generated(gens: list[tuple[Perm, str]], degree: int) -> "PermutationGroup":
         elems = closure([g for g, _tag in gens], degree)
         return PermutationGroup(degree, elems, tuple(gens))
-
-    @staticmethod
-    def trivial(degree: int) -> "PermutationGroup":
-        return PermutationGroup(degree, frozenset({perm_identity(degree)}))
 
     @property
     def order(self) -> int:
@@ -126,20 +123,22 @@ class PermutationGroup:
         return sorted(self.elements)
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
-        """Orbit partition of {0..degree-1}, each orbit sorted, orbits by min."""
-        remaining = set(range(self.degree))
+        """Orbit partition of {0..degree-1}, each orbit sorted, orbits by min.
+
+        On a finite set the orbits of a group are closed under its
+        generators alone, so only the generators' images are followed."""
+        gens = [p for p, _tag in self.generators]
+        seen = [False] * self.degree
         out: list[tuple[int, ...]] = []
-        while remaining:
-            start = min(remaining)
-            orbit = {start}
-            frontier = [start]
-            while frontier:
-                x = frontier.pop()
-                for p in self.elements:
-                    y = p[x]
-                    if y not in orbit:
-                        orbit.add(y)
-                        frontier.append(y)
+        for start in range(self.degree):
+            if seen[start]:
+                continue
+            seen[start] = True
+            orbit = [start]
+            for x in orbit:  # grows while it is read
+                for p in gens:
+                    if not seen[p[x]]:
+                        seen[p[x]] = True
+                        orbit.append(p[x])
             out.append(tuple(sorted(orbit)))
-            remaining -= orbit
         return tuple(out)

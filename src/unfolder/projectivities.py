@@ -13,6 +13,7 @@ and a crossing is one lookup and one index map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .complexes import (
     AbstractComplex,
@@ -54,23 +55,37 @@ def loop_projectivity(x: Complex, loop: FacetPath) -> Perm:
 
 @dataclass(frozen=True)
 class ProjectivityGroup:
-    """Group of projectivities based at one facet, with its spanning data.
+    """The one search of the dual graph, from a base facet, with its group.
 
-    `transports[f]` is the projectivity along the breadth-first tree path
-    from the base to facet f, and `depths[f]` that path's length.  Each
-    non-tree gluing closes one loop, of length depths[a] + depths[b] + 1,
-    whose projectivity is a generator; `generator_gluings` names those
-    gluings in generator order.  The one search of the package:
-    `balanced_coloring` and `orientable` are read off it.
+    The search is a breadth-first forest: the base's component first, then
+    each facet not yet reached, in id order, as the root of its own tree.
+    `roots[f]` is the root of f's tree, `transports[f]` the projectivity
+    along the tree path from that root to f, and `depths[f]` that path's
+    length.  Each non-tree gluing closes one loop at its tree's root, of
+    length depths[a] + depths[b] + 1; `loops` holds each as (projectivity,
+    gluing id, root), in search order.  The group is generated by the loops
+    at the base, and closed on first read.  Connectivity, `balanced_coloring`,
+    `orientable`, the partial unfolding's components and the isomorphism
+    search's facet order are all read off this one search.
     """
 
     base: int
-    group: PermutationGroup
     transports: tuple[Perm, ...]
     tree_gluings: tuple[int, ...]
-    reached: tuple[int, ...]  # facets in BFS order
+    reached: tuple[int, ...]  # facets in search order, tree by tree
     depths: tuple[int, ...]
-    generator_gluings: tuple[int, ...]
+    roots: tuple[int, ...]
+    loops: tuple[tuple[Perm, int, int], ...]
+
+    @cached_property
+    def group(self) -> PermutationGroup:
+        gens = [(p, f"gluing {gid}") for p, gid, root in self.loops if root == self.base]
+        return PermutationGroup.generated(gens, len(self.transports[self.base]))
+
+    @property
+    def spans(self) -> bool:
+        """Whether the base reaches every facet: a forest of one tree."""
+        return len(self.tree_gluings) == len(self.reached) - 1
 
     def transport_to(self, facet: int) -> Perm:
         if not 0 <= facet < len(self.transports):
@@ -91,67 +106,71 @@ def projectivity_group(x: Complex, base: int = 0) -> ProjectivityGroup:
     n = x.facet_count
     if not 0 <= base < n:
         raise InvalidPath(f"no facet {base}")
-    memo = x.__dict__.setdefault("_memo_projectivity_group", {})
-    if base not in memo:
-        memo[base] = _search(x, base)
-    pg = memo[base]
-    if len(pg.reached) < n:
-        missing = sorted(set(range(n)) - set(pg.reached))
+    pg = _search(x, base)
+    if not pg.spans:
+        missing = [f for f, root in enumerate(pg.roots) if root != base]
         raise NotStronglyConnected(f"facets {missing} are not reachable from {base}")
     return pg
 
 
 def _search(x: Complex, base: int) -> ProjectivityGroup:
-    """The search from `base` over its dual-graph component; on a disconnected
-    complex the facets outside it keep None, so only its group is read.  Each
-    gluing is crossed once, as a tree step or as a generator's loop."""
+    """The search forest from `base`, kept on `x` per base.  Each gluing is
+    crossed once, as a tree step or as a loop."""
+    memo = x.__dict__.setdefault("_memo_projectivity_group", {})
+    if base in memo:
+        return memo[base]
     n = x.facet_count
     d = x.dim
     gl = x.gluings
     adj = dual_graph(x).neighbours
+    ident = perm_identity(d + 1)
     transports: list[Perm | None] = [None] * n
-    transports[base] = perm_identity(d + 1)
-    depths: list[int | None] = [None] * n
-    depths[base] = 0
-    order: list[int] = [base]
+    depths = [0] * n
+    roots = [0] * n
+    order: list[int] = []
     tree: list[int] = []
-    non_tree: list[tuple[int, int]] = []  # (gluing id, facet reached first)
-    crossed: set[int] = set()  # tree and non-tree gluing ids alike
-    head = 0
-    while head < len(order):
-        f = order[head]
-        head += 1
-        for gid, w in adj[f]:
-            if transports[w] is None:
+    loops: list[tuple[Perm, int, int]] = []
+    crossed = bytearray(len(gl))
+    for root in (base, *range(n)):
+        if transports[root] is not None:
+            continue
+        transports[root] = ident
+        roots[root] = root
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            f = order[head]
+            head += 1
+            t_f = transports[f]
+            for gid, w in adj[f]:
+                if crossed[gid]:
+                    continue
+                crossed[gid] = 1
                 fa, ridge_a, _fb, ridge_b, mapping = gl[gid]
                 step = _steps(d, ridge_a, ridge_b, mapping)[f != fa]
-                transports[w] = tuple(map(step.__getitem__, transports[f]))
-                depths[w] = depths[f] + 1
-                tree.append(gid)
-                order.append(w)
-            elif gid not in crossed:
-                non_tree.append((gid, f))
-            crossed.add(gid)
-    gens: list[tuple[Perm, str]] = []
-    ident = perm_identity(d + 1)
-    for gid, f in non_tree:
-        fa, ridge_a, fb, ridge_b, mapping = gl[gid]
-        step = _steps(d, ridge_a, ridge_b, mapping)[f != fa]
-        moved = tuple(map(step.__getitem__, transports[f]))
-        t_w = transports[fb if f == fa else fa]
-        # the loop is moved, then back along the tree: the identity when they agree
-        loop = ident if moved == t_w else tuple(map(perm_inverse(t_w).__getitem__, moved))
-        gens.append((loop, f"gluing {gid}"))
-    group = PermutationGroup.generated(gens, d + 1)
-    return ProjectivityGroup(
+                moved = tuple(map(step.__getitem__, t_f))
+                t_w = transports[w]
+                if t_w is None:
+                    transports[w] = moved
+                    depths[w] = depths[f] + 1
+                    roots[w] = root
+                    tree.append(gid)
+                    order.append(w)
+                elif moved == t_w:
+                    loops.append((ident, gid, root))
+                else:
+                    # the loop is moved, then back along the tree
+                    loops.append((tuple(map(perm_inverse(t_w).__getitem__, moved)), gid, root))
+    memo[base] = pg = ProjectivityGroup(
         base=base,
-        group=group,
         transports=tuple(transports),
         tree_gluings=tuple(tree),
         reached=tuple(order),
         depths=tuple(depths),
-        generator_gluings=tuple(gid for gid, _f in non_tree),
+        roots=tuple(roots),
+        loops=tuple(loops),
     )
+    return pg
 
 
 @dataclass(frozen=True)
@@ -173,7 +192,8 @@ def star_group(x: Complex, cid: int, base_parent_facet: int | None = None) -> St
     Walks stay inside the star (every crossed ridge contains the class), so
     each element fixes the class representative of the base facet pointwise.
     If the star's dual graph is disconnected, only the base's component acts:
-    the search never leaves it.  The star is fresh, so the search is not kept.
+    the group is generated by the loops at the base alone.  The search is
+    kept on the star, which is fresh, so it is freed with it.
     """
     star = star_of_class(x, cid)
     if base_parent_facet is None:

@@ -8,7 +8,8 @@ The complete unfolding's fibre is the group itself, sorted, and a gluing
 acts by its holonomy from the right, so copy (f, g) carries the coloring
 (g * transport_f)^-1.  The partial unfolding's fibre is the d+1 local vertex
 labels, and a gluing acts by its perspectivity step; the orbits of the
-group on the labels are its components.
+group on the labels are its components, read off the search of the base
+(see `partial_unfolding`).
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from .complexes import (
     Complex,
     Gluing,
     PseudoComplex,
+    _roots,
     _steps,
     check_size,
     component_complex,
-    dual_graph,
 )
 from .errors import (
     BadParameter,
@@ -32,7 +33,7 @@ from .errors import (
     NotAFacet,
 )
 from .permutations import Perm, perm_compose, perm_inverse
-from .projectivities import ProjectivityGroup, projectivity_group
+from .projectivities import ProjectivityGroup, _search, projectivity_group
 
 
 @dataclass(frozen=True)
@@ -114,14 +115,31 @@ def partial_unfolding(x: Complex) -> UnfoldingResult:
 
     The fibre is the d+1 local vertex labels, and a gluing from a to b moves
     v to its perspectivity step s(v).  Works on disconnected inputs.
+
+    The components come from the search forest of `x`, not from the total:
+    copy (f, i) lies over the tree path from f's root r, so it joins copy
+    (r, t_f^-1(i)), and the copies over r are joined exactly by the loops
+    at r.  So each component is an orbit of those loops on r's labels,
+    listed by smallest copy.
     """
-    width = x.dim + 1
+    n, width = x.facet_count, x.dim + 1
     steps = (_steps(x.dim, g.ridge_a, g.ridge_b, g.mapping)[0] for g in x.gluings)
     total, projection = _lift(x, width, steps)
-    labels = tuple((f, v) for f in range(x.facet_count) for v in range(width))
-    return UnfoldingResult(
-        "partial", x, total, projection, labels, component_partition=dual_graph(total).components()
-    )
+    labels = tuple((f, v) for f in range(n) for v in range(width))
+    pg = _search(x, 0)
+    # label slot r * width + l stands for copy (r, l) of a root r
+    pairs = ((r * width + l, r * width + p[l]) for p, _gid, r in pg.loops for l in range(width))
+    orbit = _roots(n * width, pairs)
+    key = [0] * (n * width)
+    for f, (t, r) in enumerate(zip(pg.transports, pg.roots)):
+        at, o = f * width, r * width
+        for l, i in enumerate(t):
+            key[at + i] = orbit[o + l]
+    parts: dict[int, list[int]] = {}
+    for c, k in enumerate(key):
+        parts.setdefault(k, []).append(c)
+    partition = tuple(map(tuple, parts.values()))
+    return UnfoldingResult("partial", x, total, projection, labels, component_partition=partition)
 
 
 @dataclass(frozen=True)
@@ -138,8 +156,10 @@ class Component:
 
 
 def component_parts(u: UnfoldingResult) -> tuple[tuple[int, ...], ...]:
-    """The sorted copy ids of each dual-graph component of an unfolding."""
-    return u.component_partition or dual_graph(u.total).components()
+    """The sorted copy ids of each dual-graph component of an unfolding; a
+    complete unfolding has one, as the lift of a connected base by its whole
+    group is connected."""
+    return u.component_partition or (tuple(range(u.total.facet_count)),)
 
 
 def component_of(u: UnfoldingResult, members: tuple[int, ...]) -> Component:
@@ -162,21 +182,6 @@ def component_containing(u: UnfoldingResult, copy: int) -> Component:
         if copy in members:
             return component_of(u, members)
     raise BadParameter(f"no copy {copy} in the unfolding")
-
-
-def component_count(x: Complex, base: int = 0) -> int:
-    """Number of partial-unfolding components, cross-checked against the
-    orbit count of the projectivity group on local vertex labels."""
-    u = partial_unfolding(x)
-    got = len(u.component_partition)
-    pg = projectivity_group(x, base)
-    expected = len(pg.group.orbits())
-    if got != expected:
-        raise Mismatch(
-            f"partial unfolding has {got} components but the group has "
-            f"{expected} vertex orbits"
-        )
-    return got
 
 
 @dataclass(frozen=True)

@@ -154,9 +154,7 @@ def test_self_identification_is_refused():
 def test_dual_graph_structure(tetra):
     dg = dual_graph(tetra)
     assert dg.node_count == 4
-    assert dg.is_connected()
-    assert dg.components() == ((0, 1, 2, 3),)
-    assert dg.components() is dg.components()  # kept on the index
+    assert dg.edges == tuple((g.facet_a, g.facet_b) for g in tetra.gluings)
     adj = dg.adjacency()
     assert all(len(adj[f]) == 3 for f in range(4))
 

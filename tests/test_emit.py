@@ -30,7 +30,7 @@ from unfolder.gallery import gallery_entries, starred_triangle
 from unfolder.io import emit, emit_component, emit_unfolding, parse
 from unfolder.subdivisions import antiprismatic
 from unfolder.unfoldings import complete_unfolding, component_of, components, partial_unfolding
-from unfolder.verify import CHECKS, _Context
+from unfolder.verify import _Context
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -258,19 +258,36 @@ def test_component_documents_match_the_reference_on_random_complexes(P):
         assert_components_match_the_reference(u)
 
 
+BROKEN_CONTEXT = """
+from unfolder.verify import CHECKS, _Context
+
+
+class Broken(_Context):
+    def up(self, e):  # the complete unfolding where the partial one belongs
+        return self.uc(e)
+
+
+fn = dict((cid, fn) for cid, _suite, fn in CHECKS)["unf-01-facet-count-laws"]
+"""
+
+
 def test_checks_still_fail_under_python_optimize():
-    fn = dict((cid, fn) for cid, _suite, fn in CHECKS)["gen-02-knot-core-parity"]
+    """A check run on a deliberately broken context fails, in this process
+    and under `python -O`, with the same message; on a sound context it
+    passes."""
+    scope: dict = {}
+    exec(BROKEN_CONTEXT, scope)
+    fn, broken = scope["fn"], scope["Broken"]
+    assert fn(_Context()).startswith("facet-count laws hold")
     with pytest.raises(AssertionError) as caught:
-        fn(_Context())
+        fn(broken())
     here = f"AssertionError: {caught.value}"
-    assert here.startswith("AssertionError: klein n=2: longitude is (0 1)")
-    program = (
+    assert here == "AssertionError: boundary-simplex-3"
+    program = BROKEN_CONTEXT + (
         "import sys\n"
-        "from unfolder.verify import CHECKS, _Context\n"
-        "fn = dict((cid, fn) for cid, _s, fn in CHECKS)['gen-02-knot-core-parity']\n"
         "print(sys.flags.optimize)\n"
         "try:\n"
-        "    fn(_Context())\n"
+        "    fn(Broken())\n"
         "    print('passed')\n"
         "except AssertionError as e:\n"
         "    print(f'{type(e).__name__}: {e}')\n"

@@ -12,6 +12,7 @@ import weakref
 from dataclasses import fields
 from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from sympy.combinatorics import Permutation
@@ -36,6 +37,7 @@ from unfolder.complexes import (
 from unfolder.diagnostics import (
     balanced_coloring,
     is_locally_strongly_connected,
+    is_strongly_connected,
     odd_subcomplex,
     orientable,
 )
@@ -44,7 +46,7 @@ from unfolder.errors import (
     NotLocallyStronglyConnected,
     NotStronglyConnected,
 )
-from unfolder.gallery import boundary_simplex, gallery_entries, pinched_strip
+from unfolder.gallery import boundary_simplex, gallery_entries, knot_neighborhood, pinched_strip
 from unfolder.io import emit
 from unfolder.permutations import perm_compose, perm_identity, perm_inverse
 from unfolder.projectivities import _search, projectivity_group, star_group
@@ -128,43 +130,62 @@ def reference_closure(gens, degree):
         elems = grown
 
 
+def dual_components(x):
+    """The dual graph's components by networkx: sorted facet tuples, by
+    smallest facet."""
+    g = nx.MultiGraph()
+    g.add_nodes_from(range(x.facet_count))
+    g.add_edges_from((gl.facet_a, gl.facet_b) for gl in x.gluings)
+    return tuple(sorted(tuple(sorted(c)) for c in nx.connected_components(g)))
+
+
 def reference_search(x, base):
-    """Each `ProjectivityGroup` field of the search from `base`, by name, with
-    the group as (generators, elements); facets outside base's component keep
-    None."""
+    """Each `ProjectivityGroup` field of the search forest from `base`, by
+    name, and the group as (generators, elements): a breadth-first tree from
+    `base`, then one from each facet not yet reached, in id order.  The group
+    is generated by the loops at `base` alone."""
     gl = x.gluings
-    adj = {v: [] for v in range(x.facet_count)}
+    n = x.facet_count
+    adj = {v: [] for v in range(n)}
     for gid, g in enumerate(gl):
         adj[g.facet_a].append((gid, g.facet_b))
         adj[g.facet_b].append((gid, g.facet_a))
     for v in adj:
         adj[v].sort()
-    transports = [None] * x.facet_count
-    transports[base] = perm_identity(x.dim + 1)
-    depths = [None] * x.facet_count
-    depths[base] = 0
-    order, tree, non_tree = [base], [], []
-    head = 0
-    while head < len(order):
-        f = order[head]
-        head += 1
-        for gid, w in adj[f]:
-            if transports[w] is None:
-                step = reference_perspectivity(x, f, gid)
-                transports[w] = reference_compose(transports[f], step)
-                depths[w] = depths[f] + 1
-                tree.append(gid)
-                order.append(w)
-            elif gid not in tree and all(g != gid for g, _ in non_tree):
-                non_tree.append((gid, f))
-    gens = []
-    for gid, f in non_tree:
+    transports = [None] * n
+    depths = [None] * n
+    roots = [None] * n
+    order, tree, non_tree = [], [], []  # non_tree: (gluing id, facet reached first, root)
+    for root in [base, *range(n)]:
+        if transports[root] is not None:
+            continue
+        transports[root] = perm_identity(x.dim + 1)
+        depths[root] = 0
+        roots[root] = root
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            f = order[head]
+            head += 1
+            for gid, w in adj[f]:
+                if transports[w] is None:
+                    step = reference_perspectivity(x, f, gid)
+                    transports[w] = reference_compose(transports[f], step)
+                    depths[w] = depths[f] + 1
+                    roots[w] = root
+                    tree.append(gid)
+                    order.append(w)
+                elif gid not in tree and all(g != gid for g, _f, _r in non_tree):
+                    non_tree.append((gid, f, root))
+    loops = []
+    for gid, f, root in non_tree:
         w = gl[gid].other(f)
         loop = reference_compose(
             reference_compose(transports[f], reference_perspectivity(x, f, gid)),
             perm_inverse(transports[w]),
         )
-        gens.append((loop, f"gluing {gid}"))
+        loops.append((loop, gid, root))
+    gens = [(loop, f"gluing {gid}") for loop, gid, root in loops if root == base]
     return {
         "base": base,
         "group": (tuple(gens), reference_closure([p for p, _t in gens], x.dim + 1)),
@@ -172,7 +193,8 @@ def reference_search(x, base):
         "tree_gluings": tuple(tree),
         "reached": tuple(order),
         "depths": tuple(depths),
-        "generator_gluings": tuple(gid for gid, _f in non_tree),
+        "roots": tuple(roots),
+        "loops": tuple(loops),
     }
 
 
@@ -201,19 +223,20 @@ CASES += list(zip(("bary2-shuffled", "bary2-shuffled-pseudo"), shuffled_bary2())
 
 
 def assert_search_matches(pg, ref):
-    assert set(ref) == {f.name for f in fields(pg)}
+    assert set(ref) == {f.name for f in fields(pg)} | {"group"}
     for name, want in ref.items():
         if name == "group":
             assert (pg.group.generators, pg.group.elements) == want
             assert pg.group.degree == len(pg.transports[pg.base])
         else:
             assert getattr(pg, name) == want, name
+    assert pg.spans == all(root == pg.base for root in ref["roots"])
 
 
 def assert_kept_search_matches(x, base, ref):
     """`projectivity_group` gives the reference search on a connected complex
     and refuses a disconnected one."""
-    if len(ref["reached"]) < x.facet_count:
+    if any(root != base for root in ref["roots"]):
         with pytest.raises(NotStronglyConnected):
             projectivity_group(x, base)
     else:
@@ -266,7 +289,7 @@ def _step_cases():
             out.append((f"anti({name})", antiprismatic(x).result))
         if x.facet_count <= 40:
             out.append((f"partial({name})", partial_unfolding(x).total))
-            if dual_graph(x).is_connected():
+            if len(dual_components(x)) == 1:
                 out.append((f"complete({name})", complete_unfolding(x).total))
     return out
 
@@ -323,7 +346,7 @@ def two_tetrahedra_at_a_vertex():
 def test_a_disconnected_star_acts_by_its_base_component(x, order):
     cid = x.classes().class_of((0, (0,)))  # vertex 0 is local 0 of facet 0 in both
     star = star_of_class(x, cid)
-    parts = dual_graph(star.complex).components()
+    parts = dual_components(star.complex)
     assert len(parts) == 2
     with pytest.raises(NotStronglyConnected):
         projectivity_group(star.complex)
@@ -334,6 +357,51 @@ def test_a_disconnected_star_acts_by_its_base_component(x, order):
             assert sg.group.elements == ref.group.elements
             assert [p for p, _t in sg.group.generators] == [p for p, _t in ref.group.generators]
             assert sg.order == order
+
+
+def mixed_components(variant):
+    """knot-nbhd:3:`variant` (2 label orbits), knot-nbhd:2:orientable (3 orbits)
+    and one loose facet (4 orbits) as one complex, their facets interleaved
+    by a seeded shuffle."""
+    parts = (
+        knot_neighborhood(3, variant).complex,
+        knot_neighborhood(2, "orientable").complex,
+        PseudoComplex(3, 1, ()),
+    )
+    ids = list(range(sum(p.facet_count for p in parts)))
+    random.Random(5).shuffle(ids)
+    gluings, offset = [], 0
+    for p in parts:
+        gluings += [
+            Gluing(ids[offset + g.facet_a], g.ridge_a, ids[offset + g.facet_b], g.ridge_b, g.mapping)
+            for g in p.gluings
+        ]
+        offset += p.facet_count
+    return PseudoComplex(3, len(ids), tuple(gluings))
+
+
+@pytest.mark.parametrize("variant", ["klein", "orientable"])
+def test_a_disconnected_base_answers_as_its_components_do(variant):
+    x = mixed_components(variant)
+    parts = dual_components(x)
+    comps = [component_complex(x, part) for part in parts]
+    assert len(parts) == 3
+    assert not is_strongly_connected(x)
+    assert all(is_strongly_connected(c) for c in comps)
+    assert sorted(len(projectivity_group(c).group.orbits()) for c in comps) == [2, 3, 4]
+    assert orientable(x) == all(orientable(c) for c in comps) == (variant == "orientable")
+    # copy (j, i) of a component's unfolding is copy (part[j], i) of x's
+    w = x.dim + 1
+    want = [
+        tuple(part[c // w] * w + c % w for c in members)
+        for part, comp in zip(parts, comps)
+        for members in partial_unfolding(comp).component_partition
+    ]
+    u = partial_unfolding(x)
+    assert u.component_partition == tuple(sorted(map(tuple, map(sorted, want))))
+    assert u.component_partition == dual_components(u.total)
+    for base in (0, parts[1][0], x.facet_count - 1):
+        assert_search_matches(_search(x, base), reference_search(x, base))
 
 
 def test_dual_graph_is_kept_on_the_complex():

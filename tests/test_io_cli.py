@@ -2,6 +2,7 @@
 
 import ast
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from unfolder.cli import main
 from unfolder.complexes import AbstractComplex, PseudoComplex
 from unfolder.errors import BadParameter, ParseError, UnfolderError
 from unfolder.gallery import boundary_simplex, doubled_triangle_sphere, starred_triangle
-from unfolder import gallery, io, subdivisions
+from unfolder import complexes, gallery, io, subdivisions
 from unfolder.io import (
     MAX_CLOSURE_SLOTS,
     MAX_DIM,
@@ -385,6 +386,34 @@ def test_parse_refuses_a_closure_above_the_bound_before_building(
 def test_parse_accepts_a_closure_at_the_bound():
     P = parse(json.dumps({"kind": "pseudo", "dim": 2, "facet_count": MAX_CLOSURE_SLOTS // 7}))
     assert P.facet_count * 7 <= MAX_CLOSURE_SLOTS
+
+
+DERIVED_GLUING_DOCUMENTS = {
+    # one ridge held by k facets gives C(k, 2) gluings, 1999000 for k = 2000
+    "star-graph": json.dumps({"facets": [[0, i] for i in range(1, 2001)]}),
+    "isolated-points": json.dumps({"facets": [[i] for i in range(2000)]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED_GLUING_DOCUMENTS))
+def test_analyze_refuses_too_many_derived_gluings_at_once(name, capsys, tmp_path):
+    path = tmp_path / f"{name}.json"
+    path.write_text(DERIVED_GLUING_DOCUMENTS[name])
+    start = time.process_time()
+    code, _out, err = _run(capsys, "analyze", str(path))
+    assert time.process_time() - start < 1.0
+    assert code == 2
+    assert err == f"error: 1999000 derived gluings are above the limit {MAX_CLOSURE_SLOTS}\n"
+
+
+def test_derived_gluings_are_counted_before_they_are_built(monkeypatch):
+    monkeypatch.setattr(complexes, "MAX_CLOSURE_SLOTS", 10)
+    # five facets on one ridge give C(5, 2) = 10 gluings, six give 15
+    K = AbstractComplex.from_facets([[0, i] for i in range(1, 6)])
+    assert len(K.derived_gluings()) == 10
+    K = AbstractComplex.from_facets([[0, i] for i in range(1, 7)])
+    with pytest.raises(BadParameter, match="^15 derived gluings are above the limit 10$"):
+        K.derived_gluings()
 
 
 def test_no_assert_statements_in_the_library():

@@ -6,7 +6,7 @@ totals (gluing for gluing, in order), projections and labels.
 """
 
 import pytest
-from test_incidence import shuffled_bary2
+from test_incidence import dual_components, shuffled_bary2
 
 from unfolder import unfoldings
 from unfolder.cli import main
@@ -14,7 +14,6 @@ from unfolder.complexes import (
     MAX_CLOSURE_SLOTS,
     Gluing,
     PseudoComplex,
-    dual_graph,
     perspectivity,
 )
 from unfolder.errors import BadParameter
@@ -79,7 +78,7 @@ CASES += list(zip(("bary2-shuffled", "bary2-shuffled-pseudo"), shuffled_bary2())
 def test_both_unfoldings_match_the_separate_lifting_loops(name, x):
     u = partial_unfolding(x)
     assert (u.total, u.projection, u.labels) == reference_partial(x)
-    assert u.component_partition == dual_graph(u.total).components()
+    assert u.component_partition == dual_components(u.total)
     for base in sorted({0, x.facet_count // 2}):
         u = complete_unfolding(x, base)
         assert (u.total, u.projection, u.labels) == reference_complete(x, base), base

@@ -3,6 +3,8 @@
 import functools
 import random
 
+from test_incidence import dual_components
+
 from unfolder.complexes import Gluing, PseudoComplex
 from unfolder.diagnostics import (
     is_pseudo_manifold,
@@ -14,7 +16,6 @@ from unfolder.io import emit, parse
 from unfolder.projectivities import projectivity_group
 from unfolder.unfoldings import (
     complete_unfolding,
-    component_count,
     components,
     partial_unfolding,
 )
@@ -68,7 +69,7 @@ def test_generated_corpus_obeys_the_structure_laws():
             assert up.total.facet_count == (P.dim + 1) * P.facet_count
             assert projectivity_group(uc.total).group.is_trivial
             assert is_strongly_connected(uc.total)
-            assert component_count(P) == len(pg.group.orbits())
+            assert len(dual_components(up.total)) == len(pg.group.orbits())
             for comp in components(up):
                 assert is_strongly_connected(comp.complex)
             if is_pseudo_manifold(P) == "closed":

@@ -11,7 +11,7 @@ trivial group" tied to a computation that does not use the group.
 import pytest
 from hypothesis import given, settings
 from test_emit import pseudo_complexes
-from test_incidence import CASES
+from test_incidence import CASES, dual_components
 from test_odd_subcomplex import fresh, outcome
 
 from unfolder import cli, complexes, diagnostics, projectivities, unfoldings
@@ -26,7 +26,13 @@ from unfolder.diagnostics import balanced_coloring, orientable
 from unfolder.errors import NotStronglyConnected
 from unfolder.gallery import boundary_simplex, gallery_entries, knot_neighborhood
 from unfolder.io import emit
-from unfolder.permutations import perm_compose, perm_identity, perm_inverse, perm_sign
+from unfolder.permutations import (
+    PermutationGroup,
+    perm_compose,
+    perm_identity,
+    perm_inverse,
+    perm_sign,
+)
 from unfolder.projectivities import projectivity_group
 from unfolder.unfoldings import complete_unfolding, partial_unfolding
 
@@ -106,7 +112,7 @@ def assert_agrees(x):
 
 
 def negatives(x):
-    return not reference_orientable(x), not dual_graph(x).is_connected()
+    return not reference_orientable(x), len(dual_components(x)) > 1
 
 
 def _cases():
@@ -199,6 +205,25 @@ def test_a_kept_search_refuses_a_disconnected_complex_on_every_call():
         with pytest.raises(NotStronglyConnected, match=message):
             projectivity_group(x)
         kept.append(x.__dict__["_memo_projectivity_group"][0])
-    # one search, kept and read again by each refusing call
-    assert kept[0].reached == (0, 2)
+    # one search forest, kept and read again by each refusing call
+    assert kept[0].reached == (0, 2, 1, 3)
+    assert kept[0].roots == (0, 1, 0, 3)
     assert kept[1] is kept[0] and kept[2] is kept[0]
+
+
+def test_no_group_is_closed_where_none_is_read(monkeypatch, capsys, tmp_path):
+    """The search closes its group on first read only: `analyze` on a
+    disconnected complex and a partial unfolding read none."""
+
+    def refuse(*args):
+        raise AssertionError("a group was closed")
+
+    monkeypatch.setattr(PermutationGroup, "generated", staticmethod(refuse))
+    doc = tmp_path / "x.json"
+    doc.write_text(emit(two_copies(as_pseudo(boundary_simplex(3)))))
+    assert cli.main(["analyze", str(doc)]) == 0
+    assert "Pi order: n/a (dual graph disconnected)" in capsys.readouterr().out
+    u = partial_unfolding(boundary_simplex(8))
+    assert len(u.component_partition) == 1
+    with pytest.raises(AssertionError, match="a group was closed"):
+        projectivity_group(boundary_simplex(3)).group
