@@ -10,7 +10,6 @@ from .complexes import (
     PseudoComplex,
     StarView,
     as_pseudo,
-    component_complex,
     dual_graph,
     gluings_of,
     is_connected_complex,
@@ -120,7 +119,6 @@ from .unfoldings import (
     branch_locus_counts,
     branching_index,
     complete_unfolding,
-    component_containing,
     component_of,
     component_parts,
     components,

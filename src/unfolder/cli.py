@@ -73,12 +73,12 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     doc = _read_document(ns.path)
     x = doc.complex
     counts = x.classes().counts_by_dim()
+    sc = is_strongly_connected(x)  # reads the gluings, before anything is printed
     print(f"kind: {doc.kind}")
     print(f"dim: {x.dim}")
     print(f"facets: {x.facet_count}")
     vector = " ".join(str(counts.get(k, 0)) for k in range(x.dim + 1))
     print(f"face counts by dimension: {vector}")
-    sc = is_strongly_connected(x)
     lsc, _witness = is_locally_strongly_connected(x)
     print(f"strongly connected: {'yes' if sc else 'no'}")
     print(f"locally strongly connected: {'yes' if lsc else 'no'}")

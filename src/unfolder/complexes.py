@@ -27,8 +27,9 @@ Face classes, derived gluings and one incidence index per complex are built
 on first use and kept on the instance (`per_instance`), so they are freed
 with it.  The index, `dual_graph(x).neighbours`, lists each facet's
 (gluing id, neighbour) pairs in id order; one pass over the gluings builds
-it.  Stars and links read it in O(|star| * (d+1)) instead of O(#gluings), and
-the one search of the dual graph, `projectivities._search`, walks it.
+it.  `gluings_from` reads a facet set's gluings off it, so a star, a link
+and an unfolding's component cost O(|part| * (d+1)) instead of O(#gluings),
+and the one search of the dual graph, `projectivities._search`, walks it.
 
 Every union-find here is one kernel over integer slots, `_roots`: slot
 f * per + i stands for item i of copy f (subset i of `nonempty_subsets` for
@@ -504,8 +505,8 @@ class PseudoComplex:
     @classmethod
     def trusted(cls, dim: int, facet_count: int, gluings: tuple[Gluing, ...]) -> "PseudoComplex":
         """A complex whose gluings copy checked ridge data onto copies in range,
-        as a lift's, a component's, a star's and `as_pseudo`'s do: not checked
-        again."""
+        as a lift's (a whole total's or one component's), a star's and
+        `as_pseudo`'s do: not checked again."""
         x = object.__new__(cls)
         x.__dict__.update(dim=dim, facet_count=facet_count, gluings=gluings)
         return x
@@ -652,32 +653,12 @@ def dual_graph(x: Complex) -> DualGraph:
     return DualGraph(x.facet_count, tuple((g.facet_a, g.facet_b) for g in x.gluings))
 
 
-def gluings_within(
-    x: Complex, facet_ids: tuple[int, ...], keep=None
-) -> tuple[tuple[int, ...], tuple[Gluing, ...]]:
-    """Ids of the gluings g with `g.facet_a` in the sorted `facet_ids` and
-    `keep(g)`, in id order, and those gluings renumbered to positions in
-    `facet_ids`, which must hold every `g.facet_b`.  Costs the degree sum."""
+def gluings_from(x: Complex, facet_ids) -> list[int]:
+    """Ids, ascending, of the gluings whose side a is one of the distinct
+    `facet_ids`, read off the incidence index: costs their degree sum."""
     gl = x.gluings
     adj = dual_graph(x).neighbours
-    index = {f: i for i, f in enumerate(facet_ids)}
-    kept = sorted(
-        gid
-        for f in facet_ids
-        for gid, _w in adj[f]
-        if gl[gid].facet_a == f and (keep is None or keep(gl[gid]))
-    )
-    renumbered = tuple(
-        Gluing(index[g.facet_a], g.ridge_a, index[g.facet_b], g.ridge_b, g.mapping)
-        for g in map(gl.__getitem__, kept)
-    )
-    return tuple(kept), renumbered
-
-
-def component_complex(x: Complex, part: tuple[int, ...]) -> PseudoComplex:
-    """The copies `part` of `x`, sorted and closed under its gluings (a union
-    of dual-graph components), as their own complex."""
-    return PseudoComplex.trusted(x.dim, len(part), gluings_within(x, part)[1])
+    return sorted(gid for f in facet_ids for gid, _w in adj[f] if gl[gid].facet_a == f)
 
 
 def perspectivity(x: Complex, facet: int, gluing_id: int) -> Perm:
@@ -753,7 +734,6 @@ class StarView:
 
     class_id: int
     parent_facets: tuple[int, ...]  # sorted parent copy ids; index = star facet id
-    parent_gluings: tuple[int, ...]  # parent gluing ids kept, in id order
     complex: PseudoComplex
     rep_in: tuple[tuple[int, ...], ...]  # star facet id -> local vertex tuple of class
 
@@ -762,12 +742,15 @@ def star_of_class(x: Complex, cid: int) -> StarView:
     """Star of a face class, read off the incidence index in O(|star| * (d+1))."""
     rep_by_facet = dict(x.classes().members[cid])
     facet_ids = tuple(sorted(rep_by_facet))
-    kept, sub_gluings = gluings_within(
-        x, facet_ids, lambda g: set(rep_by_facet[g.facet_a]) <= set(g.ridge_a)
+    index = {f: i for i, f in enumerate(facet_ids)}
+    sub_gluings = tuple(
+        Gluing(index[g.facet_a], g.ridge_a, index[g.facet_b], g.ridge_b, g.mapping)
+        for g in map(x.gluings.__getitem__, gluings_from(x, facet_ids))
+        if set(rep_by_facet[g.facet_a]) <= set(g.ridge_a)
     )
     star = PseudoComplex.trusted(x.dim, len(facet_ids), sub_gluings)
     reps = tuple(rep_by_facet[f] for f in facet_ids)
-    return StarView(cid, facet_ids, kept, star, reps)
+    return StarView(cid, facet_ids, star, reps)
 
 
 def link_of_class(x: Complex, cid: int) -> tuple[PseudoComplex, StarView]:

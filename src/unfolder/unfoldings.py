@@ -7,9 +7,11 @@ f * width + i lies over facet f, and a base gluing from a to b lifts to
 The complete unfolding's fibre is the group itself, sorted, and a gluing
 acts by its holonomy from the right, so copy (f, g) carries the coloring
 (g * transport_f)^-1.  The partial unfolding's fibre is the d+1 local vertex
-labels, and a gluing acts by its perspectivity step; the orbits of the
-group on the labels are its components, read off the search of the base
-(see `partial_unfolding`).
+labels, and a gluing acts by its perspectivity step.  Its components are
+the orbits of the group on the labels, read off the search of the base
+(`_orbit_parts`), and each is the lift over one orbit: `_lift` builds only
+the copies it is given, so `components` never slices the total and
+`composition_tower` never builds a stage's whole total.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from .complexes import (
     Gluing,
     PseudoComplex,
     _roots,
-    _steps,
     check_size,
-    component_complex,
+    gluings_from,
+    perspectivity,
 )
 from .errors import (
     BadParameter,
@@ -45,7 +47,8 @@ class UnfoldingResult:
     facet-onto-facet and non-degenerate.  `labels[c]` records what
     distinguishes the copy: the admissible coloring (complete) or the
     distinguished local vertex (partial).  Partial results also carry the
-    partition of copies into dual-graph components.
+    partition of copies into dual-graph components, one per orbit of the
+    group on the labels; `component_of` lifts each over the base.
     """
 
     kind: str
@@ -62,22 +65,38 @@ class UnfoldingResult:
         return len(self.projection) // self.base.facet_count
 
 
-def _lift(x: Complex, width: int, images) -> tuple[PseudoComplex, tuple[int, ...]]:
-    """The total of `width` copies per facet of `x`, and its projection.
+def _lift(
+    x: Complex, width: int, image, members: tuple[int, ...] | None = None
+) -> tuple[PseudoComplex, tuple[int, ...]]:
+    """The copies `members` (default: all) of the `width`-fold lift of `x`,
+    as their own complex, and the base facet under each.
 
     Copy f * width + i lies over facet f; gluing gid, from a to b, lifts to
-    (a, i) -> (b, images[gid][i]) with unchanged ridge data.  `images` may
-    be a generator: it is read only after the total passes `check_size`.
+    (a, i) -> (b, image(gid)[i]) with unchanged ridge data.  `members` must
+    be sorted and closed under the lifted gluings; copy `members[k]` becomes
+    copy k.  Only the gluings of the base facets under `members` are read,
+    off the base's incidence index, and only after the part passes
+    `check_size`.
     """
-    n = x.facet_count
-    check_size(x.dim, n * width)
+    if members is None:
+        members = range(x.facet_count * width)
+    check_size(x.dim, len(members))
+    where = {c: k for k, c in enumerate(members)}
+    projection = tuple(c // width for c in members)
+    gl = x.gluings
     lifted = tuple(
-        Gluing(g.facet_a * width + i, g.ridge_a, g.facet_b * width + j, g.ridge_b, g.mapping)
-        for g, image in zip(x.gluings, images)
-        for i, j in enumerate(image)
+        Gluing(k, ridge_a, where[b * width + j], ridge_b, mapping)
+        for gid in gluings_from(x, dict.fromkeys(projection))
+        for (a, ridge_a, b, ridge_b, mapping), fibre in [(gl[gid], image(gid))]
+        for i, j in enumerate(fibre)
+        if (k := where.get(a * width + i)) is not None  # copy (a, i) is a member
     )
-    total = PseudoComplex.trusted(x.dim, n * width, lifted)
-    return total, tuple(f for f in range(n) for _ in range(width))
+    return PseudoComplex.trusted(x.dim, len(members), lifted), projection
+
+
+def _steps_of(x: Complex):
+    """The partial lift's image: gluing id -> its perspectivity step from side a."""
+    return lambda gid: perspectivity(x, x.gluings[gid].facet_a, gid)
 
 
 def complete_unfolding(x: Complex, base: int = 0) -> UnfoldingResult:
@@ -93,28 +112,24 @@ def complete_unfolding(x: Complex, base: int = 0) -> UnfoldingResult:
     elements = pg.group.sorted_elements()
     index = {g: i for i, g in enumerate(elements)}
     t = pg.transports
+    by_holonomy: dict[Perm, list[int]] = {}  # at most |G| fibre images
 
-    def images():
-        by_holonomy: dict[Perm, list[int]] = {}  # at most |G| fibre images
-        for fa, ridge_a, fb, ridge_b, mapping in x.gluings:
-            step = _steps(x.dim, ridge_a, ridge_b, mapping)[0]
-            hol = perm_compose(perm_compose(t[fa], step), perm_inverse(t[fb]))
-            if hol not in by_holonomy:
-                by_holonomy[hol] = [index[perm_compose(elt, hol)] for elt in elements]
-            yield by_holonomy[hol]
+    def image(gid: int) -> list[int]:
+        fa, fb = x.gluings[gid].facet_a, x.gluings[gid].facet_b
+        hol = perm_compose(perm_compose(t[fa], perspectivity(x, fa, gid)), perm_inverse(t[fb]))
+        if hol not in by_holonomy:
+            by_holonomy[hol] = [index[perm_compose(elt, hol)] for elt in elements]
+        return by_holonomy[hol]
 
-    total, projection = _lift(x, len(elements), images())
+    total, projection = _lift(x, len(elements), image)
     labels = tuple(
         (f, perm_inverse(perm_compose(elt, t[f]))) for f in range(x.facet_count) for elt in elements
     )
     return UnfoldingResult("complete", x, total, projection, labels, group=pg)
 
 
-def partial_unfolding(x: Complex) -> UnfoldingResult:
-    """Unfold so that every facet acquires a distinguished vertex.
-
-    The fibre is the d+1 local vertex labels, and a gluing from a to b moves
-    v to its perspectivity step s(v).  Works on disconnected inputs.
+def _orbit_parts(x: Complex) -> tuple[tuple[int, ...], ...]:
+    """The sorted copies of each component of the partial unfolding of `x`.
 
     The components come from the search forest of `x`, not from the total:
     copy (f, i) lies over the tree path from f's root r, so it joins copy
@@ -123,9 +138,6 @@ def partial_unfolding(x: Complex) -> UnfoldingResult:
     listed by smallest copy.
     """
     n, width = x.facet_count, x.dim + 1
-    steps = (_steps(x.dim, g.ridge_a, g.ridge_b, g.mapping)[0] for g in x.gluings)
-    total, projection = _lift(x, width, steps)
-    labels = tuple((f, v) for f in range(n) for v in range(width))
     pg = _search(x, 0)
     # label slot r * width + l stands for copy (r, l) of a root r
     pairs = ((r * width + l, r * width + p[l]) for p, _gid, r in pg.loops for l in range(width))
@@ -138,21 +150,33 @@ def partial_unfolding(x: Complex) -> UnfoldingResult:
     parts: dict[int, list[int]] = {}
     for c, k in enumerate(key):
         parts.setdefault(k, []).append(c)
-    partition = tuple(map(tuple, parts.values()))
-    return UnfoldingResult("partial", x, total, projection, labels, component_partition=partition)
+    return tuple(map(tuple, parts.values()))
+
+
+def partial_unfolding(x: Complex) -> UnfoldingResult:
+    """Unfold so that every facet acquires a distinguished vertex.
+
+    The fibre is the d+1 local vertex labels, and a gluing from a to b moves
+    v to its perspectivity step s(v).  Works on disconnected inputs; the
+    components are `_orbit_parts(x)`.
+    """
+    width = x.dim + 1
+    total, projection = _lift(x, width, _steps_of(x))
+    labels = tuple((f, v) for f in range(x.facet_count) for v in range(width))
+    parts = _orbit_parts(x)
+    return UnfoldingResult("partial", x, total, projection, labels, component_partition=parts)
 
 
 @dataclass(frozen=True)
 class Component:
-    """One dual-graph component of an unfolding, as its own complex."""
+    """One dual-graph component of an unfolding, as its own complex, in which
+    copy `member_copies[k]` of the total is copy k.  A partial unfolding's
+    component is the lift over one orbit of the group on the labels."""
 
     complex: PseudoComplex
     member_copies: tuple[int, ...]
     projection: tuple[int, ...]
     labels: tuple[tuple[int, Perm | int], ...]
-
-    def new_id(self, copy: int) -> int:
-        return self.member_copies.index(copy)
 
 
 def component_parts(u: UnfoldingResult) -> tuple[tuple[int, ...], ...]:
@@ -163,9 +187,17 @@ def component_parts(u: UnfoldingResult) -> tuple[tuple[int, ...], ...]:
 
 
 def component_of(u: UnfoldingResult, members: tuple[int, ...]) -> Component:
-    """The component made of the copies `members`, as its own complex."""
+    """The component made of the sorted copies `members`, as its own complex:
+    the total itself when `members` holds every copy, else their lift over
+    the base, which reads neither the total nor its incidence index."""
+    if len(members) == u.total.facet_count:
+        part = u.total
+    elif u.kind == "partial":
+        part = _lift(u.base, u.width, _steps_of(u.base), members)[0]
+    else:
+        raise BadParameter("a complete unfolding has one component")
     return Component(
-        complex=component_complex(u.total, members),
+        complex=part,
         member_copies=members,
         projection=tuple(u.projection[c] for c in members),
         labels=tuple(u.labels[c] for c in members),
@@ -175,13 +207,6 @@ def component_of(u: UnfoldingResult, members: tuple[int, ...]) -> Component:
 def components(u: UnfoldingResult) -> tuple[Component, ...]:
     """Split an unfolding along its dual-graph components."""
     return tuple(component_of(u, members) for members in component_parts(u))
-
-
-def component_containing(u: UnfoldingResult, copy: int) -> Component:
-    for members in component_parts(u):
-        if copy in members:
-            return component_of(u, members)
-    raise BadParameter(f"no copy {copy} in the unfolding")
 
 
 @dataclass(frozen=True)
@@ -226,8 +251,9 @@ class Tower:
 def composition_tower(
     x: Complex, base: int = 0, vertex_order: tuple[int, ...] | None = None
 ) -> Tower:
-    """Run d+1 partial unfoldings, each time keeping the component that
-    contains the current seed facet with its next distinguished vertex.
+    """Run d+1 one-vertex unfoldings.  Each stage is the lift, over the
+    previous one, of the orbit holding the seed facet with its next
+    distinguished vertex; no stage's whole partial unfolding is built.
 
     The final stage is checked against the complete unfolding by a
     projection-compatible isomorphism search; its absence is an error
@@ -247,23 +273,14 @@ def composition_tower(
     current: Complex = x
     seed = base
     stages: list[TowerStage] = []
-    to_root_prev = tuple(range(x.facet_count))
+    to_root = tuple(range(x.facet_count))
     for v in vertex_order:
-        u = partial_unfolding(current)
-        comp = component_containing(u, seed * width + v)
-        to_previous = comp.projection
-        to_root = tuple(to_root_prev[f] for f in to_previous)
-        stages.append(
-            TowerStage(
-                complex=comp.complex,
-                seed=comp.new_id(seed * width + v),
-                to_previous=to_previous,
-                to_root=to_root,
-            )
-        )
-        current = comp.complex
-        seed = stages[-1].seed
-        to_root_prev = to_root
+        copy = seed * width + v
+        members = next(part for part in _orbit_parts(current) if copy in part)
+        current, to_previous = _lift(current, width, _steps_of(current), members)
+        seed = members.index(copy)
+        to_root = tuple(to_root[f] for f in to_previous)
+        stages.append(TowerStage(current, seed, to_previous, to_root))
 
     hat = complete_unfolding(x, base)
     want = ProjectionConstraint.identity_on(stages[-1].to_root, width)

@@ -27,7 +27,6 @@ from unfolder.complexes import (
     StarView,
     _steps,
     as_pseudo,
-    component_complex,
     dual_graph,
     link_of_class,
     path_from_facets,
@@ -52,8 +51,8 @@ from unfolder.permutations import perm_compose, perm_identity, perm_inverse
 from unfolder.projectivities import _search, projectivity_group, star_group
 from unfolder.subdivisions import antiprismatic, barycentric
 from unfolder.unfoldings import (
+    Component,
     complete_unfolding,
-    component_containing,
     components,
     partial_unfolding,
 )
@@ -64,18 +63,17 @@ def reference_star(x, cid):
     facet_ids = tuple(sorted({f for f, _s in members}))
     rep_by_facet = {f: s for f, s in members}
     index = {f: i for i, f in enumerate(facet_ids)}
-    kept, sub = [], []
-    for gid, g in enumerate(x.gluings):
+    sub = []
+    for g in x.gluings:
         rep = rep_by_facet.get(g.facet_a)
         if rep is None or not set(rep) <= set(g.ridge_a):
             continue
-        kept.append(gid)
         sub.append(
             Gluing(index[g.facet_a], g.ridge_a, index[g.facet_b], g.ridge_b, g.mapping)
         )
     star = PseudoComplex(x.dim, len(facet_ids), tuple(sub))
     reps = tuple(rep_by_facet[f] for f in facet_ids)
-    return StarView(cid, facet_ids, tuple(kept), star, reps)
+    return StarView(cid, facet_ids, star, reps)
 
 
 def reference_link(x, cid):
@@ -353,7 +351,7 @@ def test_a_disconnected_star_acts_by_its_base_component(x, order):
     for part in parts:
         for base in part:
             sg = star_group(x, cid, star.parent_facets[base])
-            ref = projectivity_group(component_complex(star.complex, part), part.index(base))
+            ref = projectivity_group(part_complex(star.complex, part), part.index(base))
             assert sg.group.elements == ref.group.elements
             assert [p for p, _t in sg.group.generators] == [p for p, _t in ref.group.generators]
             assert sg.order == order
@@ -384,7 +382,7 @@ def mixed_components(variant):
 def test_a_disconnected_base_answers_as_its_components_do(variant):
     x = mixed_components(variant)
     parts = dual_components(x)
-    comps = [component_complex(x, part) for part in parts]
+    comps = [part_complex(x, part) for part in parts]
     assert len(parts) == 3
     assert not is_strongly_connected(x)
     assert all(is_strongly_connected(c) for c in comps)
@@ -415,17 +413,28 @@ def test_dual_graph_is_kept_on_the_complex():
             path_from_facets(K, pair)
 
 
+def part_complex(x, part):
+    """The sorted copies `part` of `x`, closed under its gluings, as their own
+    complex: a full scan of the gluing list, copy `part[k]` renumbered to k."""
+    where = {c: i for i, c in enumerate(part)}
+    sub = tuple(
+        Gluing(where[g.facet_a], g.ridge_a, where[g.facet_b], g.ridge_b, g.mapping)
+        for g in x.gluings
+        if g.facet_a in where
+    )
+    return PseudoComplex(x.dim, len(part), sub)
+
+
 def reference_components(u):
-    out = []
-    for members in u.component_partition:
-        where = {c: i for i, c in enumerate(members)}
-        sub = tuple(
-            Gluing(where[g.facet_a], g.ridge_a, where[g.facet_b], g.ridge_b, g.mapping)
-            for g in u.total.gluings
-            if g.facet_a in where
-        )
-        out.append(PseudoComplex(u.total.dim, len(members), sub))
-    return out
+    return [part_complex(u.total, members) for members in u.component_partition]
+
+
+def reference_containing(u, copy):
+    """The component of `u` holding `copy`, cut out of the whole total."""
+    members = next(part for part in u.component_partition if copy in part)
+    projection = tuple(u.projection[c] for c in members)
+    labels = tuple(u.labels[c] for c in members)
+    return Component(part_complex(u.total, members), members, projection, labels)
 
 
 @pytest.mark.parametrize("name, x", CASES, ids=[n for n, _x in CASES])
@@ -435,7 +444,7 @@ def test_component_splits_match_the_full_scan(name, x):
     assert [c.complex for c in comps] == reference_components(u)
     for comp in comps:
         for copy in comp.member_copies[:2]:
-            assert component_containing(u, copy) == comp
+            assert reference_containing(u, copy) == comp
 
 
 @pytest.mark.parametrize("pseudo", [False, True])

@@ -1,8 +1,12 @@
 """Complete and partial unfoldings, their components and fiber structure."""
 
-import pytest
-from test_incidence import dual_components
+import time
 
+import pytest
+from test_incidence import dual_components, reference_components, reference_containing
+
+from unfolder import unfoldings
+from unfolder.complexes import Gluing, PseudoComplex
 from unfolder.diagnostics import (
     euler_characteristic,
     is_pseudo_manifold,
@@ -11,12 +15,13 @@ from unfolder.diagnostics import (
     odd_subcomplex,
     orientable,
 )
-from unfolder.errors import BaseNotNice
+from unfolder.errors import BadParameter, BaseNotNice
 from unfolder.gallery import (
     boundary_simplex,
     cycle_graph,
     gallery_entries,
     hexagon_cone,
+    knot_neighborhood,
     starred_triangle,
     torus_z3,
 )
@@ -25,7 +30,7 @@ from unfolder.unfoldings import (
     branch_locus_counts,
     branching_index,
     complete_unfolding,
-    component_containing,
+    component_of,
     components,
     composition_tower,
     fibers_over,
@@ -136,11 +141,72 @@ def test_component_count_equals_orbit_count():
         assert len(dual_components(partial_unfolding(x).total)) == len(pg.group.orbits())
 
 
-def test_component_containing_agrees_with_partition():
+def test_component_of_agrees_with_partition():
     u = partial_unfolding(starred_triangle())
-    comp = component_containing(u, 0)
-    assert 0 in comp.member_copies
-    assert comp.new_id(0) == comp.member_copies.index(0)
+    for members in u.component_partition:
+        assert component_of(u, members) == reference_containing(u, members[0])
+
+
+@pytest.mark.parametrize("unfold", [partial_unfolding, complete_unfolding])
+def test_a_one_part_unfolding_is_its_own_component(unfold):
+    u = unfold(boundary_simplex(3))
+    (comp,) = components(u)
+    assert comp.complex is u.total
+    assert (comp.projection, comp.labels) == (u.projection, u.labels)
+
+
+def test_a_complete_unfolding_has_no_proper_component():
+    u = complete_unfolding(boundary_simplex(3))
+    with pytest.raises(BadParameter, match="one component"):
+        component_of(u, (0, 1))
+
+
+def test_components_are_lifted_without_the_totals_incidence_index():
+    u = partial_unfolding(knot_neighborhood(4, "klein").complex)
+    comps = components(u)
+    assert len(comps) == 3
+    assert "_memo_dual_graph" not in u.total.__dict__
+    assert [c.complex for c in comps] == reference_components(u)
+
+
+def test_components_of_many_small_parts_take_linear_time():
+    # 2000 circles of two edges glued at both ends: 4000 parts of two copies
+    gluings = tuple(Gluing(2 * c, (v,), 2 * c + 1, (v,), (v,)) for c in range(2000) for v in (0, 1))
+    u = partial_unfolding(PseudoComplex(1, 4000, gluings))
+    start = time.process_time()
+    comps = components(u)
+    assert time.process_time() - start < 1.0
+    assert len(comps) == 4000
+    assert comps[-1].complex == PseudoComplex(1, 2, gluings[:2])
+
+
+@pytest.mark.parametrize("make", [starred_triangle, lambda: boundary_simplex(3)])
+def test_each_tower_stage_is_the_lift_of_the_seeds_orbit(make, monkeypatch):
+    calls = []
+    real = unfoldings._lift
+
+    def record(x, width, image, members=None):
+        calls.append((x, width, members))
+        return real(x, width, image, members)
+
+    monkeypatch.setattr(unfoldings, "_lift", record)
+    x = make()
+    tower = composition_tower(x)
+    monkeypatch.undo()
+    *lifts, (_root, _order, whole) = calls
+    assert whole is None  # only the complete unfolding lifts a whole total
+    assert len(lifts) == len(tower.stages) == x.dim + 1
+    previous, seed = x, tower.base
+    for (base, width, members), v, stage in zip(lifts, tower.vertex_order, tower.stages):
+        u = partial_unfolding(previous)
+        assert base is previous and width == x.dim + 1
+        assert members in u.component_partition
+        assert members[stage.seed] == seed * width + v
+        ref = reference_containing(u, members[stage.seed])
+        assert (stage.complex, stage.to_previous) == (ref.complex, ref.projection)
+        previous, seed = stage.complex, stage.seed
+    if make is starred_triangle:
+        assert len(lifts[0][2]) < x.facet_count * (x.dim + 1)
 
 
 def test_even_cycle_partial_unfolding_gives_two_copies():
