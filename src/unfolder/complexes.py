@@ -25,35 +25,41 @@ facets sharing a ridge.
 
 Face classes, derived gluings and one incidence index per complex are built
 on first use and kept on the instance (`per_instance`), so they are freed
-with it.  The index, `dual_graph(x).neighbours`, lists each facet's
-(gluing id, neighbour) pairs in id order; one pass over the gluings builds
-it.  `gluings_from` reads a facet set's gluings off it, so a star, a link
-and an unfolding's component cost O(|part| * (d+1)) instead of O(#gluings),
-and the one search of the dual graph, `projectivities._search`, walks it.
+with it.  The index, `dual_graph(x)`, is flat: each facet's (gluing id,
+neighbour) pairs sit in id order in one stretch of two arrays, which one
+pass over the gluings fills.  `gluings_from` reads a facet set's gluings
+off it, so a star, a link and an unfolding's component cost
+O(|part| * (d+1)) instead of O(#gluings), and the one search of the dual
+graph, `projectivities._search`, walks it.
 
-Every union-find here is one kernel over integer slots, `_roots`: slot
+Every union-find here is one kernel over integer slots, `_unite`: slot
 f * per + i stands for item i of copy f (subset i of `nonempty_subsets` for
 the glued face closure, local vertex i for `vertex_classes`, copy f itself
 for `is_connected_complex`).  The smaller root wins each union, so a class's
-root is its smallest slot.  A gluing's slot pairs come from a table kept per
+root is its smallest slot, and `_roots` finishes every path in one ascending
+pass.  A gluing's slot pairs come from a table kept per
 (dim, ridge_a, mapping), its two perspectivity steps from one kept per
 (dim, ridge_a, ridge_b, mapping), and one scan per subset size turns the
-roots into class ids in (cardinality, smallest member) order, so nothing is
-sorted afterwards.  `derived_gluings` reads ridges and mappings from a table too:
-facets are sorted tuples, so the ridge that omits position o sits at the
-other positions, in order, in both facets.
+parents into class ids in (cardinality, smallest member) order, so nothing
+is sorted afterwards.  `derived_gluings` reads each ridge's holders off the
+ridge slots of the face table: facets are sorted tuples, so the ridge that
+omits position o sits at the other positions, in order, in both facets.
 
 `FaceClasses` is flat arrays over that slot numbering, and a reader adds a
 copy's offset f * per to a subset's position in `nonempty_subsets`
-(`subset_index`): no (copy, subset) tuple is built until `members` is read.
+(`subset_index`): no (copy, subset) tuple is built until `members` is read,
+and no vertex tuple until `face_keys` is.  Tables hold 4-byte ints
+(`array('i')`) instead of lists of int objects, which take 36 bytes an entry
+once past 256.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
-from itertools import combinations
+from itertools import accumulate, chain, combinations, groupby
 from math import comb
 from typing import NamedTuple
 
@@ -121,12 +127,13 @@ def per_instance(fn):
     return cached
 
 
-def _roots(size: int, pairs) -> list[int]:
-    """Each slot's root after uniting the two slots of every pair.
+def _unite(size: int, pairs) -> list[int]:
+    """Each slot's parent after uniting the two slots of every pair.
 
     The one union-find of the package: path halving, and the smaller root
     wins each union, so a class's root is its smallest slot and no slot's
-    parent exceeds it.  One ascending pass then finishes every path."""
+    parent exceeds it.  The table is a list, which its loop reads twice as
+    fast as an `array`; the callers keep none of it."""
     parent = list(range(size))
     for a, b in pairs:
         while parent[a] != a:
@@ -137,16 +144,24 @@ def _roots(size: int, pairs) -> list[int]:
             parent[b] = a
         elif b < a:
             parent[a] = b
-    for i, p in enumerate(parent):
-        parent[i] = parent[p]
     return parent
 
 
-def _repeats(roots: list[int], per: int, count: int):
-    """(root, facet, i, j) for each slot j of a facet whose root an earlier
-    slot i of the same facet has, in slot order; facet f owns the `per`
-    slots from f * per."""
-    for f in range(count):
+def _roots(size: int, pairs) -> list[int]:
+    """Each slot's root: `_unite`'s parents, as one ascending pass finishes
+    every path."""
+    parent = _unite(size, pairs)
+    for i, p in enumerate(parent):
+        if p != i:
+            parent[i] = parent[p]
+    return parent
+
+
+def _repeats(roots: list[int], per: int, facets):
+    """(root, facet, i, j) for each slot j of one of `facets` whose root an
+    earlier slot i of the same facet has, in slot order; facet f owns the
+    `per` slots from f * per."""
+    for f in facets:
         row = roots[f * per : (f + 1) * per]
         if len(set(row)) < per:
             first: dict[int, int] = {}
@@ -157,7 +172,7 @@ def _repeats(roots: list[int], per: int, count: int):
                     first[r] = j
 
 
-def _members(roots: list[int], per: int, count: int, spans, subs) -> list[tuple[FaceRef, ...]]:
+def _members(roots, per: int, count: int, spans, subs) -> list[tuple[FaceRef, ...]]:
     """The classes of `roots` as sorted member tuples, ordered by
     (cardinality, smallest member): one scan per span of equal-size subsets,
     facet by facet, where each class first shows at its smallest member."""
@@ -274,18 +289,19 @@ class FaceClasses:
     f * per + i, with per = 2^(dim+1) - 1.  `cards[cid]` is a class's
     cardinality and `first[cid]` its smallest slot (`first_ref` as a
     reference).  Hot loops read `slot_class` at a copy's offset; `class_of`
-    is the same lookup by reference.  The member counts, `sizes`, and the
-    sorted member tuples, `members`, are built on first read and kept.
+    is the same lookup by reference.  The member counts, `sizes`, the
+    sorted member tuples, `members`, and an abstract complex's vertex
+    tuples, `face_keys`, are built on first read and kept.
     """
 
     def __init__(
         self,
         dim: int,
         facet_count: int,
-        cards: list[int],
-        first: list[int],
-        face_keys: tuple[tuple[int, ...], ...] | None,
-        slot_class: list[int],
+        cards: array,
+        first: array,
+        slot_class: array,
+        facets: tuple[tuple[int, ...], ...] | None = None,
     ) -> None:
         self.dim = dim
         self.facet_count = facet_count
@@ -293,7 +309,7 @@ class FaceClasses:
         self.first = first
         self.slot_class = slot_class
         self.per = 2 ** (dim + 1) - 1
-        self.face_keys = face_keys  # global vertex tuples when built from an AbstractComplex
+        self.facets = facets  # an AbstractComplex's facets, None when glued
 
     @staticmethod
     def from_abstract(facets: tuple[tuple[int, ...], ...], dim: int) -> "FaceClasses":
@@ -301,8 +317,8 @@ class FaceClasses:
         # its smallest member, so insertion order is the class order
         per = 2 ** (dim + 1) - 1
         ids: dict[tuple[int, ...], int] = {}
-        cards, first = [], []  # per class: its cardinality and smallest slot
-        slot_class = [0] * (len(facets) * per)
+        cards, first = array("B"), array("i")  # per class: its cardinality and smallest slot
+        slot_class = [0] * (len(facets) * per)  # a list while it is filled: its stores are faster
         for k, (lo, _hi) in enumerate(_subset_spans(dim + 1), 1):
             for f, verts in enumerate(facets):
                 slot = f * per + lo
@@ -313,44 +329,75 @@ class FaceClasses:
                         first.append(slot)
                     slot_class[slot] = cid
                     slot += 1
-            cards += [k] * (len(first) - len(cards))
-        return FaceClasses(dim, len(facets), cards, first, tuple(ids), slot_class)
+            cards.extend([k] * (len(first) - len(cards)))
+        return FaceClasses(dim, len(facets), cards, first, array("i", slot_class), facets)
 
     @staticmethod
     def from_glued(dim: int, facet_count: int, gluings: tuple[Gluing, ...]) -> "FaceClasses":
         # slot f * per + i is subset i of copy f; a gluing unites each
-        # subface of its ridge with its image
+        # subface of its ridge with its image.  The union-find runs over the
+        # slots of the copies some gluing joins, renumbered 0, 1, ... in id
+        # order; each slot of a loose copy is a class of its own.
         subs = nonempty_subsets(dim + 1)
         per = len(subs)
+        rank = [-1] * facet_count
+        for g in gluings:
+            rank[g.facet_a] = rank[g.facet_b] = 0
+        joined = [f for f, r in enumerate(rank) if r == 0]
+        for r, f in enumerate(joined):
+            rank[f] = r
+        # each maximal run of joined copies sits `shift` copies after its
+        # renumbered place; a run of loose copies has shift -1
+        shifts = [f - r if r >= 0 else -1 for f, r in enumerate(rank)]
+        runs = []
+        for shift, run in groupby(range(facet_count), shifts.__getitem__):
+            fs = list(run)
+            runs.append((fs[0], fs[-1] + 1, shift))
 
         def pairs():
             for fa, ridge_a, fb, _ridge_b, mapping in gluings:
-                a, b = fa * per, fb * per
+                a, b = rank[fa] * per, rank[fb] * per
                 for i, j in _subface_pairs(dim, ridge_a, mapping):
                     yield a + i, b + j
 
-        slot_class = _roots(facet_count * per, pairs())
+        parent = _unite(len(joined) * per, pairs())
+        # each span's scan meets the roots (smallest slots) in class order,
+        # each before the rest of its class, and turns them into class ids;
+        # a parent is an earlier slot of the same span, so it is a class id
+        # by then.  A loose copy gets a range of ids per span.
+        slot_class = array("i", [0]) * (facet_count * per)
+        cards, first = array("B"), array("i")  # per class: its cardinality and smallest slot
+        for k, (lo, hi) in enumerate(_subset_spans(dim + 1), 1):
+            for f0, end, shift in runs:
+                if shift < 0:
+                    for at in range(f0 * per, end * per, per):
+                        c = len(first)
+                        slot_class[at + lo : at + hi] = array("i", range(c, c + hi - lo))
+                        first.extend(range(at + lo, at + hi))
+                    continue
+                for at in range((f0 - shift) * per + lo, (end - shift) * per, per):
+                    for slot in range(at, at + hi - lo):
+                        p = parent[slot]
+                        if p == slot:
+                            parent[slot] = len(first)
+                            first.append(slot + shift * per)
+                        else:
+                            parent[slot] = parent[p]
+            cards.extend([k] * (len(first) - len(cards)))
         # named: the class with the smallest root, at its first repeated copy
-        bad = min(_repeats(slot_class, per, facet_count), default=None)
+        repeats = _repeats(parent, per, range(len(joined)))
+        bad = min(((first[c], joined[r], i, j) for c, r, i, j in repeats), default=None)
         if bad is not None:
-            _r, f, i, j = bad
+            _root, f, i, j = bad
             raise SelfIdentification(
                 f"faces {(f, subs[i])} and {(f, subs[j])} of one copy are identified"
             )
-        # each span's scan meets the roots (smallest slots) in class order,
-        # each before the rest of its class, and turns them into class ids
-        cards, first = [], []  # per class: its cardinality and smallest slot
-        for k, (lo, hi) in enumerate(_subset_spans(dim + 1), 1):
-            for at in range(lo, len(slot_class), per):
-                for slot in range(at, at + hi - lo):
-                    r = slot_class[slot]
-                    if r == slot:
-                        slot_class[slot] = len(first)
-                        first.append(slot)
-                    else:
-                        slot_class[slot] = slot_class[r]
-            cards += [k] * (len(first) - len(cards))
-        return FaceClasses(dim, facet_count, cards, first, None, slot_class)
+        # one conversion per run is faster than storing each id as it is found
+        for f0, end, shift in runs:
+            if shift >= 0:
+                ids = parent[(f0 - shift) * per : (end - shift) * per]
+                slot_class[f0 * per : end * per] = array("i", ids)
+        return FaceClasses(dim, facet_count, cards, first, slot_class)
 
     @property
     def count(self) -> int:
@@ -375,6 +422,17 @@ class FaceClasses:
         """The smallest member of class `cid`."""
         f, i = divmod(self.first[cid], self.per)
         return f, nonempty_subsets(self.dim + 1)[i]
+
+    @cached_property
+    def face_keys(self) -> tuple[tuple[int, ...], ...] | None:
+        """Each class's global vertex tuple, read off its first member, when
+        built from an `AbstractComplex`; None when glued."""
+        if self.facets is None:
+            return None
+        subs, per, facets = nonempty_subsets(self.dim + 1), self.per, self.facets
+        return tuple(
+            tuple(map(facets[slot // per].__getitem__, subs[slot % per])) for slot in self.first
+        )
 
     def class_of(self, ref: FaceRef) -> int:
         f, sub = ref
@@ -463,29 +521,54 @@ class AbstractComplex:
 
     @per_instance
     def derived_gluings(self) -> tuple[Gluing, ...]:
-        """One gluing per pair of facets sharing a ridge (identity on globals).
+        """One gluing per pair of facets sharing a ridge (identity on globals),
+        in (i, j) order, read off the ridge slots of `classes()`.
 
         A ridge held by k facets gives C(k, 2) gluings, so the count is
         checked against `MAX_CLOSURE_SLOTS` before any is built; a
         pseudo-manifold has at most n(d+1)/2."""
-        # Facets are sorted, so the ridge that omits position o sits at the
-        # other positions in order on both sides: side b's mapping is its ridge.
-        d = self.dim
-        rest = tuple(tuple(p for p in range(d + 1) if p != o) for o in range(d + 1))
-        by_ridge: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-        for i, f in enumerate(self.facets):
-            for o, ridge in zip(range(d, -1, -1), combinations(f, d)):
-                by_ridge.setdefault(ridge, []).append((i, o))
-        count = sum(comb(len(holders), 2) for holders in by_ridge.values())
+        classes = self.classes()
+        d, n, per = self.dim, self.facet_count, classes.per
+        w = d + 1
+        # A facet's ridges are the w subsets just before the whole facet; the
+        # facets are sorted, so ridge q keeps the same positions `kept[q]` in
+        # every facet, and side b's mapping is its ridge.  Entry f * w + q of
+        # `ridge_class` is the class of facet f's ridge q, one of lo..hi-1;
+        # in dimension 0 every point holds the one empty ridge.
+        if d == 0:
+            kept, ridge_class, lo, hi = ((),), array("i", [0]) * n, 0, 1
+        else:
+            kept = nonempty_subsets(w)[per - w - 1 : per - 1]
+            lo, hi = bisect_left(classes.cards, d), bisect_right(classes.cards, d)
+            ridge_class = array("i")
+            for at in range(per - w - 1, n * per, per):
+                ridge_class += classes.slot_class[at : at + w]
+        # each holder links to the next holder of its ridge, in slot order
+        later = array("i", [-1]) * len(ridge_class)
+        last = array("i", [-1]) * (hi - lo)
+        held = array("i", [0]) * (hi - lo)
+        count = 0
+        for k, c in enumerate(ridge_class):
+            c -= lo
+            if last[c] >= 0:
+                later[last[c]] = k
+            last[c] = k
+            count += held[c]
+            held[c] += 1
         if count > MAX_CLOSURE_SLOTS:
             raise BadParameter(f"{count} derived gluings are above the limit {MAX_CLOSURE_SLOTS}")
-        # two facets share at most one ridge, so this is (i, j) order
-        pairs = sorted(
-            (i, j, oi, oj)
-            for holders in by_ridge.values()
-            for (i, oi), (j, oj) in combinations(holders, 2)
-        )
-        return tuple(Gluing(i, rest[oi], j, rest[oj], rest[oj]) for i, j, oi, oj in pairs)
+        # A later facet j holding ridge q of facet i agrees with i before the
+        # position d - q that the ridge leaves out, and is larger there; so
+        # walking i's ridges in order, each ridge's holders in slot order,
+        # lists the gluings in (i, j) order.
+        out: list[Gluing] = []
+        for at, k in enumerate(later):
+            i, q = divmod(at, w)
+            while k >= 0:
+                j, r = divmod(k, w)
+                out.append(Gluing(i, kept[q], j, kept[r], kept[r]))
+                k = later[k]
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -553,7 +636,7 @@ def vertex_classes(x: Complex) -> tuple[tuple[FaceRef, ...], ...]:
         )
     roots = _roots(n * w, pairs)
     # the first vertex, in slot order, that meets an earlier one of its copy
-    bad = next(_repeats(roots, w, n), None)
+    bad = next(_repeats(roots, w, range(n)), None)
     if bad is not None:
         _r, f, i, j = bad
         raise SelfIdentification(f"faces {(f, (i,))} and {(f, (j,))} of one copy are identified")
@@ -628,37 +711,54 @@ def link(K: AbstractComplex, face) -> AbstractComplex:
 
 @dataclass(frozen=True)
 class DualGraph:
-    """Facet adjacency; one edge per gluing (pseudo) or shared ridge (abstract)."""
+    """Facet adjacency, one entry per end of each gluing, as flat arrays.
+
+    Facet f's entries are positions offsets[f] to offsets[f + 1] of
+    `gluing_ids` and `others` (the facet across), in gluing-id order."""
 
     node_count: int
-    edges: tuple[tuple[int, int], ...]  # (facet_a, facet_b), index = gluing id
+    offsets: array
+    gluing_ids: array
+    others: array
 
-    @cached_property
-    def neighbours(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """node -> its (edge id, neighbour) pairs, sorted by edge id."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.node_count)]
-        for eid, (a, b) in enumerate(self.edges):
-            adj[a].append((eid, b))
-            adj[b].append((eid, a))
-        return tuple(map(tuple, adj))
+    def incident(self, f: int):
+        """Facet f's (gluing id, neighbour) pairs, in gluing-id order."""
+        lo, hi = self.offsets[f], self.offsets[f + 1]
+        return zip(self.gluing_ids[lo:hi], self.others[lo:hi])
 
     def adjacency(self) -> dict[int, list[tuple[int, int]]]:
         """node -> sorted list of (edge id, neighbour)."""
-        return {v: list(nb) for v, nb in enumerate(self.neighbours)}
+        return {v: list(self.incident(v)) for v in range(self.node_count)}
 
 
 @per_instance
 def dual_graph(x: Complex) -> DualGraph:
     """The incidence index of `x`, built on first use and kept on `x`."""
-    return DualGraph(x.facet_count, tuple((g.facet_a, g.facet_b) for g in x.gluings))
+    n = x.facet_count
+    ids: list[list[int]] = [[] for _ in range(n)]
+    others: list[list[int]] = [[] for _ in range(n)]
+    for gid, (a, _ridge_a, b, _ridge_b, _mapping) in enumerate(x.gluings):
+        ids[a].append(gid)
+        others[a].append(b)
+        ids[b].append(gid)
+        others[b].append(a)
+    return DualGraph(
+        n,
+        array("i", accumulate(map(len, ids), initial=0)),
+        array("i", chain.from_iterable(ids)),
+        array("i", chain.from_iterable(others)),
+    )
 
 
 def gluings_from(x: Complex, facet_ids) -> list[int]:
     """Ids, ascending, of the gluings whose side a is one of the distinct
     `facet_ids`, read off the incidence index: costs their degree sum."""
     gl = x.gluings
-    adj = dual_graph(x).neighbours
-    return sorted(gid for f in facet_ids for gid, _w in adj[f] if gl[gid].facet_a == f)
+    dg = dual_graph(x)
+    off, ids = dg.offsets, dg.gluing_ids
+    return sorted(
+        gid for f in facet_ids for gid in ids[off[f] : off[f + 1]] if gl[gid].facet_a == f
+    )
 
 
 def perspectivity(x: Complex, facet: int, gluing_id: int) -> Perm:
@@ -708,10 +808,10 @@ def path_from_facets(x: Complex, facet_ids) -> FacetPath:
     ids = list(facet_ids)
     if not ids:
         raise InvalidPath("empty facet sequence")
-    adj = dual_graph(x).neighbours
+    dg = dual_graph(x)
     steps: list[int] = []
     for a, b in zip(ids, ids[1:]):
-        hits = [gid for gid, w in adj[a] if w == b] if 0 <= a < len(adj) else []
+        hits = [gid for gid, w in dg.incident(a) if w == b] if 0 <= a < dg.node_count else []
         if not hits:
             raise InvalidPath(f"facets {a} and {b} share no gluing")
         if len(hits) > 1:

@@ -3,6 +3,8 @@ checks, Euler characteristic, mod-2 boundary solving, isomorphism search."""
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations as all_permutations
@@ -92,12 +94,10 @@ def balanced_coloring(x: Complex) -> dict[int, int] | None:
     return out
 
 
-def _link_graph_is_bipartite(cid: int, edges: list[tuple[int, int]]) -> bool:
-    """`edges`: the two ridge classes through each member of class `cid`."""
+def _link_graph_is_bipartite(edges: list[tuple[int, int]]) -> bool:
+    """`edges`: the two ridge classes through each member of one class."""
     adj: dict[int, list[int]] = {}
     for u, v in edges:
-        if u == v:
-            raise Mismatch(f"loop in the link graph of class {cid}")
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
     color: dict[int, int] = {}
@@ -123,8 +123,10 @@ class OddSubcomplex:
 
     The link graph of a class has one vertex per ridge class through it and
     one edge per member (f, s): the two ridges of copy f through s.  So one
-    scan of each copy's slots collects every link graph, with no link
-    built.  Parallel edges form 2-cycles, which are even.
+    scan of the slot table collects every link edge, with no link built,
+    and chains each class's edges in a flat array.  An odd cycle needs
+    three edges, so only a class with three or more members is two-coloured;
+    parallel edges form 2-cycles, which are even.
 
     `as_complex` collects the odd faces plus all their subfaces on vertex
     class ids (original vertex ids for abstract input); None when empty.
@@ -142,7 +144,7 @@ def odd_subcomplex(x: Complex) -> OddSubcomplex:
     ok, witness = is_locally_strongly_connected(x)
     if not ok:
         raise NotLocallyStronglyConnected(f"star of face class {witness} is disconnected")
-    d = x.dim
+    d, n = x.dim, x.facet_count
     classes = x.classes()
     sc, per = classes.slot_class, classes.per
     index = subset_index(d + 1)
@@ -152,20 +154,35 @@ def odd_subcomplex(x: Complex) -> OddSubcomplex:
         for s in nonempty_subsets(d + 1)
         if len(s) == d - 1
     ]
-    codim2 = classes.classes_of_card(d - 1)
-    edges: dict[int, list[tuple[int, int]]] = {c: [] for c in codim2}
-    for at in range(0, len(sc), per):
-        for i, ra, rb in ends:
-            edges[sc[at + i]].append((sc[at + ra], sc[at + rb]))
+    # link edge e = k * n + f is member (f, subset k of `ends`); each edge
+    # links to the one before it of its class, from the class's last
+    lo, hi = bisect_left(classes.cards, d - 1), bisect_right(classes.cards, d - 1)
+    last = array("i", [-1]) * (hi - lo)
+    before = array("i", [-1]) * (len(ends) * n)
+    loops = []
+    e = 0
+    for i, ra, rb in ends:
+        for c, u, v in zip(sc[i::per], sc[ra::per], sc[rb::per]):
+            if u == v:
+                loops.append(c)
+            before[e] = last[c - lo]
+            last[c - lo] = e
+            e += 1
+    if loops:
+        raise Mismatch(f"loop in the link graph of class {min(loops)}")
     odd: list[int] = []
-    for c in codim2:
-        e = edges[c]
-        if len(e) > 2:
-            if not _link_graph_is_bipartite(c, e):
-                odd.append(c)
-        # an odd cycle needs three edges or a loop
-        elif any(u == v for u, v in e):
-            raise Mismatch(f"loop in the link graph of class {c}")
+    for c, e in enumerate(last, lo):
+        # an odd cycle needs three edges
+        if before[e] < 0 or before[before[e]] < 0:
+            continue
+        edges = []
+        while e >= 0:
+            k, f = divmod(e, n)
+            _i, ra, rb = ends[k]
+            edges.append((sc[f * per + ra], sc[f * per + rb]))
+            e = before[e]
+        if not _link_graph_is_bipartite(edges):
+            odd.append(c)
     if not odd:
         return OddSubcomplex((), None)
     if classes.face_keys is not None:

@@ -122,7 +122,8 @@ def _search(x: Complex, base: int) -> ProjectivityGroup:
     n = x.facet_count
     d = x.dim
     gl = x.gluings
-    adj = dual_graph(x).neighbours
+    dg = dual_graph(x)
+    offsets, gluing_ids, others = dg.offsets, dg.gluing_ids, dg.others
     ident = perm_identity(d + 1)
     transports: list[Perm | None] = [None] * n
     depths = [0] * n
@@ -142,10 +143,12 @@ def _search(x: Complex, base: int) -> ProjectivityGroup:
             f = order[head]
             head += 1
             t_f = transports[f]
-            for gid, w in adj[f]:
+            for k in range(offsets[f], offsets[f + 1]):
+                gid = gluing_ids[k]
                 if crossed[gid]:
                     continue
                 crossed[gid] = 1
+                w = others[k]
                 fa, ridge_a, _fb, ridge_b, mapping = gl[gid]
                 step = _steps(d, ridge_a, ridge_b, mapping)[f != fa]
                 moved = tuple(map(step.__getitem__, t_f))

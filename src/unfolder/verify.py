@@ -314,14 +314,14 @@ def check_core_05(ctx: _Context) -> str:
 def _sample_paths(x) -> list[FacetPath]:
     """A few deterministic dual walks: follow the lowest unused gluing."""
     gl = x.gluings
-    adj = dual_graph(x).neighbours
+    dg = dual_graph(x)
     out = []
     for start in (0, x.facet_count - 1):
         steps = []
         cur = start
         used: set[int] = set()
         for _ in range(6):
-            gid = next((gid for gid, _w in adj[cur] if gid not in used), None)
+            gid = next((gid for gid, _w in dg.incident(cur) if gid not in used), None)
             if gid is None:
                 break
             used.add(gid)

@@ -88,15 +88,16 @@ def reference_slot_class(dim, facet_count, members):
 
 
 def reference_face_classes(dim, facet_count, members, keys):
-    """A `FaceClasses` built from reference members, which it keeps, with
-    the sizes counted from them."""
+    """A `FaceClasses` built from reference members and face keys, which it
+    keeps, with the sizes counted from them."""
     subs = nonempty_subsets(dim + 1)
     sub_index = {s: i for i, s in enumerate(subs)}
     cards = [len(refs[0][1]) for refs in members]
     first = [f * len(subs) + sub_index[s] for f, s in (refs[0] for refs in members)]
     slots = reference_slot_class(dim, facet_count, members)
-    fc = FaceClasses(dim, facet_count, cards, first, keys, slots)
+    fc = FaceClasses(dim, facet_count, cards, first, slots)
     fc.members = members
+    fc.face_keys = keys
     fc.sizes = [len(refs) for refs in members]
     return fc
 
@@ -192,15 +193,16 @@ def reference_vertex_classes(x):
 
 
 def face_classes_shape(fc):
+    # the library keeps its tables in arrays, the references in lists
     return (
         fc.dim,
         fc.facet_count,
         fc.members,
-        fc.cards,
-        fc.first,
-        fc.sizes,
+        list(fc.cards),
+        list(fc.first),
+        list(fc.sizes),
         fc.face_keys,
-        fc.slot_class,
+        list(fc.slot_class),
     )
 
 

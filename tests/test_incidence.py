@@ -406,7 +406,7 @@ def test_dual_graph_is_kept_on_the_complex():
     K = boundary_simplex(3)
     assert dual_graph(K) is dual_graph(K)
     adj = dual_graph(K).adjacency()
-    assert adj == {v: list(nb) for v, nb in enumerate(dual_graph(K).neighbours)}
+    assert adj == {v: list(dual_graph(K).incident(v)) for v in range(K.facet_count)}
     assert all(nb == sorted(nb) for nb in adj.values())
     for pair in ((0, 4), (-1, 0), (0, 0)):
         with pytest.raises(InvalidPath):

@@ -59,7 +59,7 @@ def reference_isomorphic(p, q, constraints=None):
 
     order = []
     seen = [False] * n
-    adj = dual_graph(p).neighbours
+    adj = dual_graph(p).adjacency()
     for root in range(n):
         if seen[root]:
             continue

@@ -47,7 +47,7 @@ def _crossing_sign(x, gid):
 def reference_orientable(x):
     """Propagate facet orientations; True when all loops close with sign +1."""
     n = x.facet_count
-    adj = dual_graph(x).neighbours
+    adj = dual_graph(x).adjacency()
     sign = [0] * n
     for start in range(n):
         if sign[start]:
@@ -69,7 +69,7 @@ def reference_orientable(x):
 def reference_balanced_coloring(x, base=0):
     """Colors spread over a spanning tree, then every gluing is checked."""
     n = x.facet_count
-    adj = dual_graph(x).neighbours
+    adj = dual_graph(x).adjacency()
     coloring = [None] * n
     coloring[base] = perm_identity(x.dim + 1)
     queue = [base]
