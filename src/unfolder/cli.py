@@ -26,7 +26,6 @@ from .diagnostics import (
     orientable,
 )
 from .errors import BadParameter, UnfolderError
-from .gallery import _int_part, gallery_complex
 from .io import ParsedDocument, emit, emit_component, emit_unfolding, parse_document
 from .permutations import perm_cycle_string
 from .projectivities import projectivity_group
@@ -172,6 +171,8 @@ def cmd_subdivide(ns: argparse.Namespace) -> int:
     elif kind == "antiprismatic":
         op = antiprismatic
     elif kind == "stellar":
+        from .gallery import _int_part
+
         facet = _int_part(arg) if arg else 0
 
         def op(c):
@@ -187,6 +188,8 @@ def cmd_subdivide(ns: argparse.Namespace) -> int:
 
 
 def cmd_gallery(ns: argparse.Namespace) -> int:
+    from .gallery import gallery_complex
+
     _write_or_print(emit(gallery_complex(ns.name)), ns.output)
     return 0
 

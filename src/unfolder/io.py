@@ -34,12 +34,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .complexes import MAX_CLOSURE_SLOTS as MAX_CLOSURE_SLOTS, MAX_DIM as MAX_DIM  # re-exported
 from .complexes import AbstractComplex, Complex, Gluing, PseudoComplex, check_size, vertex_classes
 from .errors import BadGluing, BadParameter, DegenerateFacet, MixedDimension, ParseError, SelfIdentification
-from .unfoldings import Component, UnfoldingResult
+
+if TYPE_CHECKING:  # annotations only: parsing and emitting a complex need no unfolding
+    from .unfoldings import Component, UnfoldingResult
 
 FORMAT_VERSION = 1
 
@@ -151,6 +153,11 @@ def _parse_pseudo(doc: dict) -> ParsedDocument:
     dim = doc.get("dim", len(rows[0]) - 1 if rows else None)
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise ParseError("dim: a non-negative integer is required")
+    if rows is not None:  # copy_labels holds one row of dim + 1 labels per copy
+        if len(rows) != n:
+            raise ParseError(f"facet_count says {n} but facets has {len(rows)} rows")
+        if len(rows[0]) != dim + 1:
+            raise ParseError(f"dim says {dim} but the facet rows have dimension {len(rows[0]) - 1}")
     check_size(dim, n)
     raw = doc.get("gluings", [])
     if not isinstance(raw, list):

@@ -81,6 +81,44 @@ def test_pseudo_label_rows_become_copy_labels():
     assert doc.copy_labels == (("p", "q"), ("p", "q"))
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {
+                "kind": "pseudo",
+                "dim": 1,
+                "facet_count": 2,
+                "gluings": [
+                    {"a": 0, "ridge_a": [0], "b": 1, "ridge_b": [0], "mapping": [0]},
+                    {"a": 0, "ridge_a": [1], "b": 1, "ridge_b": [1], "mapping": [1]},
+                ],
+                "facets": [["x"]],
+            },
+            "facet_count says 2 but facets has 1 rows",
+        ),
+        (
+            {"kind": "pseudo", "dim": 2, "facet_count": 1, "facets": [["a", "b"], ["b", "c"], ["a", "c"]]},
+            "facet_count says 1 but facets has 3 rows",
+        ),
+        (
+            {"kind": "pseudo", "dim": 2, "facets": [["a", "b"], ["b", "c"], ["a", "c"]]},
+            "dim says 2 but the facet rows have dimension 1",
+        ),
+    ],
+    ids=["one-row-for-two-copies", "three-rows-for-one-copy", "rows-of-another-dimension"],
+)
+def test_pseudo_label_rows_must_match_the_stated_size(doc, message, capsys, tmp_path):
+    text = json.dumps(doc)
+    with pytest.raises(ParseError, match=message):
+        parse_document(text)
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = _run(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_parse_tolerates_missing_version_and_extra_keys():
     K = parse('{"facets": [[0, 1], [1, 2], [0, 2]], "note": "hello"}')
     assert K.facets == ((0, 1), (0, 2), (1, 2))
