@@ -17,14 +17,13 @@ __version__ = "0.1.0"
 _SOURCES = {
     "complexes": """AbstractComplex Complex DualGraph FaceClasses FacetPath Gluing
         PseudoComplex StarView as_pseudo dual_graph gluings_of is_connected_complex
-        is_simplicial link link_of_class path_from_facets perspectivity star_of_class
-        to_abstract_with_maps""",
+        is_simplicial link link_of_class path_from_facets perspectivity star_of_class""",
     "diagnostics": """IsoWitness OddSubcomplex ProjectionConstraint balanced_coloring
         euler_characteristic is_locally_strongly_connected is_nice is_pseudo_manifold
         is_strongly_connected isomorphic mod2_boundary_check odd_subcomplex orientable""",
     "errors": """BadGluing BadParameter BaseNotNice DegenerateFacet DegenerateMap
         DimensionMismatch InvalidPath IsomorphismNotFound MixedDimension Mismatch NotAFace
-        NotAFacet NotLocallyStronglyConnected NotSimplicial NotStronglyConnected
+        NotAFacet NotLocallyStronglyConnected NotStronglyConnected
         ParseError SelfIdentification UnfolderError""",
     "gallery": """Expected GalleryEntry KnotNeighborhood boundary_simplex cycle_graph
         doubled_triangle_sphere gallery_complex gallery_entries hexagon_cone

@@ -34,16 +34,17 @@ graph, `projectivities._search`, walks it.
 
 Every union-find here is one kernel over integer slots, `_unite`: slot
 f * per + i stands for item i of copy f (subset i of `nonempty_subsets` for
-the glued face closure, local vertex i for `vertex_classes`, copy f itself
-for `is_connected_complex`).  The smaller root wins each union, so a class's
-root is its smallest slot, and `_roots` finishes every path in one ascending
-pass.  A gluing's slot pairs come from a table kept per
-(dim, ridge_a, mapping), its two perspectivity steps from one kept per
-(dim, ridge_a, ridge_b, mapping), and one scan per subset size turns the
-parents into class ids in (cardinality, smallest member) order, so nothing
-is sorted afterwards.  `derived_gluings` reads each ridge's holders off the
-ridge slots of the face table: facets are sorted tuples, so the ridge that
-omits position o sits at the other positions, in order, in both facets.
+the glued face closure, local vertex i for `vertex_classes` and
+`unfoldings._orbit_parts`, copy f itself for `is_connected_complex`).  The
+smaller root wins each union, so a class's root is its smallest slot, and
+`_roots` finishes every path in one ascending pass.  A gluing's slot pairs
+come from a table kept per (dim, ridge_a, mapping), its two perspectivity
+steps and their parity from one kept per (dim, ridge_a, ridge_b, mapping),
+and one scan per subset size turns the parents into class ids in
+(cardinality, smallest member) order, so nothing is sorted afterwards.
+`derived_gluings` reads each ridge's holders off the ridge slots of the face
+table: facets are sorted tuples, so the ridge that omits position o sits at
+the other positions, in order, in both facets.
 
 `FaceClasses` is flat arrays over that slot numbering, and a reader adds a
 copy's offset f * per to a subset's position in `nonempty_subsets`
@@ -71,10 +72,9 @@ from .errors import (
     MixedDimension,
     NotAFace,
     NotAFacet,
-    NotSimplicial,
     SelfIdentification,
 )
-from .permutations import Perm
+from .permutations import Perm, perm_sign
 
 FaceRef = tuple[int, tuple[int, ...]]  # (facet copy id, sorted local vertex tuple)
 
@@ -235,17 +235,19 @@ def _ridge_error(
 @lru_cache(maxsize=4096)
 def _steps(
     d: int, ridge_a: tuple[int, ...], ridge_b: tuple[int, ...], mapping: tuple[int, ...]
-) -> tuple[Perm, Perm]:
+) -> tuple[Perm, Perm, int]:
     """The perspectivities a -> b and b -> a of a valid gluing's ridge data
-    in dimension `d`; a complex's gluings share few shapes, so nearly every
-    call is a cache hit.  A ridge leaves out d(d+1)/2 minus its sum."""
+    in dimension `d`, and `even`: 1 when they are even permutations (a step
+    and its inverse share a sign).  A complex's gluings share few shapes, so
+    nearly every call is a cache hit.  A ridge leaves out d(d+1)/2 minus its
+    sum."""
     top = d * (d + 1) // 2
     forward = [top - sum(ridge_b)] * (d + 1)
     back = [top - sum(ridge_a)] * (d + 1)
     for v, w in zip(ridge_a, mapping):
         forward[v] = w
         back[w] = v
-    return tuple(forward), tuple(back)
+    return tuple(forward), tuple(back), int(perm_sign(forward) == 1)
 
 
 class Gluing(NamedTuple):
@@ -673,29 +675,6 @@ def is_simplicial(P: PseudoComplex) -> tuple[bool, tuple[int, int] | None]:
     return True, None
 
 
-def to_abstract_with_maps(
-    P: PseudoComplex,
-) -> tuple[AbstractComplex, tuple[int, ...], dict[int, int]]:
-    """Abstract view of a simplicial pseudo-complex.
-
-    Returns (K, facet_map, vertex_class_to_id) where facet_map[i] is the
-    facet index in K of copy i, and vertex classes are numbered 0..V-1 in
-    class-id order.
-    """
-    ok, witness = is_simplicial(P)
-    if not ok:
-        raise NotSimplicial(f"face classes {witness} share a vertex set")
-    classes = P.classes()
-    sc, per, w = classes.slot_class, classes.per, P.dim + 1
-    # vertex classes have the smallest ids, so they are numbered 0..V-1 already
-    vertex_ids = {cid: cid for cid in classes.classes_of_card(1)}
-    facet_tuples = [tuple(sorted(sc[f * per : f * per + w])) for f in range(P.facet_count)]
-    K = AbstractComplex.from_facets(facet_tuples)
-    position = {t: i for i, t in enumerate(K.facets)}
-    facet_map = tuple(position[t] for t in facet_tuples)
-    return K, facet_map, vertex_ids
-
-
 def link(K: AbstractComplex, face) -> AbstractComplex:
     """Link of a face in an abstract complex: facets are `facet - face`."""
     t = tuple(sorted(face))
@@ -840,7 +819,10 @@ class StarView:
 
 def star_of_class(x: Complex, cid: int) -> StarView:
     """Star of a face class, read off the incidence index in O(|star| * (d+1))."""
-    rep_by_facet = dict(x.classes().members[cid])
+    classes = x.classes()
+    if not 0 <= cid < classes.count:
+        raise NotAFace(f"no face class {cid}")
+    rep_by_facet = dict(classes.members[cid])
     facet_ids = tuple(sorted(rep_by_facet))
     index = {f: i for i, f in enumerate(facet_ids)}
     sub_gluings = tuple(

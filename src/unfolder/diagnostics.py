@@ -27,7 +27,7 @@ from .errors import (
     NotAFace,
     NotLocallyStronglyConnected,
 )
-from .permutations import Perm, perm_compose, perm_identity, perm_inverse, perm_sign
+from .permutations import Perm, perm_compose, perm_identity, perm_inverse
 from .projectivities import _search, projectivity_group
 
 
@@ -210,19 +210,13 @@ def is_pseudo_manifold(x: Complex) -> str:
 def orientable(x: Complex) -> bool:
     """Can the facets be oriented so that every gluing reverses the ridge?
 
-    Read off the projectivity search: crossing a gluing keeps the facet
-    orientation exactly when its perspectivity is odd, so a loop of length L
-    keeps it exactly when its projectivity has sign (-1)^L.  The loops at
-    each tree's root span all loops of its component, so the loops of the
-    search forest from facet 0 answer for every component at once.
+    Read off the search forest from facet 0: crossing a gluing keeps the
+    facet orientation exactly when its perspectivity is odd, so the search
+    carries one orientation bit per facet along its trees, and the answer
+    is whether every other gluing agrees with those bits.  The forest spans
+    every component, so it answers for all of them at once.
     """
-    pg = _search(x, 0)
-    gl = x.gluings
-    depth = pg.depths
-    return all(
-        perm_sign(p) == (-1) ** (depth[gl[gid].facet_a] + depth[gl[gid].facet_b] + 1)
-        for p, gid, _root in pg.loops
-    )
+    return _search(x, 0).orientable
 
 
 def euler_characteristic(x: Complex) -> int:

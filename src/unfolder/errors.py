@@ -23,10 +23,6 @@ class SelfIdentification(UnfolderError):
     """Gluing closure identifies two distinct faces of one simplex."""
 
 
-class NotSimplicial(UnfolderError):
-    """Operation requires a pseudo-complex whose quotient is simplicial."""
-
-
 class NotAFace(UnfolderError):
     """The given vertex set is not a face of the complex."""
 

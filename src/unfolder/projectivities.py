@@ -7,7 +7,7 @@ such permutations form the group of projectivities of the complex.
 
 A step depends only on the gluing's ridge data, and a complex has few
 distinct shapes, so `complexes._steps` keeps both directions of each shape
-and a crossing is one lookup and one index map.
+with their parity, and a crossing is one lookup and one index map.
 """
 
 from __future__ import annotations
@@ -59,27 +59,27 @@ class ProjectivityGroup:
 
     The search is a breadth-first forest: the base's component first, then
     each facet not yet reached, in id order, as the root of its own tree.
-    `roots[f]` is the root of f's tree, `transports[f]` the projectivity
-    along the tree path from that root to f, and `depths[f]` that path's
-    length.  Each non-tree gluing closes one loop at its tree's root, of
-    length depths[a] + depths[b] + 1; `loops` holds each as (projectivity,
-    gluing id, root), in search order.  The group is generated by the loops
-    at the base, and closed on first read.  Connectivity, `balanced_coloring`,
-    `orientable`, the partial unfolding's components and the isomorphism
-    search's facet order are all read off this one search.
+    `roots[f]` is the root of f's tree and `transports[f]` the projectivity
+    along the tree path from that root to f.  Each non-tree gluing of the
+    base's tree closes one loop at the base; `loops` holds each as
+    (projectivity, gluing id), in search order, and they generate the group,
+    which is closed on first read.  `orientable` says whether every non-tree
+    gluing of the forest agrees with the facet orientations carried along
+    its tree.  Connectivity, `balanced_coloring`, `orientable` and the
+    isomorphism search's facet order are all read off this one search.
     """
 
     base: int
     transports: tuple[Perm, ...]
     tree_gluings: tuple[int, ...]
     reached: tuple[int, ...]  # facets in search order, tree by tree
-    depths: tuple[int, ...]
     roots: tuple[int, ...]
-    loops: tuple[tuple[Perm, int, int], ...]
+    loops: tuple[tuple[Perm, int], ...]
+    orientable: bool
 
     @cached_property
     def group(self) -> PermutationGroup:
-        gens = [(p, f"gluing {gid}") for p, gid, root in self.loops if root == self.base]
+        gens = [(p, f"gluing {gid}") for p, gid in self.loops]
         return PermutationGroup.generated(gens, len(self.transports[self.base]))
 
     @property
@@ -115,7 +115,10 @@ def projectivity_group(x: Complex, base: int = 0) -> ProjectivityGroup:
 
 def _search(x: Complex, base: int) -> ProjectivityGroup:
     """The search forest from `base`, kept on `x` per base.  Each gluing is
-    crossed once, as a tree step or as a loop."""
+    crossed once, as a tree step or as a loop.  A crossing keeps a facet
+    orientation exactly when its step is odd, so `flip[f]`, the parity of
+    the even steps on f's tree path, must agree across every other gluing.
+    Only a loop at the base gets its projectivity built."""
     memo = x.__dict__.setdefault("_memo_projectivity_group", {})
     if base in memo:
         return memo[base]
@@ -126,11 +129,12 @@ def _search(x: Complex, base: int) -> ProjectivityGroup:
     offsets, gluing_ids, others = dg.offsets, dg.gluing_ids, dg.others
     ident = perm_identity(d + 1)
     transports: list[Perm | None] = [None] * n
-    depths = [0] * n
+    flip = bytearray(n)
     roots = [0] * n
     order: list[int] = []
     tree: list[int] = []
-    loops: list[tuple[Perm, int, int]] = []
+    loops: list[tuple[Perm, int]] = []
+    disagree = 0  # becomes 1 at a gluing that disagrees with `flip`
     crossed = bytearray(len(gl))
     for root in (base, *range(n)):
         if transports[root] is not None:
@@ -150,28 +154,30 @@ def _search(x: Complex, base: int) -> ProjectivityGroup:
                 crossed[gid] = 1
                 w = others[k]
                 fa, ridge_a, _fb, ridge_b, mapping = gl[gid]
-                step = _steps(d, ridge_a, ridge_b, mapping)[f != fa]
-                moved = tuple(map(step.__getitem__, t_f))
+                steps = _steps(d, ridge_a, ridge_b, mapping)
+                step = steps[f != fa]
                 t_w = transports[w]
                 if t_w is None:
-                    transports[w] = moved
-                    depths[w] = depths[f] + 1
+                    transports[w] = tuple(map(step.__getitem__, t_f))
+                    flip[w] = flip[f] ^ steps[2]
                     roots[w] = root
                     tree.append(gid)
                     order.append(w)
-                elif moved == t_w:
-                    loops.append((ident, gid, root))
-                else:
+                    continue
+                disagree |= flip[w] ^ flip[f] ^ steps[2]
+                if root == base:
                     # the loop is moved, then back along the tree
-                    loops.append((tuple(map(perm_inverse(t_w).__getitem__, moved)), gid, root))
+                    moved = tuple(map(step.__getitem__, t_f))
+                    loop = ident if moved == t_w else perm_compose(moved, perm_inverse(t_w))
+                    loops.append((loop, gid))
     memo[base] = pg = ProjectivityGroup(
         base=base,
         transports=tuple(transports),
         tree_gluings=tuple(tree),
         reached=tuple(order),
-        depths=tuple(depths),
         roots=tuple(roots),
         loops=tuple(loops),
+        orientable=not disagree,
     )
     return pg
 
@@ -201,6 +207,8 @@ def star_group(x: Complex, cid: int, base_parent_facet: int | None = None) -> St
     star = star_of_class(x, cid)
     if base_parent_facet is None:
         base_parent_facet = star.parent_facets[0]
+    if base_parent_facet not in star.parent_facets:
+        raise NotAFacet(f"facet {base_parent_facet} is not in the star of class {cid}")
     base = star.parent_facets.index(base_parent_facet)
     group = _search(star.complex, base).group
     # generators suffice: the pointwise stabiliser of the class is a subgroup

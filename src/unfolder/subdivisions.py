@@ -100,6 +100,17 @@ class SubdivisionRecord:
         return self.facet_of_copy(copy, self.central_shape_index())
 
 
+def _record(kind: str, x: Complex, raw, provenance, vertex_prov: dict) -> SubdivisionRecord:
+    """The subdivision whose facet `raw[i]` came from (copy, shape)
+    `provenance[i]`, with the provenance re-sorted to the sorted facets."""
+    result = AbstractComplex.from_facets(raw)
+    if result.facet_count != len(raw):
+        raise Mismatch(f"{kind} facets collided; the face classes are inconsistent")
+    where = {facet: provenance[i] for i, facet in enumerate(raw)}
+    facet_prov = tuple(where[facet] for facet in result.facets)
+    return SubdivisionRecord(kind, x, result, vertex_prov, facet_prov)
+
+
 def barycentric(x: Complex) -> SubdivisionRecord:
     """Facets are the maximal flags of face classes within each facet copy.
 
@@ -123,13 +134,8 @@ def barycentric(x: Complex) -> SubdivisionRecord:
         for k, flag in enumerate(flags):
             raw.append(tuple(sorted([sc[at + i] for i in flag])))
             provenance.append((f, k))
-    result = AbstractComplex.from_facets(raw)
-    if result.facet_count != len(raw):
-        raise Mismatch("flag facets collided; face classes are inconsistent")
-    where = {facet: provenance[i] for i, facet in enumerate(raw)}
-    facet_prov = tuple(where[facet] for facet in result.facets)
-    vertex_prov = {cid: cid for facet in result.facets for cid in facet}
-    return SubdivisionRecord("barycentric", x, result, vertex_prov, facet_prov)
+    # every class lies in a flag of a copy that holds it
+    return _record("barycentric", x, raw, provenance, {cid: cid for cid in range(classes.count)})
 
 
 def stellar(K: AbstractComplex, facet: int) -> AbstractComplex:
@@ -174,13 +180,7 @@ def antiprismatic(x: Complex) -> SubdivisionRecord:
         for k, pairs in enumerate(rows):
             raw.append(tuple(sorted(vertex_id[p] for p in pairs)))
             provenance.append((f, k))
-    result = AbstractComplex.from_facets(raw)
-    if result.facet_count != len(raw):
-        raise Mismatch("pair facets collided; this contradicts the subdivision law")
-    where = {facet: provenance[i] for i, facet in enumerate(raw)}
-    facet_prov = tuple(where[facet] for facet in result.facets)
-    vertex_prov = {i: pair for pair, i in vertex_id.items()}
-    return SubdivisionRecord("antiprismatic", x, result, vertex_prov, facet_prov)
+    return _record("antiprismatic", x, raw, provenance, {i: p for p, i in vertex_id.items()})
 
 
 def crumpling_map(rec: SubdivisionRecord) -> dict[int, int]:

@@ -8,7 +8,7 @@ The complete unfolding's fibre is the group itself, sorted, and a gluing
 acts by its holonomy from the right, so copy (f, g) carries the coloring
 (g * transport_f)^-1.  The partial unfolding's fibre is the d+1 local vertex
 labels, and a gluing acts by its perspectivity step.  Its components are
-the orbits of the group on the labels, read off the search of the base
+the orbits of the group on the labels, one union over the gluings' steps
 (`_orbit_parts`), and each is the lift over one orbit: `_lift` builds only
 the copies it is given, so `components` never slices the total and
 `composition_tower` never builds a stage's whole total.
@@ -23,6 +23,7 @@ from .complexes import (
     Gluing,
     PseudoComplex,
     _roots,
+    _steps,
     check_size,
     gluings_from,
     perspectivity,
@@ -35,7 +36,7 @@ from .errors import (
     NotAFacet,
 )
 from .permutations import Perm, perm_compose, perm_inverse
-from .projectivities import ProjectivityGroup, _search, projectivity_group
+from .projectivities import ProjectivityGroup, projectivity_group
 
 
 @dataclass(frozen=True)
@@ -129,27 +130,20 @@ def complete_unfolding(x: Complex, base: int = 0) -> UnfoldingResult:
 
 
 def _orbit_parts(x: Complex) -> tuple[tuple[int, ...], ...]:
-    """The sorted copies of each component of the partial unfolding of `x`.
-
-    The components come from the search forest of `x`, not from the total:
-    copy (f, i) lies over the tree path from f's root r, so it joins copy
-    (r, t_f^-1(i)), and the copies over r are joined exactly by the loops
-    at r.  So each component is an orbit of those loops on r's labels,
-    listed by smallest copy.
-    """
-    n, width = x.facet_count, x.dim + 1
-    pg = _search(x, 0)
-    # label slot r * width + l stands for copy (r, l) of a root r
-    pairs = ((r * width + l, r * width + p[l]) for p, _gid, r in pg.loops for l in range(width))
-    orbit = _roots(n * width, pairs)
-    key = [0] * (n * width)
-    for f, (t, r) in enumerate(zip(pg.transports, pg.roots)):
-        at, o = f * width, r * width
-        for l, i in enumerate(t):
-            key[at + i] = orbit[o + l]
+    """The sorted copies of each component of the partial unfolding of `x`,
+    by smallest copy: one union, over the gluings of `x`, of copy (a, i)
+    with copy (b, s(i)) for each gluing from a to b with step s.  No search
+    runs and no total is built."""
+    n, d = x.facet_count, x.dim
+    width = d + 1
+    pairs = (
+        (a * width + i, b * width + j)
+        for a, ridge_a, b, ridge_b, mapping in x.gluings
+        for i, j in enumerate(_steps(d, ridge_a, ridge_b, mapping)[0])
+    )
     parts: dict[int, list[int]] = {}
-    for c, k in enumerate(key):
-        parts.setdefault(k, []).append(c)
+    for c, root in enumerate(_roots(n * width, pairs)):
+        parts.setdefault(root, []).append(c)
     return tuple(map(tuple, parts.values()))
 
 

@@ -14,21 +14,18 @@ from unfolder.complexes import (
     path_from_facets,
     perspectivity,
     star_of_class,
-    to_abstract_with_maps,
 )
 from unfolder.errors import (
     BadGluing,
     DegenerateFacet,
     InvalidPath,
     MixedDimension,
-    NotSimplicial,
     SelfIdentification,
 )
 from unfolder.gallery import (
     boundary_simplex,
     doubled_triangle_sphere,
     gallery_entries,
-    nonsimplicial_unfolding_example,
     pinched_strip,
     starred_triangle,
 )
@@ -102,21 +99,6 @@ def test_as_pseudo_splits_the_pinch_vertex():
     counts = as_pseudo(K).classes().counts_by_dim()
     # one more vertex class than vertices: the waist comes apart
     assert counts[0] == len(K.vertices()) + 1
-
-
-def test_round_trip_through_abstract(tetra):
-    P = as_pseudo(tetra)
-    K, facet_map, vertex_ids = to_abstract_with_maps(P)
-    assert K.face_count_vector() == tetra.face_count_vector()
-    assert sorted(facet_map) == list(range(4))
-    assert len(vertex_ids) == 4
-    assert to_abstract_with_maps(P)[0].facet_count == 4
-
-
-def test_to_abstract_refuses_split_faces():
-    P = as_pseudo(nonsimplicial_unfolding_example())
-    with pytest.raises(NotSimplicial):
-        to_abstract_with_maps(P)[0]
 
 
 def test_doubled_triangle_is_not_simplicial():

@@ -26,7 +26,7 @@ EXPORTS = {
         "AbstractComplex", "Complex", "DualGraph", "FaceClasses", "FacetPath", "Gluing",
         "PseudoComplex", "StarView", "as_pseudo", "dual_graph", "gluings_of",
         "is_connected_complex", "is_simplicial", "link", "link_of_class", "path_from_facets",
-        "perspectivity", "star_of_class", "to_abstract_with_maps",
+        "perspectivity", "star_of_class",
     ),
     "diagnostics": (
         "IsoWitness", "OddSubcomplex", "ProjectionConstraint", "balanced_coloring",
@@ -37,7 +37,7 @@ EXPORTS = {
     "errors": (
         "BadGluing", "BadParameter", "BaseNotNice", "DegenerateFacet", "DegenerateMap",
         "DimensionMismatch", "InvalidPath", "IsomorphismNotFound", "MixedDimension",
-        "Mismatch", "NotAFace", "NotAFacet", "NotLocallyStronglyConnected", "NotSimplicial",
+        "Mismatch", "NotAFace", "NotAFacet", "NotLocallyStronglyConnected",
         "NotStronglyConnected", "ParseError", "SelfIdentification", "UnfolderError",
     ),
     "gallery": (

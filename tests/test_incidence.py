@@ -42,12 +42,14 @@ from unfolder.diagnostics import (
 )
 from unfolder.errors import (
     InvalidPath,
+    NotAFace,
+    NotAFacet,
     NotLocallyStronglyConnected,
     NotStronglyConnected,
 )
 from unfolder.gallery import boundary_simplex, gallery_entries, knot_neighborhood, pinched_strip
 from unfolder.io import emit
-from unfolder.permutations import perm_compose, perm_identity, perm_inverse
+from unfolder.permutations import perm_compose, perm_identity, perm_inverse, perm_sign
 from unfolder.projectivities import _search, projectivity_group, star_group
 from unfolder.subdivisions import antiprismatic, barycentric
 from unfolder.unfoldings import (
@@ -140,8 +142,11 @@ def dual_components(x):
 def reference_search(x, base):
     """Each `ProjectivityGroup` field of the search forest from `base`, by
     name, and the group as (generators, elements): a breadth-first tree from
-    `base`, then one from each facet not yet reached, in id order.  The group
-    is generated by the loops at `base` alone."""
+    `base`, then one from each facet not yet reached, in id order.  Only the
+    loops at `base` are kept, and they generate the group; orientability
+    comes from the propagation in `test_transport`."""
+    from test_transport import reference_orientable  # it imports this module
+
     gl = x.gluings
     n = x.facet_count
     adj = {v: [] for v in range(n)}
@@ -151,14 +156,12 @@ def reference_search(x, base):
     for v in adj:
         adj[v].sort()
     transports = [None] * n
-    depths = [None] * n
     roots = [None] * n
-    order, tree, non_tree = [], [], []  # non_tree: (gluing id, facet reached first, root)
+    order, tree, non_tree = [], [], []  # non_tree: (gluing id, facet reached first)
     for root in [base, *range(n)]:
         if transports[root] is not None:
             continue
         transports[root] = perm_identity(x.dim + 1)
-        depths[root] = 0
         roots[root] = root
         head = len(order)
         order.append(root)
@@ -169,30 +172,31 @@ def reference_search(x, base):
                 if transports[w] is None:
                     step = reference_perspectivity(x, f, gid)
                     transports[w] = reference_compose(transports[f], step)
-                    depths[w] = depths[f] + 1
                     roots[w] = root
                     tree.append(gid)
                     order.append(w)
-                elif gid not in tree and all(g != gid for g, _f, _r in non_tree):
-                    non_tree.append((gid, f, root))
+                elif gid not in tree and all(g != gid for g, _f in non_tree):
+                    non_tree.append((gid, f))
     loops = []
-    for gid, f, root in non_tree:
+    for gid, f in non_tree:
+        if roots[f] != base:
+            continue
         w = gl[gid].other(f)
         loop = reference_compose(
             reference_compose(transports[f], reference_perspectivity(x, f, gid)),
             perm_inverse(transports[w]),
         )
-        loops.append((loop, gid, root))
-    gens = [(loop, f"gluing {gid}") for loop, gid, root in loops if root == base]
+        loops.append((loop, gid))
+    gens = [(loop, f"gluing {gid}") for loop, gid in loops]
     return {
         "base": base,
         "group": (tuple(gens), reference_closure([p for p, _t in gens], x.dim + 1)),
         "transports": tuple(transports),
         "tree_gluings": tuple(tree),
         "reached": tuple(order),
-        "depths": tuple(depths),
         "roots": tuple(roots),
         "loops": tuple(loops),
+        "orientable": reference_orientable(x),
     }
 
 
@@ -265,11 +269,12 @@ def test_projectivity_search_matches_the_list_version(name, x):
 
 
 def assert_steps_match_the_formula(x, name=""):
-    """Both directions of every gluing's kept steps equal the formula, and
-    they are inverse to each other."""
+    """Both directions of every gluing's kept steps equal the formula, they
+    are inverse to each other, and their parity bit is the sign's."""
     ident = perm_identity(x.dim + 1)
     for gid, g in enumerate(x.gluings):
-        forward, back = _steps(x.dim, g.ridge_a, g.ridge_b, g.mapping)
+        forward, back, even = _steps(x.dim, g.ridge_a, g.ridge_b, g.mapping)
+        assert even == (perm_sign(forward) == 1), (name, gid)
         assert forward == reference_perspectivity(x, g.facet_a, gid), (name, gid)
         assert back == reference_perspectivity(x, g.facet_b, gid), (name, gid)
         assert perspectivity(x, g.facet_a, gid) == forward
@@ -303,6 +308,19 @@ def test_steps_match_the_perspectivity_formula():
 @given(pseudo_complexes())
 def test_steps_match_the_perspectivity_formula_on_random_complexes(P):
     assert_steps_match_the_formula(P)
+
+
+def test_star_and_link_helpers_refuse_a_bad_class_or_base():
+    x = boundary_simplex(3)
+    assert x.classes().count == 14
+    for call, error, message in (
+        (lambda: star_of_class(x, -1), NotAFace, "no face class -1"),
+        (lambda: star_of_class(x, 14), NotAFace, "no face class 14"),
+        (lambda: link_of_class(x, -2), NotAFace, "no face class -2"),
+        (lambda: star_group(x, 0, 3), NotAFacet, "facet 3 is not in the star of class 0"),
+    ):
+        with pytest.raises(error, match=f"^{message}$"):
+            call()
 
 
 def test_perspectivity_refuses_a_step_off_its_gluing():

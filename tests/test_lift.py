@@ -6,9 +6,11 @@ totals (gluing for gluing, in order), projections and labels.
 """
 
 import pytest
+from hypothesis import given, settings
+from test_emit import pseudo_complexes
 from test_incidence import dual_components, shuffled_bary2
 
-from unfolder import unfoldings
+from unfolder import diagnostics, projectivities, unfoldings
 from unfolder.cli import main
 from unfolder.complexes import (
     MAX_CLOSURE_SLOTS,
@@ -18,10 +20,10 @@ from unfolder.complexes import (
 )
 from unfolder.errors import BadParameter
 from unfolder.gallery import boundary_simplex, gallery_entries, knot_neighborhood
-from unfolder.io import emit
+from unfolder.io import emit, emit_unfolding
 from unfolder.permutations import perm_compose, perm_inverse
 from unfolder.projectivities import projectivity_group
-from unfolder.unfoldings import complete_unfolding, partial_unfolding
+from unfolder.unfoldings import complete_unfolding, components, partial_unfolding
 
 
 def reference_complete(x, base):
@@ -83,6 +85,33 @@ def test_both_unfoldings_match_the_separate_lifting_loops(name, x):
         u = complete_unfolding(x, base)
         assert (u.total, u.projection, u.labels) == reference_complete(x, base), base
         assert u.group is projectivity_group(x, base)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(pseudo_complexes())
+def test_orbit_parts_are_the_components_of_the_total(P):
+    assert unfoldings._orbit_parts(P) == dual_components(partial_unfolding(P).total)
+
+
+def test_the_partial_unfolding_runs_no_search(monkeypatch):
+    """Its components come from the gluings' steps, so the unfolding, its
+    components and its document read no search of the base."""
+    x = knot_neighborhood(3, "klein").complex
+    u = partial_unfolding(x)
+    comps = components(u)
+    want = (u.component_partition, comps, emit_unfolding(u, comps))
+    assert len(comps) == 2
+
+    def refuse(*args):
+        raise AssertionError("a search of the dual graph ran")
+
+    for module in (diagnostics, projectivities, unfoldings):
+        if hasattr(module, "_search"):
+            monkeypatch.setattr(module, "_search", refuse)
+    fresh = PseudoComplex(x.dim, x.facet_count, x.gluings)
+    u = partial_unfolding(fresh)
+    comps = components(u)
+    assert (u.component_partition, comps, emit_unfolding(u, comps)) == want
 
 
 TOO_LARGE = [

@@ -18,7 +18,6 @@ from unfolder.complexes import (
     as_pseudo,
     link_of_class,
     star_of_class,
-    to_abstract_with_maps,
     vertex_classes,
 )
 from unfolder.diagnostics import is_locally_strongly_connected, odd_subcomplex
@@ -121,9 +120,9 @@ def _cases():
         cases.append((f"complete({e.name})", complete_unfolding(e.complex).total))
     cases.append(("pinched strip", pinched_strip()))
     cases.append(("as_pseudo(pinched strip)", as_pseudo(pinched_strip())))
-    klein = knot_neighborhood(7, "klein").complex
-    cases.append(("knot-nbhd:7:klein", klein))
-    cases.append(("to_abstract_with_maps(knot-nbhd:7:klein)", to_abstract_with_maps(klein)[0]))
+    klein = knot_neighborhood(7, "klein")
+    cases.append(("knot-nbhd:7:klein", klein.complex))
+    cases.append(("knot-nbhd:7:klein abstract", klein.abstract))
     for k in range(1, 5):
         cases.append((f"bary{k}(d3)", iterate(barycentric, boundary_simplex(3), k)))
     bary2 = shuffled(iterate(barycentric, boundary_simplex(3), 2), 20261018)
