@@ -89,13 +89,23 @@ MAX_DIM = 8
 MAX_CLOSURE_SLOTS = 2**20
 
 
-def check_size(dim: int, facet_count: int) -> None:
-    """Refuse a complex above the limits, before anything is built."""
+def check_size(dim: int, facet_count: int, at_least: bool = False) -> None:
+    """Refuse a complex above the limits, before anything is built;
+    `at_least` when `facet_count` is only a lower bound on the count."""
     if dim > MAX_DIM:
         raise BadParameter(f"dim {dim} is above the largest supported dimension {MAX_DIM}")
     slots = facet_count * (2 ** (dim + 1) - 1)
     if slots > MAX_CLOSURE_SLOTS:
-        raise BadParameter(f"face closure of {slots} slots is above the limit {MAX_CLOSURE_SLOTS}")
+        raise BadParameter(
+            f"face closure of {'at least ' * at_least}{slots} slots"
+            f" is above the limit {MAX_CLOSURE_SLOTS}"
+        )
+
+
+def max_copies(dim: int, facet_count: int) -> int:
+    """The most copies of each facet a lift may build: `check_size` passes
+    that many copies of all `facet_count` facets and refuses one more."""
+    return MAX_CLOSURE_SLOTS // (facet_count * (2 ** (dim + 1) - 1))
 
 
 @lru_cache(maxsize=None)
@@ -130,7 +140,7 @@ def per_instance(fn):
 def _unite(size: int, pairs) -> list[int]:
     """Each slot's parent after uniting the two slots of every pair.
 
-    The one union-find of the package: path halving, and the smaller root
+    The union-find of the face closure: path halving, and the smaller root
     wins each union, so a class's root is its smallest slot and no slot's
     parent exceeds it.  The table is a list, which its loop reads twice as
     fast as an `array`; the callers keep none of it."""
@@ -506,11 +516,12 @@ class AbstractComplex:
         return any(t <= set(f) for f in self.facets)
 
     def facet_id(self, verts) -> int:
+        """The position of facet `verts`, found by bisection: facets are sorted."""
         t = tuple(sorted(verts))
-        try:
-            return self.facets.index(t)
-        except ValueError:
-            raise NotAFacet(f"{t} is not a facet") from None
+        i = bisect_left(self.facets, t)
+        if i == len(self.facets) or self.facets[i] != t:
+            raise NotAFacet(f"{t} is not a facet")
+        return i
 
     @per_instance
     def classes(self) -> FaceClasses:

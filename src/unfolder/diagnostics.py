@@ -5,8 +5,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations as all_permutations
 
 from .complexes import (
@@ -14,6 +14,7 @@ from .complexes import (
     Complex,
     PseudoComplex,
     _roots,
+    _steps,
     _subface_pairs,
     link_of_class,
     nonempty_subsets,
@@ -94,39 +95,20 @@ def balanced_coloring(x: Complex) -> dict[int, int] | None:
     return out
 
 
-def _link_graph_is_bipartite(edges: list[tuple[int, int]]) -> bool:
-    """`edges`: the two ridge classes through each member of one class."""
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    color: dict[int, int] = {}
-    for start in adj:
-        if start in color:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return False
-    return True
-
-
 @dataclass(frozen=True)
 class OddSubcomplex:
     """Codimension-2 face classes with non-bipartite link graphs.
 
-    The link graph of a class has one vertex per ridge class through it and
-    one edge per member (f, s): the two ridges of copy f through s.  So one
-    scan of the slot table collects every link edge, with no link built,
-    and chains each class's edges in a flat array.  An odd cycle needs
-    three edges, so only a class with three or more members is two-coloured;
-    parallel edges form 2-cycles, which are even.
+    The link graph of a class has one vertex per ridge class through it, of
+    degree the ridge's holder count, and one edge per member (f, s): the
+    two ridges of copy f through s.  It is connected, as the star is, so
+    with every ridge held twice it is one cycle, odd exactly when the class
+    has an odd number of members, and with a ridge held once and none held
+    three or more times it is a path.  A branched link, where some ridge is
+    held three or more times, is odd exactly when the class's star group is
+    not trivial: when a walk through the gluings around the class swaps the
+    two vertices outside it.  That walk is followed with one bit per member
+    (`_swapping_classes`), so no star is built.
 
     `as_complex` collects the odd faces plus all their subfaces on vertex
     class ids (original vertex ids for abstract input); None when empty.
@@ -140,11 +122,81 @@ class OddSubcomplex:
         return not self.odd_faces
 
 
+@per_instance
+def _ridge_marks(x: Complex) -> tuple[int, bytes]:
+    """(lo, mark): mark[r - lo] is 1 when ridge class r, one of lo, lo+1,
+    ..., is held by one copy (boundary), 2 when by three or more (branch),
+    0 when by two.  A copy's ridges are its d+1 subsets just before the
+    whole copy."""
+    classes = x.classes()
+    d, sc, per = classes.dim, classes.slot_class, classes.per
+    lo, hi = bisect_left(classes.cards, d), bisect_right(classes.cards, d)
+    held = array("i", [0]) * (hi - lo)
+    for i in range(per - d - 2, per - 1) if d > 0 else ():  # a point has no ridge
+        for r in sc[i::per]:
+            held[r - lo] += 1
+    return lo, bytes(1 if k == 1 else 2 if k > 2 else 0 for k in held)
+
+
+@lru_cache(maxsize=4096)
+def _ridge_members(
+    d: int, ridge_a: tuple[int, ...], ridge_b: tuple[int, ...], mapping: tuple[int, ...]
+) -> tuple[tuple[int, int, int], ...]:
+    """For each (d-1)-subset s of a gluing's ridge: its subset index in copy
+    a, that of its image in copy b, and 1 when the gluing reverses the order
+    of the two vertices outside s.  Kept per gluing shape, as `_steps` is."""
+    step, o = _steps(d, ridge_a, ridge_b, mapping)[0], d * (d + 1) // 2 - sum(ridge_a)
+    index = subset_index(d + 1)
+    return tuple(
+        (index[s], index[tuple(sorted(map(step.__getitem__, s)))], (t > o) ^ (step[t] > step[o]))
+        for t in ridge_a
+        for s in [tuple(v for v in ridge_a if v != t)]  # t and o are outside s
+    )
+
+
+def _swapping_classes(x: Complex, lo: int, marks: bytearray) -> set[int]:
+    """The branched codimension-2 classes (class c when marks[c - lo] & 2)
+    whose star has a walk that swaps the two vertices outside the class:
+    those whose star group is not trivial.  Each member (f, s) carries one
+    bit, and each gluing joins the two members of every class in its ridge,
+    flipping the bit when it reverses the order of their outside vertices.
+    The (d-1)-subsets are consecutive from subset index k0, and member
+    (f, subset k0 + k) is node k * n + f of one forest; `up` holds
+    2 * a node's parent + its bit relative to it, or -1 at a root."""
+    d, n = x.dim, x.facet_count
+    classes = x.classes()
+    sc, per, k0 = classes.slot_class, classes.per, subset_index(d + 1)[tuple(range(d - 1))]
+    up = array("i", [-1]) * (d * (d + 1) // 2 * n)
+
+    def root(e: int) -> tuple[int, int]:
+        path = []
+        while up[e] >= 0:
+            path.append(e)
+            e = up[e] >> 1
+        bit = 0
+        for b in reversed(path):  # point the path at the root
+            bit ^= up[b] & 1
+            up[b] = e << 1 | bit
+        return e, bit
+
+    swapping = set()
+    for fa, ridge_a, fb, ridge_b, mapping in x.gluings:
+        for i, j, flip in _ridge_members(d, ridge_a, ridge_b, mapping):
+            c = sc[fa * per + i]
+            if marks[c - lo] & 2:
+                (a, p), (b, q) = root((i - k0) * n + fa), root((j - k0) * n + fb)
+                if a != b:
+                    up[a] = b << 1 | (p ^ q ^ flip)
+                elif p ^ q != flip:
+                    swapping.add(c)
+    return swapping
+
+
 def odd_subcomplex(x: Complex) -> OddSubcomplex:
     ok, witness = is_locally_strongly_connected(x)
     if not ok:
         raise NotLocallyStronglyConnected(f"star of face class {witness} is disconnected")
-    d, n = x.dim, x.facet_count
+    d = x.dim
     classes = x.classes()
     sc, per = classes.slot_class, classes.per
     index = subset_index(d + 1)
@@ -154,35 +206,25 @@ def odd_subcomplex(x: Complex) -> OddSubcomplex:
         for s in nonempty_subsets(d + 1)
         if len(s) == d - 1
     ]
-    # link edge e = k * n + f is member (f, subset k of `ends`); each edge
-    # links to the one before it of its class, from the class's last
+    # each class takes the marks of its ridges, and bit 4 flips per member
+    rlo, mark = _ridge_marks(x)
     lo, hi = bisect_left(classes.cards, d - 1), bisect_right(classes.cards, d - 1)
-    last = array("i", [-1]) * (hi - lo)
-    before = array("i", [-1]) * (len(ends) * n)
-    loops = []
-    e = 0
+    marks, loops = bytearray(hi - lo), []
     for i, ra, rb in ends:
         for c, u, v in zip(sc[i::per], sc[ra::per], sc[rb::per]):
             if u == v:
                 loops.append(c)
-            before[e] = last[c - lo]
-            last[c - lo] = e
-            e += 1
+            marks[c - lo] = (marks[c - lo] ^ 4) | mark[u - rlo] | mark[v - rlo]
     if loops:
         raise Mismatch(f"loop in the link graph of class {min(loops)}")
-    odd: list[int] = []
-    for c, e in enumerate(last, lo):
-        # an odd cycle needs three edges
-        if before[e] < 0 or before[before[e]] < 0:
-            continue
-        edges = []
-        while e >= 0:
-            k, f = divmod(e, n)
-            _i, ra, rb = ends[k]
-            edges.append((sc[f * per + ra], sc[f * per + rb]))
-            e = before[e]
-        if not _link_graph_is_bipartite(edges):
-            odd.append(c)
+    # a branched link is odd when its star group is not trivial; a cycle is
+    # odd by its length (marks exactly 4), a path never
+    found = _swapping_classes(x, lo, marks) if ends and 2 in mark else set()
+    at = marks.find(4)
+    while at >= 0:
+        found.add(lo + at)
+        at = marks.find(4, at + 1)
+    odd = sorted(found)
     if not odd:
         return OddSubcomplex((), None)
     if classes.face_keys is not None:
@@ -194,17 +236,10 @@ def odd_subcomplex(x: Complex) -> OddSubcomplex:
 
 def is_pseudo_manifold(x: Complex) -> str:
     """Ridge-degree census: 'closed', 'with-boundary', or 'no'."""
-    classes = x.classes()
-    sc, per, d = classes.slot_class, classes.per, x.dim
-    # a copy's d+1 ridges are the subsets just before the whole copy; a
-    # 0-dimensional complex has none
-    degrees: Counter[int] = Counter()
-    if d > 0:
-        for at in range(per - d - 2, len(sc), per):
-            degrees.update(sc[at : at + d + 1])
-    if any(k > 2 for k in degrees.values()):
+    _lo, mark = _ridge_marks(x)
+    if 2 in mark:
         return "no"
-    return "closed" if all(k == 2 for k in degrees.values()) else "with-boundary"
+    return "with-boundary" if 1 in mark else "closed"
 
 
 def orientable(x: Complex) -> bool:

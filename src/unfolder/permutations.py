@@ -14,6 +14,7 @@ the closure is computed by saturation and the full element set is kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 Perm = tuple[int, ...]
 
@@ -76,8 +77,8 @@ def perm_cycle_string(p: Perm) -> str:
     return "".join(parts) if parts else "id"
 
 
-def closure(generators: list[Perm], degree: int) -> frozenset[Perm]:
-    """Multiply-and-saturate closure of the generated subgroup."""
+def closure(generators: list[Perm], degree: int, limit: float = inf) -> frozenset[Perm] | None:
+    """Multiply-and-saturate closure of the generated subgroup; None past `limit` elements."""
     ident = perm_identity(degree)
     elems: set[Perm] = {ident}
     frontier = [ident]
@@ -90,6 +91,8 @@ def closure(generators: list[Perm], degree: int) -> frozenset[Perm]:
                 if h not in elems:
                     elems.add(h)
                     nxt.append(h)
+                    if len(elems) > limit:
+                        return None
         frontier = nxt
     return frozenset(elems)
 
@@ -104,9 +107,10 @@ class PermutationGroup:
     generators: tuple[tuple[Perm, str], ...]
 
     @staticmethod
-    def generated(gens: list[tuple[Perm, str]], degree: int) -> "PermutationGroup":
-        elems = closure([g for g, _tag in gens], degree)
-        return PermutationGroup(degree, elems, tuple(gens))
+    def generated(gens: list[tuple[Perm, str]], degree: int, limit=inf) -> "PermutationGroup | None":
+        """The group `gens` generate; None when it has more than `limit` elements."""
+        elems = closure([g for g, _tag in gens], degree, limit)
+        return None if elems is None else PermutationGroup(degree, elems, tuple(gens))
 
     @property
     def order(self) -> int:

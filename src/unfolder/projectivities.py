@@ -13,7 +13,7 @@ with their parity, and a crossing is one lookup and one index map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from math import inf
 
 from .complexes import (
     AbstractComplex,
@@ -77,10 +77,19 @@ class ProjectivityGroup:
     loops: tuple[tuple[Perm, int], ...]
     orientable: bool
 
-    @cached_property
+    @property
     def group(self) -> PermutationGroup:
-        gens = [(p, f"gluing {gid}") for p, gid in self.loops]
-        return PermutationGroup.generated(gens, len(self.transports[self.base]))
+        return self.group_within(inf)
+
+    def group_within(self, limit: float) -> PermutationGroup | None:
+        """The group, closed on first read and kept; None, with nothing kept,
+        when it has more than `limit` elements, where its closure stops."""
+        group = self.__dict__.get("_group")
+        if group is None:
+            gens = [(p, f"gluing {gid}") for p, gid in self.loops]
+            group = PermutationGroup.generated(gens, len(self.transports[self.base]), limit)
+            self.__dict__["_group"] = group
+        return group if group is not None and group.order <= limit else None
 
     @property
     def spans(self) -> bool:
@@ -255,11 +264,12 @@ def induced_homomorphism_check(K, L, vertex_map: dict[int, int]) -> bool:
     d = K.dim
     if L.dim != d:
         raise DegenerateMap(f"dimensions differ: {d} vs {L.dim}")
+    targets = set(L.facets)
     for f in K.facets:
         image = [vertex_map[v] for v in f]
         if len(set(image)) != d + 1:
             raise DegenerateMap(f"facet {f} collapses under the vertex map")
-        if tuple(sorted(image)) not in L.facets:
+        if tuple(sorted(image)) not in targets:
             raise DegenerateMap(f"facet {f} does not land on a facet")
     verts_k = K.facets[0]
     base_l = L.facet_id(tuple(sorted(vertex_map[v] for v in verts_k)))

@@ -26,6 +26,7 @@ from .complexes import (
     _steps,
     check_size,
     gluings_from,
+    max_copies,
     perspectivity,
 )
 from .errors import (
@@ -107,10 +108,15 @@ def complete_unfolding(x: Complex, base: int = 0) -> UnfoldingResult:
     i-th element g, the inverse of g composed after the tree transport to f.
     A gluing from a to b with holonomy h moves g to g h.  The total has no
     holonomy of its own: its group is trivial (checks `proj-06` and `unf-02`
-    of `unfolder verify`).
+    of `unfolder verify`).  A group with more elements than `max_copies`
+    is refused as soon as its closure passes that many.
     """
     pg = projectivity_group(x, base)
-    elements = pg.group.sorted_elements()
+    most = max_copies(x.dim, x.facet_count)
+    group = pg.group_within(most)
+    if group is None:
+        check_size(x.dim, x.facet_count * (most + 1), at_least=True)  # always refuses
+    elements = group.sorted_elements()
     index = {g: i for i, g in enumerate(elements)}
     t = pg.transports
     by_holonomy: dict[Perm, list[int]] = {}  # at most |G| fibre images

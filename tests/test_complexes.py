@@ -20,12 +20,14 @@ from unfolder.errors import (
     DegenerateFacet,
     InvalidPath,
     MixedDimension,
+    NotAFacet,
     SelfIdentification,
 )
 from unfolder.gallery import (
     boundary_simplex,
     doubled_triangle_sphere,
     gallery_entries,
+    knot_neighborhood,
     pinched_strip,
     starred_triangle,
 )
@@ -56,6 +58,18 @@ def test_face_enumeration(tetra):
     assert tetra.has_face((1, 3))
     assert not tetra.has_face((0, 4))
     assert tetra.facet_id((1, 2, 3)) == 3
+
+
+def test_facet_id_finds_every_facet_and_nothing_else():
+    K = knot_neighborhood(12, "klein").abstract
+    for i, f in enumerate(K.facets):
+        assert K.facet_id(f) == i
+        assert K.facet_id(reversed(f)) == i
+    low, high = min(K.vertices()) - 1, max(K.vertices()) + 1
+    first = K.facets[0]
+    for verts in ((low,) * len(first), (high,) * len(first), first[:-1], (*first[:-1], high)):
+        with pytest.raises(NotAFacet, match="is not a facet"):
+            K.facet_id(verts)
 
 
 def test_link_of_vertex(tetra):

@@ -508,6 +508,22 @@ def test_local_strong_connectivity_and_odd_faces_build_no_star_or_link(
         path.write_text(doc)
         assert cli.main(["analyze", str(path)]) == 0
         assert "odd subcomplex: " in capsys.readouterr().out
+    # a ridge held three times branches the links of its subfaces of
+    # codimension 2; they are two-coloured in the scan, with no star built
+    # and no member tuples of the classes
+    K = AbstractComplex.from_facets(boundary_simplex(4).facets + ((0, 1, 2, 5), (2, 3, 4, 6)))
+    for y in (K, as_pseudo(K)):
+        classes = y.classes()
+        odd = odd_subcomplex(y).odd_faces
+        assert "members" not in vars(classes)
+        ridges = [r for r in classes.classes_of_card(3) if classes.sizes[r] >= 3]
+        branched = [
+            c
+            for c in classes.classes_of_card(2)
+            if any(classes.contains(c, r) for r in ridges)
+        ]
+        assert len(ridges) == 2 and len(branched) == 6
+        assert set(branched) <= set(odd)
 
 
 def test_odd_subcomplex_alone_still_names_the_bad_star():

@@ -10,17 +10,19 @@ from hypothesis import given, settings
 from test_emit import pseudo_complexes
 from test_incidence import dual_components, shuffled_bary2
 
-from unfolder import diagnostics, projectivities, unfoldings
+from unfolder import complexes, diagnostics, permutations, projectivities, unfoldings
 from unfolder.cli import main
 from unfolder.complexes import (
     MAX_CLOSURE_SLOTS,
     Gluing,
     PseudoComplex,
+    check_size,
+    max_copies,
     perspectivity,
 )
 from unfolder.errors import BadParameter
 from unfolder.gallery import boundary_simplex, gallery_entries, knot_neighborhood
-from unfolder.io import emit, emit_unfolding
+from unfolder.io import emit, emit_unfolding, parse_document
 from unfolder.permutations import perm_compose, perm_inverse
 from unfolder.projectivities import projectivity_group
 from unfolder.unfoldings import complete_unfolding, components, partial_unfolding
@@ -114,17 +116,31 @@ def test_the_partial_unfolding_runs_no_search(monkeypatch):
     assert (u.component_partition, comps, emit_unfolding(u, comps)) == want
 
 
+def complete_refusal(x):
+    """The complete unfolding's refusal of a group with more elements than
+    `max_copies`: the size check's, for one copy more of each facet."""
+    with pytest.raises(BadParameter) as refusal:
+        check_size(x.dim, x.facet_count * (max_copies(x.dim, x.facet_count) + 1), at_least=True)
+    assert str(refusal.value).startswith("face closure of at least ")
+    return str(refusal.value)
+
+
 TOO_LARGE = [
     # 2000 copies of dim 8 pass the parser (1022000 slots); 9 each do not
-    ("partial", PseudoComplex(8, 2000, ()), 2000 * 9 * 511),
-    # 8 facets of dim 6 times the 5040 elements of S7
-    ("complete", boundary_simplex(7), 8 * 5040 * 127),
+    (
+        "partial",
+        PseudoComplex(8, 2000, ()),
+        f"face closure of {2000 * 9 * 511} slots is above the limit {MAX_CLOSURE_SLOTS}",
+    ),
+    # 8 facets of dim 6 take 1016 slots a copy, so at most 1032 of the 5040
+    # elements of S7
+    ("complete", boundary_simplex(7), complete_refusal(boundary_simplex(7))),
 ]
 
 
-@pytest.mark.parametrize("mode, x, slots", TOO_LARGE, ids=[m for m, _x, _s in TOO_LARGE])
+@pytest.mark.parametrize("mode, x, text", TOO_LARGE, ids=[m for m, _x, _t in TOO_LARGE])
 def test_the_lift_refuses_a_total_above_the_closure_bound(
-    mode, x, slots, capsys, monkeypatch, tmp_path
+    mode, x, text, capsys, monkeypatch, tmp_path
 ):
     path = tmp_path / "x.json"
     path.write_text(emit(x))
@@ -133,10 +149,46 @@ def test_the_lift_refuses_a_total_above_the_closure_bound(
         raise AssertionError("a lifted gluing was built")
 
     monkeypatch.setattr(unfoldings, "Gluing", refuse)
-    text = f"face closure of {slots} slots is above the limit {MAX_CLOSURE_SLOTS}"
     unfold = partial_unfolding if mode == "partial" else complete_unfolding
     with pytest.raises(BadParameter, match=f"^{text}$"):
         unfold(x)
     assert main(["unfold", "--mode", mode, str(path)]) == 2
     out = capsys.readouterr()
     assert (out.out, out.err) == ("", f"error: {text}\n")
+
+
+def test_the_complete_unfolding_stops_closing_a_group_past_the_slot_limit(
+    capsys, monkeypatch, tmp_path
+):
+    # S9 acts on the 10 facets of the 8-simplex's boundary, 511 slots each:
+    # at most 205 copies of each facet fit, so the closure may build at most
+    # 206 elements, each with one product per generator, before the refusal
+    x = boundary_simplex(9)
+    path = tmp_path / "x.json"
+    path.write_text(emit(x))
+    products = []
+    real_compose = permutations.perm_compose
+    monkeypatch.setattr(
+        permutations, "perm_compose", lambda p, q: products.append(p) or real_compose(p, q)
+    )
+    assert main(["unfold", "--mode", "complete", str(path)]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {complete_refusal(x)}\n")
+    generators = len(projectivity_group(parse_document(path.read_text()).complex).loops)
+    assert 0 < len(products) <= 206 * generators
+
+
+def test_the_complete_unfolding_closes_the_group_once(monkeypatch):
+    calls = []
+    real_closure = permutations.closure
+    monkeypatch.setattr(permutations, "closure", lambda *a: calls.append(a) or real_closure(*a))
+    x = knot_neighborhood(5, "klein").complex
+    u = complete_unfolding(x)
+    assert u.group.group.order == u.width == 4 and len(calls) == 1
+    # a refused group is not kept: read in full, it is closed again
+    y = boundary_simplex(4)
+    monkeypatch.setattr(complexes, "MAX_CLOSURE_SLOTS", 5 * 15 * 23)
+    assert max_copies(y.dim, y.facet_count) == 23
+    with pytest.raises(BadParameter, match=f"^face closure of at least {5 * 15 * 24} slots "):
+        complete_unfolding(y)
+    assert projectivity_group(y).group.order == 24 and len(calls) == 3

@@ -4,7 +4,9 @@ The reference functions below are the star- and link-based versions the
 library used before: every class of cardinality <= d-1 builds its star and
 tests the star's dual graph, and every codimension-2 class builds its link
 and two-colours the link's vertex classes.  The library must give the same
-outcome, witness, odd faces and errors without building a star or a link.
+outcome, witness, odd faces and errors, building no star and no link.  A
+class whose link is branched, with a ridge held three or more times, is
+decided by its star group, not by parity, so the corpus holds such classes.
 """
 
 import pytest
@@ -28,6 +30,7 @@ from unfolder.errors import (
     UnfolderError,
 )
 from unfolder.gallery import boundary_simplex, gallery_entries, knot_neighborhood, pinched_strip
+from unfolder.projectivities import star_group
 from unfolder.subdivisions import antiprismatic, barycentric, iterate
 from unfolder.unfoldings import complete_unfolding
 
@@ -128,7 +131,43 @@ def _cases():
     bary2 = shuffled(iterate(barycentric, boundary_simplex(3), 2), 20261018)
     cases.append(("shuffled bary2(d3)", bary2))
     cases.append(("shuffled as_pseudo(bary2(d3))", shuffled_pseudo(as_pseudo(bary2), 7)))
+    return cases + branched_cases()
+
+
+def branched_cases():
+    """The boundaries of the 3- and 4-simplex with one to four extra simplices
+    glued onto ridges, so that some ridge is held three or more times: in
+    abstract form, as pseudo-complexes, and barycentrically subdivided, which
+    makes them balanced, so their branched links are even.  A vertex shared
+    by two extra simplices and nothing else has a disconnected star."""
+    d3, d4 = list(boundary_simplex(3).facets), list(boundary_simplex(4).facets)
+    extras = {
+        "d3+1": d3 + [(0, 1, 4)],
+        "d3+2 on one ridge": d3 + [(0, 1, 4), (0, 1, 5)],
+        "d3+2": d3 + [(0, 1, 4), (2, 3, 5)],
+        "d3+4": d3 + [(0, 1, 4), (0, 2, 5), (1, 3, 6), (2, 3, 4)],
+        "d4+1": d4 + [(0, 1, 2, 5)],
+        "d4+2": d4 + [(0, 1, 2, 5), (2, 3, 4, 6)],
+        "d4+3": d4 + [(0, 1, 2, 5), (2, 3, 4, 6), (0, 1, 3, 6)],
+        "d4+4": d4 + [(0, 1, 2, 5), (2, 3, 4, 6), (0, 1, 3, 6), (1, 2, 5, 7)],
+    }
+    cases = []
+    for name, facets in extras.items():
+        K = AbstractComplex.from_facets(facets)
+        cases.append((f"branched {name}", K))
+        cases.append((f"branched as_pseudo({name})", as_pseudo(K)))
+        if K.facet_count <= 6:
+            cases.append((f"branched barycentric({name})", barycentric(K).result))
     return cases
+
+
+def branched_classes(x):
+    """The codimension-2 classes with a link vertex of degree three or more."""
+    return [
+        cid
+        for cid in x.classes().classes_of_card(x.dim - 1)
+        if max(map(len, vertex_classes(link_of_class(x, cid)[0]))) >= 3
+    ]
 
 
 CASES = _cases()
@@ -145,6 +184,18 @@ def test_the_corpus_has_negative_and_odd_cases():
     lsc = [is_locally_strongly_connected(x)[0] for _name, x in CASES]
     assert lsc.count(False) >= 5
     assert sum(ok and not odd_subcomplex(x).is_empty for (_n, x), ok in zip(CASES, lsc)) >= 20
+    # a branched link is decided by its star group, not by parity: the corpus
+    # must hold branched classes that are odd and branched classes that are not
+    odd_branched = even_branched = 0
+    for (_n, x), ok in zip(CASES, lsc):
+        if ok:
+            branched = set(branched_classes(x))
+            odd = branched.intersection(odd_subcomplex(x).odd_faces)
+            assert odd == {c for c in branched if star_group(x, c).order > 1}
+            odd_branched += bool(odd)
+            even_branched += bool(branched - odd)
+    assert odd_branched >= 8
+    assert even_branched >= 3
 
 
 @settings(max_examples=300, deadline=None)
