@@ -16,8 +16,8 @@ __version__ = "0.1.0"
 # each submodule with the public names it defines
 _SOURCES = {
     "complexes": """AbstractComplex Complex DualGraph FaceClasses FacetPath Gluing
-        PseudoComplex StarView as_pseudo dual_graph gluings_of is_connected_complex
-        is_simplicial link link_of_class path_from_facets perspectivity star_of_class""",
+        PseudoComplex StarView as_pseudo dual_graph gluings_of is_simplicial link
+        link_of_class path_from_facets perspectivity star_of_class""",
     "diagnostics": """IsoWitness OddSubcomplex ProjectionConstraint balanced_coloring
         euler_characteristic is_locally_strongly_connected is_nice is_pseudo_manifold
         is_strongly_connected isomorphic mod2_boundary_check odd_subcomplex orientable""",

@@ -35,16 +35,15 @@ graph, `projectivities._search`, walks it.
 Every union-find here is one kernel over integer slots, `_unite`: slot
 f * per + i stands for item i of copy f (subset i of `nonempty_subsets` for
 the glued face closure, local vertex i for `vertex_classes` and
-`unfoldings._orbit_parts`, copy f itself for `is_connected_complex`).  The
-smaller root wins each union, so a class's root is its smallest slot, and
-`_roots` finishes every path in one ascending pass.  A gluing's slot pairs
-come from a table kept per (dim, ridge_a, mapping), its two perspectivity
-steps and their parity from one kept per (dim, ridge_a, ridge_b, mapping),
-and one scan per subset size turns the parents into class ids in
-(cardinality, smallest member) order, so nothing is sorted afterwards.
-`derived_gluings` reads each ridge's holders off the ridge slots of the face
-table: facets are sorted tuples, so the ridge that omits position o sits at
-the other positions, in order, in both facets.
+`unfoldings._orbit_parts`).  The smaller root wins each union, so a class's
+root is its smallest slot, and `_roots` finishes every path in one ascending
+pass.  A gluing's slot pairs come from a table kept per (dim, ridge_a,
+mapping), its two perspectivity steps and their parity from one kept per
+(dim, ridge_a, ridge_b, mapping), and one scan per subset size turns the
+parents into class ids in (cardinality, smallest member) order, so nothing
+is sorted afterwards.  `derived_gluings` reads each ridge's holders off the
+ridge slots of the face table: facets are sorted tuples, so the ridge that
+omits position o sits at the other positions, in order, in both facets.
 
 `FaceClasses` is flat arrays over that slot numbering, and a reader adds a
 copy's offset f * per to a subset's position in `nonempty_subsets`
@@ -465,11 +464,6 @@ class FaceClasses:
         at = f * self.per  # vertex l of copy f is slot at + l
         return tuple(sorted(self.slot_class[at + l] for l in sub))
 
-    def contains(self, small: int, large: int) -> bool:
-        """True when some copy exhibits `small` as a subface of `large`."""
-        at = dict(self.members[small])  # a class meets a copy at most once
-        return any(f in at and set(at[f]) <= set(s) for f, s in self.members[large])
-
 
 @dataclass(frozen=True)
 class AbstractComplex:
@@ -870,12 +864,3 @@ def link_of_class(x: Complex, cid: int) -> tuple[PseudoComplex, StarView]:
         link_gluings.append(Gluing(g.facet_a, ra, g.facet_b, tuple(sorted(mapping)), mapping))
     lk = PseudoComplex(d - card, len(star.parent_facets), tuple(link_gluings))
     return lk, star
-
-
-def is_connected_complex(x: Complex) -> bool:
-    """Connectivity through shared faces (vertex classes suffice)."""
-    classes = x.classes()
-    sc, first, per, w = classes.slot_class, classes.first, classes.per, x.dim + 1
-    # each vertex slot of copy f joins f to the copy of its class's first member
-    pairs = ((first[c] // per, f) for f in range(x.facet_count) for c in sc[f * per : f * per + w])
-    return max(_roots(x.facet_count, pairs)) == 0

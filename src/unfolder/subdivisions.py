@@ -4,14 +4,15 @@ The anti-prismatic subdivision is built from its abstract description:
 vertices are pairs (face class, vertex class of that face); a set of d+1
 distinct pairs spans a facet when the faces form a nested chain (repetitions
 allowed) and a pair's vertex avoids every strictly smaller face in the chain.
-Admissibility is local to one facet copy, so the facet shapes are enumerated
-once per dimension and instantiated per copy with global class ids.
+Within one copy such a set is an ordered partition B1, ..., Bk of the labels
+0..d, as the pairs (B1 + ... + Bj, w) for w in Bj.  These facet shapes are
+generated once per dimension and instantiated per copy with global class ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from itertools import permutations as all_permutations
 from math import comb, factorial
@@ -28,42 +29,25 @@ LocalPair = tuple[tuple[int, ...], int]  # (sorted local subset, local vertex)
 def antiprism_facet_shapes(dim: int) -> tuple[tuple[LocalPair, ...], ...]:
     """All facets of the anti-prismatic subdivision of one standard simplex.
 
-    Each shape is a sorted tuple of d+1 distinct (subset, vertex) pairs;
-    subsets grow along the tuple and equal subsets carry increasing vertices,
-    so every facet appears exactly once.
+    Blocks are tried by size, then lexicographically; for blocks of one size
+    tau + B orders as B does, so chains come out in (cardinality, lex) order.
     """
-    d = dim
-    full = tuple(range(d + 1))
-    subsets = [
-        tuple(s) for k in range(1, d + 2) for s in combinations(full, k)
-    ]
-    shapes: list[tuple[LocalPair, ...]] = []
 
-    def extend(pairs: list[LocalPair], tau: tuple[int, ...] | None) -> None:
-        if len(pairs) == d + 1:
-            shapes.append(tuple(pairs))
-            return
-        for nxt in subsets:
-            if tau is not None:
-                if len(nxt) < len(tau) or not set(tau) <= set(nxt):
-                    continue
-            smaller = [t for t, _w in pairs if set(t) < set(nxt)]
-            for w in nxt:
-                if nxt == tau and w <= pairs[-1][1]:
-                    continue
-                if any(w in t for t in smaller):
-                    continue
-                pairs.append((nxt, w))
-                extend(pairs, nxt)
-                pairs.pop()
+    def extend(pairs: tuple[LocalPair, ...], tau: tuple[int, ...], rest: tuple[int, ...]):
+        if not rest:
+            yield pairs
+        for k in range(1, len(rest) + 1):
+            for block in combinations(rest, k):
+                chain = tuple(sorted(tau + block))
+                left = tuple(v for v in rest if v not in block)
+                yield from extend(pairs + tuple((chain, w) for w in block), chain, left)
 
-    extend([], None)
-    return tuple(shapes)
+    return tuple(extend((), (), tuple(range(dim + 1))))
 
 
 def antiprism_facet_count(dim: int) -> int:
-    """`len(antiprism_facet_shapes(dim))` without the enumeration (22 s at
-    dim 6): the ordered partitions of dim+1 points, a(m) = sum C(m, k) a(m-k)."""
+    """`len(antiprism_facet_shapes(dim))` without the enumeration (545835 shapes
+    at dim 7): the ordered partitions of dim+1 points, a(m) = sum C(m, k) a(m-k)."""
     a = [1]
     for m in range(1, dim + 2):
         a.append(sum(comb(m, k) * a[m - k] for k in range(1, m + 1)))
@@ -86,15 +70,20 @@ class SubdivisionRecord:
     facet_provenance: tuple[tuple[int, int], ...]
 
     def central_shape_index(self) -> int:
+        """The one-block shape: its first subset is the largest, so it is last."""
         if self.kind != "antiprismatic":
             raise BadParameter(f"no central facets in a {self.kind} subdivision")
-        shapes = antiprism_facet_shapes(self.source.dim)
-        full = tuple(range(self.source.dim + 1))
-        want = tuple((full, w) for w in full)
-        return shapes.index(want)
+        return len(antiprism_facet_shapes(self.source.dim)) - 1
+
+    @cached_property
+    def _facet_by_provenance(self) -> dict[tuple[int, int], int]:
+        return {pv: i for i, pv in enumerate(self.facet_provenance)}
 
     def facet_of_copy(self, copy: int, shape_index: int) -> int:
-        return self.facet_provenance.index((copy, shape_index))
+        facet = self._facet_by_provenance.get((copy, shape_index))
+        if facet is None:
+            raise NotAFacet(f"no facet of shape {shape_index} in copy {copy}")
+        return facet
 
     def central_facet(self, copy: int) -> int:
         return self.facet_of_copy(copy, self.central_shape_index())
@@ -207,7 +196,6 @@ def crumpling_group_pair(rec: SubdivisionRecord) -> tuple[PermutationGroup, Perm
     """
     x = rec.source
     d = x.dim
-    classes = x.classes()
     central = rec.central_facet(0)
     pg = projectivity_group(rec.result)
     t = pg.transport_to(central)
@@ -215,12 +203,9 @@ def crumpling_group_pair(rec: SubdivisionRecord) -> tuple[PermutationGroup, Perm
     at_central = {perm_compose(perm_compose(t_inv, g), t) for g in pg.group.elements}
     base_pg = projectivity_group(x)
 
-    facet_verts = rec.result.facets[central]
-    mu: list[int] = []
-    for vid in facet_verts:
-        _tau_class, w_class = rec.vertex_provenance[vid]
-        f, (l,) = next(r for r in classes.members[w_class] if r[0] == 0)
-        mu.append(l)
+    # the copy-0 label of each vertex of the central facet: vertex l of copy 0 is slot l
+    copy0 = x.classes().slot_class[: d + 1]
+    mu = [copy0.index(rec.vertex_provenance[vid][1]) for vid in rec.result.facets[central]]
     transported = []
     for g in sorted(at_central):
         h = [0] * (d + 1)
@@ -275,14 +260,13 @@ def unfold_commutes_with_antiprismatic(x: Complex, mode: str = "complete"):
     cls_dn = x.classes()
     vid_up = {pair: v for v, pair in rec_up.vertex_provenance.items()}
     vid_dn = {pair: v for v, pair in rec.vertex_provenance.items()}
-    down_index = {pv: i for i, pv in enumerate(rec.facet_provenance)}
 
     targets: list[int] = []
     lmaps: list[Perm] = []
     for j in range(rec_up.result.facet_count):
         F, s = rec_up.facet_provenance[j]
         pF = up.projection[F]
-        t = down_index[(pF, s)]
+        t = rec.facet_of_copy(pF, s)
         jv = rec_up.result.facets[j]
         tv = rec.result.facets[t]
         lam = [0] * (d + 1)

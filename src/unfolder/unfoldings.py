@@ -34,6 +34,7 @@ from .errors import (
     BaseNotNice,
     IsomorphismNotFound,
     Mismatch,
+    NotAFace,
     NotAFacet,
 )
 from .permutations import Perm, perm_compose, perm_inverse
@@ -318,6 +319,8 @@ def branching_index(u: UnfoldingResult, cover_cid: int) -> int:
     underlying base class; a spread signals an implementation bug.
     """
     total_classes = u.total.classes()
+    if not 0 <= cover_cid < total_classes.count:
+        raise NotAFace(f"no face class {cover_cid}")
     base_classes = u.base.classes()
     seen: dict[tuple[int, tuple[int, ...]], int] = {}
     base_cid = None

@@ -29,7 +29,6 @@ from unfolder.complexes import (
     PseudoComplex,
     _roots,
     as_pseudo,
-    is_connected_complex,
     is_simplicial,
     nonempty_subsets,
     vertex_classes,
@@ -215,23 +214,6 @@ def outcome(fn, *args):
     return face_classes_shape(result) if isinstance(result, FaceClasses) else result
 
 
-def connected_by_networkx(x):
-    """Face connectivity from the raw data: facets joined through shared
-    vertices (abstract) or through chains of glued vertex slots (pseudo)."""
-    g = nx.Graph()
-    g.add_nodes_from(("facet", f) for f in range(x.facet_count))
-    if isinstance(x, AbstractComplex):
-        for f, verts in enumerate(x.facets):
-            g.add_edges_from((("facet", f), ("vertex", v)) for v in verts)
-    else:
-        for f in range(x.facet_count):
-            g.add_edges_from((("facet", f), ("slot", f, l)) for l in range(x.dim + 1))
-        for gl in x.gluings:
-            for va, vb in zip(gl.ridge_a, gl.mapping):
-                g.add_edge(("slot", gl.facet_a, va), ("slot", gl.facet_b, vb))
-    return nx.is_connected(g)
-
-
 def shuffled(K, seed):
     """`K` with its vertices relabelled and its facet rows shuffled."""
     rng = random.Random(seed)
@@ -297,23 +279,11 @@ def test_class_of_answers_as_the_reference_dict_did():
 
 
 @pytest.mark.parametrize("x", [x for _name, x in CASES], ids=IDS)
-def test_vertex_classes_and_connectivity_match_the_references(x):
+def test_vertex_classes_match_the_reference(x):
     assert vertex_classes(x) == reference_vertex_classes(x)
-    assert is_connected_complex(x) == connected_by_networkx(x)
     if isinstance(x, AbstractComplex):
         P = as_pseudo(x)
         assert vertex_classes(P) == reference_vertex_classes(P)
-        assert is_connected_complex(P) == connected_by_networkx(P)
-
-
-def test_disconnected_complexes_are_seen():
-    two_triangles = AbstractComplex.from_facets([(0, 1, 2), (3, 4, 5)])
-    assert not is_connected_complex(two_triangles)
-    assert not connected_by_networkx(two_triangles)
-    # glued along empty ridges, dim-0 copies share no face
-    points = PseudoComplex(0, 2, (Gluing(0, (), 1, (), ()),))
-    assert not is_connected_complex(points)
-    assert not connected_by_networkx(points)
 
 
 @settings(max_examples=300, deadline=None)
@@ -322,10 +292,7 @@ def test_random_pseudo_complexes_match_the_reference(P):
     args = (P.dim, P.facet_count, P.gluings)
     assert outcome(FaceClasses.from_glued, *args) == outcome(reference_from_glued, *args)
     fresh = PseudoComplex(*args)
-    want = outcome(reference_vertex_classes, P)
-    assert outcome(vertex_classes, fresh) == want
-    if not isinstance(want[0], type):
-        assert is_connected_complex(fresh) == connected_by_networkx(P)
+    assert outcome(vertex_classes, fresh) == outcome(reference_vertex_classes, P)
 
 
 def test_self_identification_names_the_reference_faces():
@@ -361,7 +328,6 @@ def test_random_abstract_complexes_match_the_reference(K):
     assert K.derived_gluings() == reference_derived_gluings(K)
     assert as_pseudo(K) == PseudoComplex(K.dim, K.facet_count, K.derived_gluings())
     assert vertex_classes(K) == reference_vertex_classes(K)
-    assert is_connected_complex(K) == connected_by_networkx(K)
 
 
 @settings(max_examples=100, deadline=None)

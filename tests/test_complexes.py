@@ -185,11 +185,3 @@ def test_star_of_class_collects_incident_facets(tetra):
     vid = classes.class_of((0, (0,)))
     star = star_of_class(tetra, vid)
     assert len(star.parent_facets) == 3  # three triangles at a vertex
-
-
-def test_contains_relation(tetra):
-    classes = tetra.classes()
-    v = classes.class_of((0, (0,)))
-    e = classes.class_of((0, (0, 1)))
-    assert classes.contains(v, e)
-    assert not classes.contains(e, v)

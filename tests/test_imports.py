@@ -24,9 +24,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 EXPORTS = {
     "complexes": (
         "AbstractComplex", "Complex", "DualGraph", "FaceClasses", "FacetPath", "Gluing",
-        "PseudoComplex", "StarView", "as_pseudo", "dual_graph", "gluings_of",
-        "is_connected_complex", "is_simplicial", "link", "link_of_class", "path_from_facets",
-        "perspectivity", "star_of_class",
+        "PseudoComplex", "StarView", "as_pseudo", "dual_graph", "gluings_of", "is_simplicial",
+        "link", "link_of_class", "path_from_facets", "perspectivity", "star_of_class",
     ),
     "diagnostics": (
         "IsoWitness", "OddSubcomplex", "ProjectionConstraint", "balanced_coloring",

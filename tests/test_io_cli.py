@@ -283,7 +283,7 @@ def test_cli_subdivide_refuses_a_result_above_the_closure_bound(
     src = tmp_path / "d.json"
     src.write_text(emit(boundary_simplex(n)))
     if args[1] == "antiprismatic":
-        # the shapes are not enumerated: 22 s at dim 6 alone
+        # the shapes are not enumerated: 545835 of them at dim 7
         monkeypatch.setattr(subdivisions, "antiprism_facet_shapes", None)
     code, out, err = _run(capsys, "subdivide", *args, str(src))
     assert (code, out) == (2, "")

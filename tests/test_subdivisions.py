@@ -1,5 +1,6 @@
 """Subdivision operators and their interaction with unfolding."""
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -7,9 +8,10 @@ from math import factorial
 
 import pytest
 
-from unfolder.complexes import PseudoComplex, as_pseudo, is_simplicial
+from unfolder import cli
+from unfolder.complexes import AbstractComplex, PseudoComplex, as_pseudo, is_simplicial
 from unfolder.diagnostics import balanced_coloring, euler_characteristic
-from unfolder.errors import BadParameter
+from unfolder.errors import BadParameter, NotAFacet
 from unfolder.gallery import (
     boundary_simplex,
     doubled_triangle_sphere,
@@ -65,6 +67,50 @@ def _det(rows):
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
         total += (-1) ** j * rows[0][j] * _det(minor)
     return total
+
+
+@lru_cache(maxsize=None)
+def reference_facet_shapes(dim: int):
+    """The depth-first search the generator replaced: every subset is tried
+    for containment and admissibility at every step."""
+    d = dim
+    full = tuple(range(d + 1))
+    subsets = [tuple(s) for k in range(1, d + 2) for s in combinations(full, k)]
+    shapes = []
+
+    def extend(pairs, tau):
+        if len(pairs) == d + 1:
+            shapes.append(tuple(pairs))
+            return
+        for nxt in subsets:
+            if tau is not None:
+                if len(nxt) < len(tau) or not set(tau) <= set(nxt):
+                    continue
+            smaller = [t for t, _w in pairs if set(t) < set(nxt)]
+            for w in nxt:
+                if nxt == tau and w <= pairs[-1][1]:
+                    continue
+                if any(w in t for t in smaller):
+                    continue
+                pairs.append((nxt, w))
+                extend(pairs, nxt)
+                pairs.pop()
+
+    extend([], None)
+    return tuple(shapes)
+
+
+@pytest.mark.parametrize("dim", range(6))
+def test_shapes_are_the_reference_search_order_included(dim):
+    assert antiprism_facet_shapes(dim) == reference_facet_shapes(dim)
+
+
+@pytest.mark.parametrize("dim", range(6))
+def test_the_central_shape_is_the_last(dim):
+    full = tuple(range(dim + 1))
+    assert antiprism_facet_shapes(dim)[-1] == tuple((full, w) for w in full)
+    rec = antiprismatic(AbstractComplex.from_facets([full]))
+    assert rec.central_shape_index() == len(antiprism_facet_shapes(dim)) - 1
 
 
 @pytest.mark.parametrize("dim", [0, 1, 2, 3, 4])
@@ -151,6 +197,26 @@ def test_central_facets_exist_per_copy():
     assert len(centers) == 3
     with pytest.raises(BadParameter):
         barycentric(K).central_shape_index()
+
+
+def test_a_facet_outside_the_record_is_not_a_facet():
+    rec = antiprismatic(boundary_simplex(2))  # three edges, three shapes each
+    assert rec.facet_of_copy(2, 2) == rec.central_facet(2)
+    for call, message in (
+        (lambda: rec.central_facet(99), "no facet of shape 2 in copy 99"),
+        (lambda: rec.central_facet(-1), "no facet of shape 2 in copy -1"),
+        (lambda: rec.facet_of_copy(0, 3), "no facet of shape 3 in copy 0"),
+    ):
+        with pytest.raises(NotAFacet, match=f"^{message}$"):
+            call()
+
+
+def test_cli_subdivides_three_loose_copies_of_dim_5(capsys, tmp_path):
+    doc = tmp_path / "d5.json"
+    doc.write_text(json.dumps({"kind": "pseudo", "dim": 5, "facet_count": 3}))
+    assert cli.main(["subdivide", "--kind", "antiprismatic", str(doc)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["dim"], len(out["facets"])) == (5, 3 * 4683)
 
 
 def test_crumpling_map_lands_on_parent_facets():

@@ -15,7 +15,7 @@ from unfolder.diagnostics import (
     odd_subcomplex,
     orientable,
 )
-from unfolder.errors import BadParameter, BaseNotNice
+from unfolder.errors import BadParameter, BaseNotNice, NotAFace
 from unfolder.gallery import (
     boundary_simplex,
     cycle_graph,
@@ -116,6 +116,14 @@ def test_two_fold_cover_fibers_over_odd_vertices(tetra_tilde):
     for cid in odd:
         indices = sorted(branching_index(u, cc) for cc in fibers_over(u)[cid])
         assert indices == [1, 2]
+
+
+def test_branching_index_refuses_a_class_outside_the_total(tetra_tilde):
+    count = tetra_tilde.total.classes().count
+    for cid in (-1, count):
+        with pytest.raises(NotAFace, match=f"^no face class {cid}$"):
+            branching_index(tetra_tilde, cid)
+    assert branching_index(tetra_tilde, count - 1) >= 1
 
 
 def test_unfolding_base_must_exist():
