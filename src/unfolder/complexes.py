@@ -101,6 +101,13 @@ def check_size(dim: int, facet_count: int, at_least: bool = False) -> None:
         )
 
 
+def check_facet(x: Complex, facet: int) -> int:
+    """`facet`, when it is a facet id of `x`; NotAFacet otherwise."""
+    if not 0 <= facet < x.facet_count:
+        raise NotAFacet(f"no facet {facet}")
+    return facet
+
+
 def max_copies(dim: int, facet_count: int) -> int:
     """The most copies of each facet a lift may build: `check_size` passes
     that many copies of all `facet_count` facets and refuses one more."""
@@ -431,6 +438,8 @@ class FaceClasses:
 
     def first_ref(self, cid: int) -> FaceRef:
         """The smallest member of class `cid`."""
+        if not 0 <= cid < self.count:
+            raise NotAFace(f"no face class {cid}")
         f, i = divmod(self.first[cid], self.per)
         return f, nonempty_subsets(self.dim + 1)[i]
 
@@ -769,8 +778,8 @@ class FacetPath:
 
     def facet_sequence(self, x: Complex) -> tuple[int, ...]:
         gl = x.gluings
-        seq = [self.start]
-        cur = self.start
+        cur = check_facet(x, self.start)
+        seq = [cur]
         for gid in self.steps:
             if not 0 <= gid < len(gl):
                 raise InvalidPath(f"no gluing {gid}")
@@ -801,7 +810,7 @@ def path_from_facets(x: Complex, facet_ids) -> FacetPath:
         if len(hits) > 1:
             raise InvalidPath(f"facets {a} and {b} share several gluings; give gluing ids")
         steps.append(hits[0])
-    return FacetPath(ids[0], tuple(steps))
+    return FacetPath(check_facet(x, ids[0]), tuple(steps))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ composes its transports with a gluing's step in that same way.
 Groups here are small: order at most (d+1)!, where d <= 4 for the gallery
 and benchmark inputs and d <= `complexes.MAX_DIM` = 8 for any document.  So
 the closure is computed by saturation and the full element set is kept.
+A group changes base by conjugation: carried along a label bijection t, each
+element g becomes t^-1 g t (`PermutationGroup.conjugated`).
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ def closure(generators: list[Perm], degree: int, limit: float = inf) -> frozense
     ident = perm_identity(degree)
     elems: set[Perm] = {ident}
     frontier = [ident]
-    gens = [g for g in generators if g != ident]
+    gens = [g for g in dict.fromkeys(generators) if g != ident]
     while frontier:
         nxt: list[Perm] = []
         for e in frontier:
@@ -122,6 +124,15 @@ class PermutationGroup:
 
     def __contains__(self, p: Perm) -> bool:
         return p in self.elements
+
+    def conjugated(self, t: Perm) -> "PermutationGroup":
+        """The group carried along the label bijection t: each g becomes
+        t^-1 g t, generators with their tags.  Conjugation is a bijection,
+        so nothing is closed again."""
+        t_inv = perm_inverse(t)
+        image = {g: perm_compose(perm_compose(t_inv, g), t) for g in self.elements}
+        gens = tuple((image[g], tag) for g, tag in self.generators)
+        return PermutationGroup(self.degree, frozenset(image.values()), gens)
 
     def sorted_elements(self) -> list[Perm]:
         return sorted(self.elements)

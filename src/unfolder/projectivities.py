@@ -21,6 +21,7 @@ from .complexes import (
     FacetPath,
     StarView,
     _steps,
+    check_facet,
     dual_graph,
     perspectivity,
     star_of_class,
@@ -38,7 +39,7 @@ from .permutations import (
 def path_projectivity(x: Complex, path: FacetPath) -> Perm:
     """Vertex bijection V(start) -> V(end) along a facet path."""
     g = perm_identity(x.dim + 1)
-    cur = path.start
+    cur = check_facet(x, path.start)
     for gid in path.steps:
         step = perspectivity(x, cur, gid)
         g = perm_compose(g, step)
@@ -112,10 +113,7 @@ def projectivity_group(x: Complex, base: int = 0) -> ProjectivityGroup:
     The dual graph must be connected.  The search runs once per base and is
     kept on `x`; the connectivity check runs per call.
     """
-    n = x.facet_count
-    if not 0 <= base < n:
-        raise InvalidPath(f"no facet {base}")
-    pg = _search(x, base)
+    pg = _search(x, check_facet(x, base))
     if not pg.spans:
         missing = [f for f, root in enumerate(pg.roots) if root != base]
         raise NotStronglyConnected(f"facets {missing} are not reachable from {base}")
@@ -241,11 +239,8 @@ def odd_generated_subgroup(x: Complex) -> PermutationGroup:
     gens: list[tuple[Perm, str]] = []
     for cid in odd:
         sg = star_group(x, cid)
-        t = pg.transport_to(sg.base_parent_facet)
-        t_inv = perm_inverse(t)
-        for p, _tag in sg.group.generators:
-            elt = perm_compose(perm_compose(t, p), t_inv)
-            gens.append((elt, f"around class {cid}"))
+        at_base = sg.group.conjugated(perm_inverse(pg.transport_to(sg.base_parent_facet)))
+        gens.extend((p, f"around class {cid}") for p, _tag in at_base.generators)
     return PermutationGroup.generated(gens, x.dim + 1)
 
 
@@ -275,9 +270,5 @@ def induced_homomorphism_check(K, L, vertex_map: dict[int, int]) -> bool:
     base_l = L.facet_id(tuple(sorted(vertex_map[v] for v in verts_k)))
     verts_l = L.facets[base_l]
     phi = tuple(verts_l.index(vertex_map[v]) for v in verts_k)
-    phi_inv = perm_inverse(phi)
-    gk = projectivity_group(K).group
     gl = projectivity_group(L, base_l).group
-    return all(
-        perm_compose(perm_compose(phi_inv, g), phi) in gl for g, _tag in gk.generators
-    )
+    return all(g in gl for g, _tag in projectivity_group(K).group.conjugated(phi).generators)

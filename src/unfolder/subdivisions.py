@@ -17,9 +17,9 @@ from itertools import combinations
 from itertools import permutations as all_permutations
 from math import comb, factorial
 
-from .complexes import AbstractComplex, Complex, check_size, subset_index
+from .complexes import AbstractComplex, Complex, check_facet, check_size, subset_index
 from .errors import BadParameter, Mismatch, NotAFacet
-from .permutations import Perm, PermutationGroup, perm_compose, perm_inverse
+from .permutations import Perm, PermutationGroup, perm_compose
 from .projectivities import projectivity_group
 
 LocalPair = tuple[tuple[int, ...], int]  # (sorted local subset, local vertex)
@@ -129,8 +129,7 @@ def barycentric(x: Complex) -> SubdivisionRecord:
 
 def stellar(K: AbstractComplex, facet: int) -> AbstractComplex:
     """Replace one facet by the cone over its boundary from a new vertex."""
-    if not 0 <= facet < K.facet_count:
-        raise NotAFacet(f"no facet {facet}")
+    check_facet(K, facet)
     apex = max(K.vertices()) + 1
     target = K.facets[facet]
     out = [f for i, f in enumerate(K.facets) if i != facet]
@@ -187,37 +186,20 @@ def crumpling_map(rec: SubdivisionRecord) -> dict[int, int]:
 def crumpling_group_pair(rec: SubdivisionRecord) -> tuple[PermutationGroup, PermutationGroup]:
     """Projectivity groups of subdivision and source, on the source's labels.
 
-    The subdivision group at the central facet of copy 0 is read off
-    the subdivision's search at facet 0: conjugating each element by the
-    tree transport to the central facet gives it, as a change of base does,
-    so no second search runs.  It is then transported through the crumpling
-    identification of the central facet's vertices, so the two groups act
-    on the same label set and can be compared directly.
+    The subdivision's group at facet 0 is conjugated by the tree transport
+    to the central facet of copy 0, a change of base with no second search,
+    and then by mu, the crumpling identification of that facet's vertices
+    with copy 0's labels.  So both groups act on one label set, and the
+    lifted generators are the subdivision's loops at facet 0, carried over.
     """
     x = rec.source
-    d = x.dim
     central = rec.central_facet(0)
     pg = projectivity_group(rec.result)
-    t = pg.transport_to(central)
-    t_inv = perm_inverse(t)
-    at_central = {perm_compose(perm_compose(t_inv, g), t) for g in pg.group.elements}
-    base_pg = projectivity_group(x)
-
     # the copy-0 label of each vertex of the central facet: vertex l of copy 0 is slot l
-    copy0 = x.classes().slot_class[: d + 1]
-    mu = [copy0.index(rec.vertex_provenance[vid][1]) for vid in rec.result.facets[central]]
-    transported = []
-    for g in sorted(at_central):
-        h = [0] * (d + 1)
-        for pos in range(d + 1):
-            h[mu[pos]] = mu[g[pos]]
-        transported.append(tuple(h))
-    lifted = PermutationGroup(
-        degree=d + 1,
-        elements=frozenset(transported),
-        generators=tuple((p, "transported") for p in transported),
-    )
-    return lifted, base_pg.group
+    copy0 = x.classes().slot_class[: x.dim + 1]
+    mu = tuple(copy0.index(rec.vertex_provenance[vid][1]) for vid in rec.result.facets[central])
+    lifted = pg.group.conjugated(perm_compose(pg.transport_to(central), mu))
+    return lifted, projectivity_group(x).group
 
 
 def iterate(op, x: Complex, n: int) -> Complex:

@@ -24,6 +24,7 @@ from .complexes import (
     PseudoComplex,
     _roots,
     _steps,
+    check_facet,
     check_size,
     gluings_from,
     max_copies,
@@ -35,7 +36,6 @@ from .errors import (
     IsomorphismNotFound,
     Mismatch,
     NotAFace,
-    NotAFacet,
 )
 from .permutations import Perm, perm_compose, perm_inverse
 from .projectivities import ProjectivityGroup, projectivity_group
@@ -268,8 +268,7 @@ def composition_tower(
         vertex_order = tuple(range(width))
     if sorted(vertex_order) != list(range(width)):
         raise BadParameter(f"vertex order {vertex_order!r} is not a permutation")
-    if not 0 <= base < x.facet_count:
-        raise NotAFacet(f"no facet {base}")
+    check_facet(x, base)
 
     current: Complex = x
     seed = base

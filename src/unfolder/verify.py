@@ -51,7 +51,6 @@ from .gallery import (
 )
 from .io import emit, parse
 from .permutations import (
-    PermutationGroup,
     perm_compose,
     perm_cycle_string,
     perm_identity,
@@ -371,10 +370,8 @@ def check_proj_03(ctx: _Context) -> str:
         pg0 = projectivity_group(x)
         pg1 = projectivity_group(x, last)
         _require(pg0.order == pg1.order, f"{e.name}: orders differ")
-        t = pg0.transport_to(last)
-        t_inv = perm_inverse(t)
-        conj = {perm_compose(perm_compose(t_inv, g), t) for g in pg0.group.elements}
-        _require(conj == set(pg1.group.elements), f"{e.name}: transport conjugation")
+        conj = pg0.group.conjugated(pg0.transport_to(last))
+        _require(conj.elements == pg1.group.elements, f"{e.name}: transport conjugation")
         n += 1
     return f"{n} base changes conjugate by the tree transport"
 
@@ -487,17 +484,10 @@ def check_unf_07(ctx: _Context) -> str:
         x = e.complex
         pg = projectivity_group(x)
         fibers = fibers_over(ctx.uc(e))
-        classes = x.classes()
-        for cid in range(classes.count):
+        for cid in range(x.classes().count):
             sg = star_group(x, cid)
-            t = pg.transport_to(sg.base_parent_facet)
-            t_inv = perm_inverse(t)
-            gens = [
-                (perm_compose(perm_compose(t, p), t_inv), "star")
-                for p, _tag in sg.group.generators
-            ]
-            emb = PermutationGroup.generated(gens, x.dim + 1)
-            _require(all(p in pg.group for p, _tag in gens), f"{e.name}: class {cid}")
+            emb = sg.group.conjugated(perm_inverse(pg.transport_to(sg.base_parent_facet)))
+            _require(all(p in pg.group for p, _tag in emb.generators), f"{e.name}: class {cid}")
             _require(pg.order % emb.order == 0)
             _require(
                 len(fibers[cid]) == pg.order // emb.order,

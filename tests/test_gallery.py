@@ -1,7 +1,10 @@
 """Builders for the worked examples and their recorded invariants."""
 
+from pathlib import Path
+
 import pytest
 
+from unfolder.cli import main
 from unfolder.complexes import AbstractComplex, PseudoComplex
 from unfolder.diagnostics import odd_subcomplex
 from unfolder.errors import BadParameter
@@ -168,3 +171,25 @@ def test_recorded_unfolding_counts_spot_check():
     assert by_name["torus-z3"].expected.unfolding_facet_count == 42
     assert by_name["surface:2"].expected.unfolding_euler == -2
     assert by_name["figure3"].expected.component_count == 3
+
+
+def _recorded_reports() -> dict[str, str]:
+    """`analyze` text per gallery entry, from `expected/analyze-gallery.txt`:
+    each report follows a line `== NAME`."""
+    text = (Path(__file__).parent / "expected" / "analyze-gallery.txt").read_text()
+    return dict(part.split("\n", 1) for part in text.split("== ")[1:])
+
+
+REPORTS = _recorded_reports()
+
+
+@pytest.mark.parametrize("e", gallery_entries(), ids=lambda e: e.name)
+def test_analyze_prints_the_recorded_report(e, capsys, tmp_path):
+    """The whole report, `Pi generators` lines included (their cycles,
+    order and gluing tags), on the document `gallery NAME` prints."""
+    assert main(["gallery", e.name]) == 0
+    doc = tmp_path / "doc.json"
+    doc.write_text(capsys.readouterr().out)
+    assert main(["analyze", str(doc)]) == 0
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (REPORTS[e.name], "")

@@ -318,6 +318,10 @@ def test_star_and_link_helpers_refuse_a_bad_class_or_base():
         (lambda: star_of_class(x, -1), NotAFace, "no face class -1"),
         (lambda: star_of_class(x, 14), NotAFace, "no face class 14"),
         (lambda: link_of_class(x, -2), NotAFace, "no face class -2"),
+        (lambda: x.classes().first_ref(-1), NotAFace, "no face class -1"),
+        (lambda: x.classes().first_ref(14), NotAFace, "no face class 14"),
+        (lambda: x.classes().vertex_classes_of(-1), NotAFace, "no face class -1"),
+        (lambda: x.classes().vertex_classes_of(14), NotAFace, "no face class 14"),
         (lambda: star_group(x, 0, 3), NotAFacet, "facet 3 is not in the star of class 0"),
     ):
         with pytest.raises(error, match=f"^{message}$"):

@@ -298,6 +298,13 @@ def test_cli_subdivide_rejects_a_non_integer_stellar_facet(capsys, tmp_path):
     assert err == "error: expected an integer, got 'x'\n"  # one line, no traceback
 
 
+def test_cli_unfold_refuses_a_base_that_is_no_facet(capsys, tmp_path):
+    src = tmp_path / "t.json"
+    src.write_text(emit(boundary_simplex(3)))
+    code, out, err = _run(capsys, "unfold", "--mode", "complete", "--base", "99", str(src))
+    assert (code, out, err) == (2, "", "error: no facet 99\n")
+
+
 def test_cli_gallery_unknown_name(capsys):
     code, _, err = _run(capsys, "gallery", "nope")
     assert code == 2

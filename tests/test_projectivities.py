@@ -7,6 +7,7 @@ from unfolder.errors import DegenerateMap, NotAFacet
 from unfolder.gallery import (
     boundary_simplex,
     cycle_graph,
+    gallery_entries,
     hexagon_cone,
     knot_neighborhood,
     starred_triangle,
@@ -22,6 +23,7 @@ from unfolder.projectivities import (
     star_group,
 )
 from unfolder.subdivisions import antiprismatic, crumpling_map
+from unfolder.unfoldings import complete_unfolding
 
 
 def test_path_projectivity_on_a_triangle_cycle():
@@ -98,6 +100,45 @@ def test_base_change_is_conjugation():
     assert {perm_compose(perm_compose(ti, g), t) for g in pg0.group.elements} == set(
         pg1.group.elements
     )
+
+
+def carried(g, t):
+    """t^-1 g t written out: the label t(i) goes where t sends g(i)."""
+    h = [0] * len(t)
+    for i, v in enumerate(t):
+        h[v] = t[g[i]]
+    return tuple(h)
+
+
+@pytest.mark.parametrize("e", gallery_entries(), ids=lambda e: e.name)
+def test_every_base_change_is_the_group_conjugated_by_the_transport(e):
+    x = e.complex
+    pg0 = projectivity_group(x)
+    for f in range(x.facet_count):
+        t = pg0.transport_to(f)
+        moved = pg0.group.conjugated(t)
+        assert moved.elements == projectivity_group(x, f).group.elements
+        assert moved.degree == pg0.group.degree
+        assert moved.generators == tuple((carried(g, t), tag) for g, tag in pg0.group.generators)
+
+
+@pytest.mark.parametrize("facet", [99, 4, -1])
+def test_a_walk_from_no_facet_is_refused(facet):
+    K = boundary_simplex(3)
+    nowhere = FacetPath(facet, ())
+    for call in (
+        lambda: path_from_facets(K, [facet]),
+        lambda: nowhere.facet_sequence(K),
+        lambda: nowhere.reversed(K),
+        lambda: path_projectivity(K, nowhere),
+        lambda: loop_projectivity(K, nowhere),
+        lambda: projectivity_group(K, facet),
+        lambda: complete_unfolding(K, base=facet),
+    ):
+        with pytest.raises(NotAFacet, match=f"^no facet {facet}$"):
+            call()
+    assert path_from_facets(K, [3]) == FacetPath(3, ())
+    assert path_projectivity(K, FacetPath(3, ())) == perm_identity(3)
 
 
 def test_star_group_of_odd_vertex():

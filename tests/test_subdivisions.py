@@ -7,6 +7,7 @@ from itertools import combinations
 from math import factorial
 
 import pytest
+from test_projectivities import carried
 
 from unfolder import cli
 from unfolder.complexes import AbstractComplex, PseudoComplex, as_pseudo, is_simplicial
@@ -283,24 +284,24 @@ def _anti(name):
     return antiprismatic(SOURCES[name])
 
 
+def central_labels(rec, base=0):
+    """The copy-`base` label of each vertex of the central facet of that copy."""
+    members = rec.source.classes().members
+    labels = []
+    for vid in rec.result.facets[rec.central_facet(base)]:
+        _tau_class, w_class = rec.vertex_provenance[vid]
+        _f, (l,) = next(r for r in members[w_class] if r[0] == base)
+        labels.append(l)
+    return tuple(labels)
+
+
 def reference_crumpling_group_pair(rec, base=0):
     """The crumpling group pair from a second search, at the central facet."""
     x = rec.source
     d = x.dim
-    classes = x.classes()
-    central = rec.central_facet(base)
-    sub_pg = projectivity_group(rec.result, base=central)
-    mu = []
-    for vid in rec.result.facets[central]:
-        _tau_class, w_class = rec.vertex_provenance[vid]
-        _f, (l,) = next(r for r in classes.members[w_class] if r[0] == base)
-        mu.append(l)
-    transported = []
-    for g in sub_pg.group.sorted_elements():
-        h = [0] * (d + 1)
-        for pos in range(d + 1):
-            h[mu[pos]] = mu[g[pos]]
-        transported.append(tuple(h))
+    sub_pg = projectivity_group(rec.result, base=rec.central_facet(base))
+    mu = central_labels(rec, base)
+    transported = [carried(g, mu) for g in sub_pg.group.sorted_elements()]
     lifted = PermutationGroup(
         degree=d + 1,
         elements=frozenset(transported),
@@ -311,10 +312,18 @@ def reference_crumpling_group_pair(rec, base=0):
 
 @pytest.mark.parametrize("name", sorted(SOURCES))
 def test_crumpling_group_pair_matches_a_search_at_the_central_facet(name):
-    lifted, ground = crumpling_group_pair(_anti(name))
-    want_lifted, want_ground = reference_crumpling_group_pair(_anti(name))
+    rec = _anti(name)
+    lifted, ground = crumpling_group_pair(rec)
+    want_lifted, want_ground = reference_crumpling_group_pair(rec)
     assert lifted.elements == want_lifted.elements
-    assert lifted.generators == want_lifted.generators
+    # the generators are the subdivision's loops at facet 0 with their tags,
+    # carried by the tree transport to the central facet, then by its labels
+    pg = projectivity_group(rec.result)
+    t, mu = pg.transport_to(rec.central_facet(0)), central_labels(rec)
+    want_gens = tuple((carried(carried(g, t), mu), tag) for g, tag in pg.group.generators)
+    assert lifted.generators == want_gens
+    d = rec.source.dim
+    assert PermutationGroup.generated(lifted.generators, d + 1).elements == lifted.elements
     assert ground == want_ground
 
 
