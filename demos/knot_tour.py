@@ -31,7 +31,7 @@ def main() -> None:
     kn = knot_neighborhood(3)
     classes = kn.complex.classes()
     for cid in odd_subcomplex(kn.complex).odd_faces:
-        f, sub = classes.members[cid][0]
+        f, sub = classes.first_ref(cid)
         names = tuple(kn.vertex_names[kn.abstract.facets[f][pos]] for pos in sub)
         print(f"  class {cid}: edge {names}")
 

@@ -54,10 +54,8 @@ def main() -> None:
     section("Partial unfolding")
     t = partial_unfolding(K)
     print(f"one copy per facet vertex: {t.total.facet_count} copies")
-    degrees = sorted(
-        len(t.total.classes().members[c])
-        for c in t.total.classes().classes_of_card(1)
-    )
+    classes = t.total.classes()
+    degrees = sorted(classes.sizes[c] for c in classes.classes_of_card(1))
     print(f"vertex degrees upstairs: {degrees}")
     print(f"Euler characteristic: {euler_characteristic(t.total)}  (a sphere)")
 

@@ -111,8 +111,8 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
             print(f"odd subcomplex: {len(odd.odd_faces)} classes of codimension 2")
             classes = x.classes()
             for cid in odd.odd_faces:
-                if classes.face_keys is not None:
-                    verts = classes.face_keys[cid]
+                if classes.facets is not None:
+                    verts = classes.face_key(cid)
                     if doc.vertex_labels is not None:
                         shown = ",".join(doc.vertex_labels[v] for v in verts)
                     else:

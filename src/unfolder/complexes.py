@@ -47,10 +47,12 @@ omits position o sits at the other positions, in order, in both facets.
 
 `FaceClasses` is flat arrays over that slot numbering, and a reader adds a
 copy's offset f * per to a subset's position in `nonempty_subsets`
-(`subset_index`): no (copy, subset) tuple is built until `members` is read,
-and no vertex tuple until `face_keys` is.  Tables hold 4-byte ints
-(`array('i')`) instead of lists of int objects, which take 36 bytes an entry
-once past 256.
+(`subset_index`).  Questions about one class are answered one class at a
+time: `members_of(cid)` reads the class's slots off one class -> slot index,
+built on first read, and `face_key(cid)` reads an abstract class's vertices
+off its first member, so no table of (copy, subset) or vertex tuples is ever
+built for every class.  Tables hold 4-byte ints (`array('i')`) instead of
+lists of int objects, which take 36 bytes an entry once past 256.
 """
 
 from __future__ import annotations
@@ -188,25 +190,6 @@ def _repeats(roots: list[int], per: int, facets):
                     first[r] = j
 
 
-def _members(roots, per: int, count: int, spans, subs) -> list[tuple[FaceRef, ...]]:
-    """The classes of `roots` as sorted member tuples, ordered by
-    (cardinality, smallest member): one scan per span of equal-size subsets,
-    facet by facet, where each class first shows at its smallest member."""
-    members: list[tuple[FaceRef, ...]] = []
-    for lo, hi in spans:
-        groups: dict[int, list[FaceRef]] = {}
-        span_subs = subs[lo:hi]
-        for f in range(count):
-            for r, s in zip(roots[f * per + lo : f * per + hi], span_subs):
-                refs = groups.get(r)
-                if refs is None:
-                    groups[r] = [(f, s)]
-                else:
-                    refs.append((f, s))
-        members += map(tuple, groups.values())
-    return members
-
-
 def _subset_spans(n: int) -> list[tuple[int, int]]:
     """Index range of each cardinality 1..n in `nonempty_subsets(n)`."""
     spans, lo = [], 0
@@ -307,9 +290,11 @@ class FaceClasses:
     f * per + i, with per = 2^(dim+1) - 1.  `cards[cid]` is a class's
     cardinality and `first[cid]` its smallest slot (`first_ref` as a
     reference).  Hot loops read `slot_class` at a copy's offset; `class_of`
-    is the same lookup by reference.  The member counts, `sizes`, the
-    sorted member tuples, `members`, and an abstract complex's vertex
-    tuples, `face_keys`, are built on first read and kept.
+    is the same lookup by reference.  The member counts, `sizes`, and the
+    class -> slot index, `by_class`, are built on first read and kept; one
+    class's members come from `members_of`, and an abstract complex's
+    vertex tuple of a class from `face_key`.  `facets` is None when the
+    classes are glued.
     """
 
     def __init__(
@@ -422,19 +407,33 @@ class FaceClasses:
         return len(self.first)
 
     @cached_property
-    def sizes(self) -> list[int]:
+    def sizes(self) -> array:
         """The number of members of each class."""
-        sizes = [0] * self.count
+        sizes = array("i", [0]) * self.count
         for cid in self.slot_class:
             sizes[cid] += 1
         return sizes
 
     @cached_property
-    def members(self) -> tuple[tuple[FaceRef, ...], ...]:
-        """The sorted (copy, subset) members of each class."""
-        n = self.dim + 1
-        spans, subs = _subset_spans(n), nonempty_subsets(n)
-        return tuple(_members(self.slot_class, self.per, self.facet_count, spans, subs))
+    def by_class(self) -> tuple[array, array]:
+        """(offsets, slots): the slots of class c, ascending, are
+        slots[offsets[c] : offsets[c + 1]].  One counting pass fills it."""
+        offsets = array("i", accumulate(self.sizes, initial=0))
+        at = offsets.tolist()  # the next free place of each class
+        slots = array("i", [0]) * len(self.slot_class)
+        for slot, cid in enumerate(self.slot_class):
+            slots[at[cid]] = slot
+            at[cid] += 1
+        return offsets, slots
+
+    def members_of(self, cid: int) -> tuple[FaceRef, ...]:
+        """The sorted (copy, subset) members of class `cid`."""
+        if not 0 <= cid < self.count:
+            raise NotAFace(f"no face class {cid}")
+        offsets, slots = self.by_class
+        subs, per = nonempty_subsets(self.dim + 1), self.per
+        lo, hi = offsets[cid], offsets[cid + 1]
+        return tuple([(slot // per, subs[slot % per]) for slot in slots[lo:hi]])
 
     def first_ref(self, cid: int) -> FaceRef:
         """The smallest member of class `cid`."""
@@ -443,16 +442,13 @@ class FaceClasses:
         f, i = divmod(self.first[cid], self.per)
         return f, nonempty_subsets(self.dim + 1)[i]
 
-    @cached_property
-    def face_keys(self) -> tuple[tuple[int, ...], ...] | None:
-        """Each class's global vertex tuple, read off its first member, when
-        built from an `AbstractComplex`; None when glued."""
+    def face_key(self, cid: int) -> tuple[int, ...]:
+        """The global vertex tuple of class `cid` of an abstract complex,
+        read off its first member."""
         if self.facets is None:
-            return None
-        subs, per, facets = nonempty_subsets(self.dim + 1), self.per, self.facets
-        return tuple(
-            tuple(map(facets[slot // per].__getitem__, subs[slot % per])) for slot in self.first
-        )
+            raise BadParameter("the classes of a glued complex have no vertex tuples")
+        f, sub = self.first_ref(cid)
+        return tuple(map(self.facets[f].__getitem__, sub))
 
     def class_of(self, ref: FaceRef) -> int:
         f, sub = ref
@@ -627,9 +623,9 @@ def gluings_of(x: Complex) -> tuple[Gluing, ...]:
 def vertex_classes(x: Complex) -> tuple[tuple[FaceRef, ...], ...]:
     """The members of the vertex classes of `x`, in class-id order.
 
-    Equal to `x.classes()`'s card-1 members, without the closure over every
-    subface: the glued closure only unions faces of equal size, so vertex
-    classes come from the ridge vertex pairs alone.  Raises
+    Equal to `members_of` of the card-1 classes of `x.classes()`, without
+    the closure over every subface: the glued closure only unions faces of
+    equal size, so vertex classes come from the ridge vertex pairs alone.  Raises
     `SelfIdentification` when a copy identifies two of its own vertices,
     which is exactly when `x.classes()` raises: a chain of gluings that
     carries a face of a copy onto another face of it identifies two of the
@@ -656,7 +652,12 @@ def vertex_classes(x: Complex) -> tuple[tuple[FaceRef, ...], ...]:
     if bad is not None:
         _r, f, i, j = bad
         raise SelfIdentification(f"faces {(f, (i,))} and {(f, (j,))} of one copy are identified")
-    return tuple(_members(roots, w, n, ((0, w),), tuple((l,) for l in range(w))))
+    # a class first shows at its root, its smallest slot, so in class-id order
+    groups = {r: [] for r in dict.fromkeys(roots)}
+    labels = [(l,) for l in range(w)]
+    for r, ref in zip(roots, [(f, l) for f in range(n) for l in labels]):
+        groups[r].append(ref)
+    return tuple(map(tuple, groups.values()))
 
 
 def as_pseudo(K: AbstractComplex) -> PseudoComplex:
@@ -832,11 +833,8 @@ class StarView:
 
 
 def star_of_class(x: Complex, cid: int) -> StarView:
-    """Star of a face class, read off the incidence index in O(|star| * (d+1))."""
-    classes = x.classes()
-    if not 0 <= cid < classes.count:
-        raise NotAFace(f"no face class {cid}")
-    rep_by_facet = dict(classes.members[cid])
+    """Star of a face class, read off the class and incidence indexes in O(|star| * (d+1))."""
+    rep_by_facet = dict(x.classes().members_of(cid))
     facet_ids = tuple(sorted(rep_by_facet))
     index = {f: i for i, f in enumerate(facet_ids)}
     sub_gluings = tuple(

@@ -227,8 +227,8 @@ def odd_subcomplex(x: Complex) -> OddSubcomplex:
     odd = sorted(found)
     if not odd:
         return OddSubcomplex((), None)
-    if classes.face_keys is not None:
-        facets = [classes.face_keys[cid] for cid in odd]
+    if classes.facets is not None:
+        facets = [classes.face_key(cid) for cid in odd]
     else:
         facets = [classes.vertex_classes_of(cid) for cid in odd]
     return OddSubcomplex(tuple(odd), AbstractComplex.from_facets(facets))

@@ -15,10 +15,12 @@ carries a derived vertex-class table for human readers:
 
 `kind` and `format_version` may be omitted; the gluings block decides the
 kind.  Labels are strings externally and dense integers internally; the
-label table is kept as a sidecar next to the parsed complex.  All-numeric
-label sets sort numerically, so the canonical emit (labels "0", "1", ...)
-round-trips to the identical complex.  Unknown keys are ignored, which lets
-annotated documents (projection tables and the like) feed back into parse.
+label table is kept as a sidecar next to the parsed complex.  Vertex ids
+follow the labels sorted integers first, by value and then by text ("+1",
+"01", "1", "2"), then the rest by text: so the canonical emit (labels "0",
+"1", ...) round-trips to the identical complex, whatever the hash seed.
+Unknown keys are ignored, which lets annotated documents (projection tables
+and the like) feed back into parse.
 Both parsers refuse a dimension above `MAX_DIM` or a face closure above
 `MAX_CLOSURE_SLOTS` with `BadParameter` before they build anything (through
 `complexes.check_size`, which the gallery, subdivisions and unfoldings share).
@@ -130,9 +132,9 @@ def _parse_simplicial(doc: dict) -> ParsedDocument:
 
 
 def _label_key(label: str):
-    # numeric label sets order numerically so that "10" follows "9"
+    # integers by value ("10" follows "9") and then by text; then the rest
     try:
-        return (0, int(label), "")
+        return (0, int(label), label)
     except ValueError:
         return (1, 0, label)
 

@@ -177,9 +177,9 @@ def crumpling_map(rec: SubdivisionRecord) -> dict[int, int]:
     Values are vertices of an abstract source, vertex class ids otherwise."""
     if rec.kind != "antiprismatic":
         raise BadParameter("the crumpling map belongs to the anti-prismatic subdivision")
-    keys = rec.source.classes().face_keys
-    if keys is not None:
-        return {v: keys[pair[1]][0] for v, pair in rec.vertex_provenance.items()}
+    classes = rec.source.classes()
+    if classes.facets is not None:
+        return {v: classes.face_key(pair[1])[0] for v, pair in rec.vertex_provenance.items()}
     return {v: pair[1] for v, pair in rec.vertex_provenance.items()}
 
 

@@ -35,7 +35,6 @@ from .errors import (
     BaseNotNice,
     IsomorphismNotFound,
     Mismatch,
-    NotAFace,
 )
 from .permutations import Perm, perm_compose, perm_inverse
 from .projectivities import ProjectivityGroup, projectivity_group
@@ -317,13 +316,10 @@ def branching_index(u: UnfoldingResult, cover_cid: int) -> int:
     The count must be the same for every base-facet reference of the
     underlying base class; a spread signals an implementation bug.
     """
-    total_classes = u.total.classes()
-    if not 0 <= cover_cid < total_classes.count:
-        raise NotAFace(f"no face class {cover_cid}")
     base_classes = u.base.classes()
     seen: dict[tuple[int, tuple[int, ...]], int] = {}
     base_cid = None
-    for f, sub in total_classes.members[cover_cid]:
+    for f, sub in u.total.classes().members_of(cover_cid):
         ref = (u.projection[f], sub)
         seen[ref] = seen.get(ref, 0) + 1
         here = base_classes.class_of(ref)

@@ -606,7 +606,7 @@ def check_diag_02(ctx: _Context) -> str:
         odd = set(odd_subcomplex(x).odd_faces)
         closure = set(odd)
         for cid in odd:
-            for f, sub in classes.members[cid]:
+            for f, sub in classes.members_of(cid):
                 for k in range(1, len(sub)):
                     for small in combinations(sub, k):
                         closure.add(classes.class_of((f, small)))

@@ -107,7 +107,7 @@ def test_criterion_03_tetrahedron_partial_unfolding():
         assert len(components(u)) == 1
         classes = u.total.classes()
         degrees = sorted(
-            len(classes.members[cid]) for cid in classes.classes_of_card(1)
+            len(classes.members_of(cid)) for cid in classes.classes_of_card(1)
         )
         assert degrees == [3, 3, 3, 3, 6, 6, 6, 6]
         assert euler_characteristic(u.total) == 2
@@ -250,7 +250,7 @@ def test_criterion_10_knot_core_and_longitude_parity():
                 core = sorted(
                     tuple(sorted(kn.abstract.facets[f][pos] for pos in sub))
                     for cid in odd
-                    for f, sub in [classes.members[cid][0]]
+                    for f, sub in [classes.members_of(cid)[0]]
                 )
                 assert core == sorted(kn.core_edges), f"{variant} n={n}"
                 is_orientable = orientable(kn.complex)

@@ -9,7 +9,8 @@ classes, ids, gluings and `SelfIdentification` messages.
 The readers that scan each copy's slots (local strong connectivity, the
 balanced coloring, the odd subcomplex, the pseudo-manifold census) are
 checked against references that walk each class's member tuples, and the
-readers that need only counts must never build those tuples.
+readers that need only counts and first members must never build the class
+-> slot index those tuples come from.
 """
 
 import random
@@ -87,18 +88,14 @@ def reference_slot_class(dim, facet_count, members):
 
 
 def reference_face_classes(dim, facet_count, members, keys):
-    """A `FaceClasses` built from reference members and face keys, which it
-    keeps, with the sizes counted from them."""
+    """The `face_classes_shape` of reference members and face keys."""
     subs = nonempty_subsets(dim + 1)
     sub_index = {s: i for i, s in enumerate(subs)}
     cards = [len(refs[0][1]) for refs in members]
     first = [f * len(subs) + sub_index[s] for f, s in (refs[0] for refs in members)]
     slots = reference_slot_class(dim, facet_count, members)
-    fc = FaceClasses(dim, facet_count, cards, first, slots)
-    fc.members = members
-    fc.face_keys = keys
-    fc.sizes = [len(refs) for refs in members]
-    return fc
+    sizes = [len(refs) for refs in members]
+    return dim, facet_count, members, cards, first, sizes, keys, slots
 
 
 def reference_from_abstract(facets, dim):
@@ -192,15 +189,18 @@ def reference_vertex_classes(x):
 
 
 def face_classes_shape(fc):
-    # the library keeps its tables in arrays, the references in lists
+    """Every table of `fc`, and each class's members and face key, asked one
+    class at a time; the library keeps its tables in arrays, the references
+    in lists."""
+    classes = range(fc.count)
     return (
         fc.dim,
         fc.facet_count,
-        fc.members,
+        tuple(map(fc.members_of, classes)),
         list(fc.cards),
         list(fc.first),
         list(fc.sizes),
-        fc.face_keys,
+        None if fc.facets is None else tuple(map(fc.face_key, classes)),
         list(fc.slot_class),
     )
 
@@ -258,20 +258,20 @@ def test_face_classes_and_gluings_match_the_reference(x):
     if isinstance(x, AbstractComplex):
         got = FaceClasses.from_abstract(x.facets, x.dim)
         want = reference_from_abstract(x.facets, x.dim)
-        assert face_classes_shape(got) == face_classes_shape(want)
+        assert face_classes_shape(got) == want
         assert x.derived_gluings() == reference_derived_gluings(x)
         # as_pseudo does not check the derived gluings again
         assert as_pseudo(x) == PseudoComplex(x.dim, x.facet_count, x.derived_gluings())
         x = as_pseudo(x)
     got = FaceClasses.from_glued(x.dim, x.facet_count, x.gluings)
     want = reference_from_glued(x.dim, x.facet_count, x.gluings)
-    assert face_classes_shape(got) == face_classes_shape(want)
+    assert face_classes_shape(got) == want
 
 
 def test_class_of_answers_as_the_reference_dict_did():
     for x in (boundary_simplex(3), as_pseudo(iterate(barycentric, boundary_simplex(2), 1))):
         classes = x.classes()
-        by_ref = {ref: cid for cid, refs in enumerate(classes.members) for ref in refs}
+        by_ref = {ref: cid for cid in range(classes.count) for ref in classes.members_of(cid)}
         assert {ref: classes.class_of(ref) for ref in by_ref} == by_ref
         for bad in ((-1, (0,)), (x.facet_count, (0,)), (0, (0, 0)), (0, (9,))):
             with pytest.raises(KeyError):
@@ -324,7 +324,7 @@ def abstract_complexes(draw):
 def test_random_abstract_complexes_match_the_reference(K):
     got = FaceClasses.from_abstract(K.facets, K.dim)
     want = reference_from_abstract(K.facets, K.dim)
-    assert face_classes_shape(got) == face_classes_shape(want)
+    assert face_classes_shape(got) == want
     assert K.derived_gluings() == reference_derived_gluings(K)
     assert as_pseudo(K) == PseudoComplex(K.dim, K.facet_count, K.derived_gluings())
     assert vertex_classes(K) == reference_vertex_classes(K)
@@ -354,7 +354,7 @@ def reference_lsc_witness(x):
     for cid in range(classes.count):
         if classes.cards[cid] > x.dim - 1:
             break
-        face = set(classes.face_keys[cid])
+        face = set(classes.face_key(cid))
         star = [set(f) for f in x.facets if face <= set(f)]
         g = nx.Graph()
         g.add_nodes_from(range(len(star)))
@@ -373,7 +373,7 @@ def reference_balanced_coloring(x):
     classes = x.classes()
     out = {}
     for cid in classes.classes_of_card(1):
-        seen = {pg.transports[f].index(l) for f, (l,) in classes.members[cid]}
+        seen = {pg.transports[f].index(l) for f, (l,) in classes.members_of(cid)}
         if len(seen) > 1:
             return None
         out[cid] = seen.pop()
@@ -390,7 +390,7 @@ def reference_odd_subcomplex(x):
     odd = []
     for cid in classes.classes_of_card(d - 1):
         g = nx.MultiGraph()
-        for f, s in classes.members[cid]:
+        for f, s in classes.members_of(cid):
             ridges = (tuple(sorted((*s, a))) for a in range(d + 1) if a not in s)
             u, v = (classes.class_of((f, r)) for r in ridges)
             if u == v:
@@ -398,19 +398,19 @@ def reference_odd_subcomplex(x):
             g.add_edge(u, v)
         if not nx.is_bipartite(g):
             odd.append(cid)
-    if classes.face_keys is not None:
-        facets = [classes.face_keys[cid] for cid in odd]
+    if classes.facets is not None:
+        facets = [classes.face_key(cid) for cid in odd]
     else:
         facets = [
             tuple(sorted(classes.class_of((f, (l,))) for l in sub))
-            for f, sub in (classes.members[cid][0] for cid in odd)
+            for f, sub in (classes.members_of(cid)[0] for cid in odd)
         ]
     return tuple(odd), (AbstractComplex.from_facets(facets) if odd else None)
 
 
 def reference_pseudo_manifold(x):
     classes = x.classes()
-    degrees = [len(classes.members[cid]) for cid in classes.classes_of_card(x.dim)]
+    degrees = [len(classes.members_of(cid)) for cid in classes.classes_of_card(x.dim)]
     if any(k > 2 for k in degrees):
         return "no"
     return "closed" if all(k == 2 for k in degrees) else "with-boundary"
@@ -452,9 +452,9 @@ def test_slot_scans_match_the_member_references_on_random_complexes(x):
 
 def test_counts_and_first_members_build_no_member_tuple(monkeypatch, capsys, tmp_path):
     def refuse(classes):
-        raise AssertionError("member tuples built")
+        raise AssertionError("class -> slot index built")
 
-    monkeypatch.setattr(FaceClasses, "members", property(refuse))
+    monkeypatch.setattr(FaceClasses, "by_class", property(refuse))
     klein = knot_neighborhood(3, "klein").complex
     for x in (boundary_simplex(3), klein, pinched_strip()):
         path = tmp_path / "x.json"

@@ -52,7 +52,7 @@ def reference_simplicial_doc(K, vertex_labels):
 def reference_pseudo_doc(P):
     classes = P.classes()
     table = [
-        [[f, sub[0]] for f, sub in classes.members[cid]]
+        [[f, sub[0]] for f, sub in classes.members_of(cid)]
         for cid in classes.classes_of_card(1)
     ]
     return {
@@ -136,7 +136,7 @@ def test_emit_unfolding_refuses_components_that_miss_or_repeat_copies():
 
 def _vertex_members(x):
     classes = x.classes()
-    return tuple(classes.members[cid] for cid in classes.classes_of_card(1))
+    return tuple(map(classes.members_of, classes.classes_of_card(1)))
 
 
 ENTRIES = gallery_entries()

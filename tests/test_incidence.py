@@ -62,7 +62,7 @@ from unfolder.unfoldings import (
 
 
 def reference_star(x, cid):
-    members = x.classes().members[cid]
+    members = x.classes().members_of(cid)
     facet_ids = tuple(sorted({f for f, _s in members}))
     rep_by_facet = {f: s for f, s in members}
     index = {f: i for i, f in enumerate(facet_ids)}
@@ -532,7 +532,7 @@ def test_local_strong_connectivity_and_odd_faces_build_no_star_or_link(
     for y in (K, as_pseudo(K)):
         classes = y.classes()
         odd = odd_subcomplex(y).odd_faces
-        assert "members" not in vars(classes)
+        assert "by_class" not in vars(classes)
         ridges = [r for r in classes.classes_of_card(3) if classes.sizes[r] >= 3]
         branched = [c for c in classes.classes_of_card(2) if in_some_copy_of(classes, c, ridges)]
         assert len(ridges) == 2 and len(branched) == 6

@@ -2,6 +2,9 @@
 
 import ast
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -49,6 +52,38 @@ def test_vertex_labels_survive():
     assert doc.kind == "simplicial"
     assert doc.vertex_labels is not None
     assert doc.vertex_labels[3] == "center"
+
+
+# the boundary of a tetrahedron on four labels of one integer value: only
+# their text may order them, not set iteration, which follows the hash seed
+TIED = {"facets": [["1", "01", "+1"], ["1", "01", " 1"], ["1", "+1", " 1"], ["01", "+1", " 1"]]}
+
+
+def test_labels_of_one_value_are_ordered_by_their_text():
+    labels = ["1", " 1", "+1", "01", "2", "10", "b", "a"]
+    want = [" 1", "+1", "01", "1", "2", "10", "a", "b"]
+    for given in (labels, labels[::-1]):
+        assert sorted(given, key=io._label_key) == want
+    assert parse_document(json.dumps(TIED)).vertex_labels == (" 1", "+1", "01", "1")
+
+
+def test_analyze_does_not_depend_on_the_hash_seed(tmp_path):
+    path = tmp_path / "tied.json"
+    path.write_text(json.dumps(TIED))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = set()
+    for seed in ("0", "1", "5", "8"):
+        run = subprocess.run(
+            [sys.executable, "-m", "unfolder.cli", "analyze", str(path)],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        outs.add(run.stdout)
+    assert len(outs) == 1
+    lines = [f"  class {v} = vertices ({label})" for v, label in enumerate((" 1", "+1", "01", "1"))]
+    assert outs.pop().splitlines()[-4:] == lines
 
 
 def test_unfolding_document_carries_copy_tags():

@@ -88,8 +88,8 @@ def reference_odd_subcomplex(x):
     )
     if not odd:
         return odd, None
-    if classes.face_keys is not None:
-        facets = [classes.face_keys[cid] for cid in odd]
+    if classes.facets is not None:
+        facets = [classes.face_key(cid) for cid in odd]
     else:
         facets = [classes.vertex_classes_of(cid) for cid in odd]
     return odd, AbstractComplex.from_facets(facets)

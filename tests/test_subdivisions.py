@@ -286,11 +286,11 @@ def _anti(name):
 
 def central_labels(rec, base=0):
     """The copy-`base` label of each vertex of the central facet of that copy."""
-    members = rec.source.classes().members
+    classes = rec.source.classes()
     labels = []
     for vid in rec.result.facets[rec.central_facet(base)]:
         _tau_class, w_class = rec.vertex_provenance[vid]
-        _f, (l,) = next(r for r in members[w_class] if r[0] == base)
+        _f, (l,) = next(r for r in classes.members_of(w_class) if r[0] == base)
         labels.append(l)
     return tuple(labels)
 
@@ -332,7 +332,7 @@ def reference_is_simplicial(P):
     classes = P.classes()
     seen = {}
     for cid in range(classes.count):
-        f, sub = classes.members[cid][0]
+        f, sub = classes.members_of(cid)[0]
         key = tuple(sorted(classes.class_of((f, (l,))) for l in sub))
         if key in seen:
             return False, (seen[key], cid)

@@ -39,9 +39,11 @@ from unfolder.errors import (
     NotLocallyStronglyConnected,
     UnfolderError,
 )
-from unfolder.gallery import boundary_simplex, gallery_entries
+from unfolder.gallery import boundary_simplex, gallery_entries, knot_neighborhood
 from unfolder.io import parse_document
-from unfolder.subdivisions import antiprismatic, barycentric
+from unfolder.projectivities import star_group
+from unfolder.subdivisions import antiprismatic, barycentric, iterate
+from unfolder.unfoldings import branching_index, partial_unfolding
 
 
 def reference_adjacency(x):
@@ -193,7 +195,8 @@ def assert_tables_match(x):
     if isinstance(x, AbstractComplex):
         want = outcome(reference_derived_gluings, x)
         assert outcome(x.derived_gluings) == want
-        assert x.classes().face_keys == reference_face_keys(x)
+        classes = x.classes()
+        assert tuple(map(classes.face_key, range(classes.count))) == reference_face_keys(x)
         if want[:1] == (BadParameter,):
             return
     dg = dual_graph(x)
@@ -208,7 +211,9 @@ def assert_tables_match(x):
     except UnfolderError:
         return
     if isinstance(x, PseudoComplex):
-        assert classes.face_keys is None
+        assert classes.facets is None
+        with pytest.raises(BadParameter):
+            classes.face_key(0)
     assert outcome(library_odd_subcomplex, x) == outcome(reference_odd_subcomplex, x)
 
 
@@ -225,7 +230,7 @@ def test_loose_copies_get_the_classes_of_the_full_closure(loose):
     for y in (x, PseudoComplex(x.dim, loose, ())):
         got = FaceClasses.from_glued(y.dim, y.facet_count, y.gluings)
         want = reference_from_glued(y.dim, y.facet_count, y.gluings)
-        assert face_classes_shape(got) == face_classes_shape(want)
+        assert face_classes_shape(got) == want
 
 
 @st.composite
@@ -295,3 +300,39 @@ def test_a_document_of_loose_copies_keeps_its_face_table_small():
     assert live < 40 * 2**20
     assert classes.count == 2000 * 511
     assert list(classes.slot_class[511 * 7 : 511 * 7 + 3]) == [7 * 9, 7 * 9 + 1, 7 * 9 + 2]
+
+
+def _live_growth(call):
+    """The bytes `call()` leaves live, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert result is not None
+    return after - before
+
+
+def _index_bytes(classes):
+    """The class -> slot index: 4 bytes a slot, and 4 bytes a class each for
+    its member counts and its offsets."""
+    return 4 * (len(classes.slot_class) + 2 * classes.count + 1)
+
+
+def test_one_class_queries_keep_only_the_class_index():
+    # with the face classes and the incidence index built, asking about one
+    # class keeps no data for every other class beyond the class -> slot
+    # index (and 64 KiB for the answer and the caches it fills)
+    slack = 64 * 2**10
+    x = iterate(barycentric, boundary_simplex(3), 4)
+    classes = x.classes()
+    dual_graph(x)
+    assert classes.count == 15554
+    assert _live_growth(lambda: star_group(x, 0)) < _index_bytes(classes) + slack
+    u = partial_unfolding(knot_neighborhood(30, "klein").complex)
+    total, base = u.total.classes(), u.base.classes()
+    assert total.count == 10260
+    bound = _index_bytes(total) + 4 * base.count + slack  # and the base's member counts
+    assert _live_growth(lambda: branching_index(u, 0)) < bound

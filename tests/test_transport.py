@@ -92,7 +92,7 @@ def reference_balanced_coloring(x, base=0):
     classes = x.classes()
     out = {}
     for cid in classes.classes_of_card(1):
-        seen = {coloring[f][l] for f, (l,) in classes.members[cid]}
+        seen = {coloring[f][l] for f, (l,) in classes.members_of(cid)}
         if len(seen) > 1:
             return None
         out[cid] = seen.pop()

@@ -100,7 +100,7 @@ def test_partial_unfolding_structure(tetra_tilde):
     counts = total.classes().counts_by_dim()
     assert counts[0] == 8
     degrees = sorted(
-        len(total.classes().members[cid])
+        len(total.classes().members_of(cid))
         for cid in total.classes().classes_of_card(1)
     )
     assert degrees == [3, 3, 3, 3, 6, 6, 6, 6]

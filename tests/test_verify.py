@@ -1,8 +1,10 @@
 """The `verify` runner's subdivision facts: built once per entry, failing
 with the text a fresh build would give, and not keeping the subdivision;
-and the package, which imports `verify` only when asked for it."""
+the package, which imports `verify` only when asked for it; and the table
+itself, which must be the benchmark's record of it."""
 
 import gc
+import json
 import os
 import subprocess
 import sys
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from unfolder import verify
+from unfolder import cli, verify
 from unfolder.errors import Mismatch
 from unfolder.gallery import gallery_entries
 from unfolder.verify import _Context, run_suite
@@ -143,3 +145,16 @@ def test_the_package_imports_verify_only_when_asked():
         [sys.executable, "-c", program], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
     assert out == ["False", "True"]
+
+
+def test_the_verify_table_is_the_recorded_one(counted_run, capsys):
+    # the benchmark's record of `unfolder verify --suite all`, read only;
+    # gen-02 is recorded as the known FAIL, so the record says exit 1
+    record = json.loads((SRC.parent / "perfbench" / "expected.json").read_text())
+    want = record["jobs"]["verify:all"]
+    rows, _calls = counted_run
+    assert [[cid, "PASS" if ok else "FAIL", detail] for cid, ok, detail in rows] == want["rows"]
+    assert cli.main(["verify", "--suite", "all"]) == want["exit"]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(None, 2) for line in lines[:-1]] == want["rows"]
+    assert lines[-1] == want["summary"]
