@@ -29,8 +29,8 @@ with it.  The index, `dual_graph(x)`, is flat: each facet's (gluing id,
 neighbour) pairs sit in id order in one stretch of two arrays, which one
 pass over the gluings fills.  `gluings_from` reads a facet set's gluings
 off it, so a star, a link and an unfolding's component cost
-O(|part| * (d+1)) instead of O(#gluings), and the one search of the dual
-graph, `projectivities._search`, walks it.
+O(|part| * (d+1)) instead of O(#gluings).  `projectivities._search`, the
+one search of the dual graph, and `projectivities.star_group` walk it.
 
 Every union-find here is one kernel over integer slots, `_unite`: slot
 f * per + i stands for item i of copy f (subset i of `nonempty_subsets` for
@@ -847,7 +847,7 @@ def star_of_class(x: Complex, cid: int) -> StarView:
     return StarView(cid, facet_ids, star, reps)
 
 
-def link_of_class(x: Complex, cid: int) -> tuple[PseudoComplex, StarView]:
+def link_of_class(x: Complex, cid: int) -> PseudoComplex:
     """Link of a face class, as the pseudo-complex generated by its star.
 
     Facet copy i of the link sits inside star facet i; its local labels are
@@ -869,5 +869,4 @@ def link_of_class(x: Complex, cid: int) -> tuple[PseudoComplex, StarView]:
         ra = tuple(ia[v] for v in g.ridge_a if v in ia)
         mapping = tuple(ib[w] for v, w in zip(g.ridge_a, g.mapping) if v in ia)
         link_gluings.append(Gluing(g.facet_a, ra, g.facet_b, tuple(sorted(mapping)), mapping))
-    lk = PseudoComplex(d - card, len(star.parent_facets), tuple(link_gluings))
-    return lk, star
+    return PseudoComplex(d - card, len(star.parent_facets), tuple(link_gluings))

@@ -501,7 +501,7 @@ def is_nice(x: Complex, assume_high_dim: bool | None = None) -> bool:
         return assume_high_dim
     classes = x.classes()
     for cid in classes.classes_of_card(1):
-        lk, _star = link_of_class(x, cid)
+        lk = link_of_class(x, cid)
         status = is_pseudo_manifold(lk)
         chi = euler_characteristic(lk)
         if status == "closed" and chi == 2:

@@ -19,12 +19,10 @@ from .complexes import (
     AbstractComplex,
     Complex,
     FacetPath,
-    StarView,
     _steps,
     check_facet,
     dual_graph,
     perspectivity,
-    star_of_class,
 )
 from .errors import DegenerateMap, InvalidPath, Mismatch, NotAFacet, NotStronglyConnected
 from .permutations import (
@@ -191,9 +189,9 @@ def _search(x: Complex, base: int) -> ProjectivityGroup:
 
 @dataclass(frozen=True)
 class StarGroup:
-    """Projectivities around one face class, based at a star facet."""
+    """Projectivities around one face class, based at the facet of its first
+    member; a disconnected star acts through its base component alone."""
 
-    star: StarView
     base_parent_facet: int
     group: PermutationGroup
 
@@ -202,28 +200,47 @@ class StarGroup:
         return self.group.order
 
 
-def star_group(x: Complex, cid: int, base_parent_facet: int | None = None) -> StarGroup:
-    """Group of projectivities of the star of a face class.
-
-    Walks stay inside the star (every crossed ridge contains the class), so
-    each element fixes the class representative of the base facet pointwise.
-    If the star's dual graph is disconnected, only the base's component acts:
-    the group is generated by the loops at the base alone.  The search is
-    kept on the star, which is fresh, so it is freed with it.
-    """
-    star = star_of_class(x, cid)
-    if base_parent_facet is None:
-        base_parent_facet = star.parent_facets[0]
-    if base_parent_facet not in star.parent_facets:
-        raise NotAFacet(f"facet {base_parent_facet} is not in the star of class {cid}")
-    base = star.parent_facets.index(base_parent_facet)
-    group = _search(star.complex, base).group
-    # generators suffice: the pointwise stabiliser of the class is a subgroup
-    rep = star.rep_in[base]
-    for p, tag in group.generators:
-        if any(p[v] != v for v in rep):
-            raise Mismatch(f"a star projectivity of class {cid} moved the class ({tag})")
-    return StarGroup(star=star, base_parent_facet=base_parent_facet, group=group)
+def star_group(x: Complex, cid: int) -> StarGroup:
+    """Group of projectivities of the star of a face class, at the facet of
+    its first member: a breadth-first walk on `dual_graph(x)` that crosses
+    only gluings whose ridge holds the current facet's member, carried across
+    by each step.  Each element fixes the base's member pointwise, a
+    disconnected star acts through its base component alone, and each gluing
+    crossed outside the tree closes one loop, as in `_search`."""
+    base, rep = x.classes().first_ref(cid)
+    d = x.dim
+    top = d * (d + 1) // 2  # a ridge leaves out top minus its sum
+    gl, dg = x.gluings, dual_graph(x)
+    offsets, gluing_ids, others = dg.offsets, dg.gluing_ids, dg.others
+    ident = perm_identity(d + 1)
+    transports = {base: ident}
+    members = {base: rep}
+    crossed: set[int] = set()
+    order = [base]
+    loops: list[tuple[Perm, str]] = []
+    for f in order:  # grows while it is read
+        t_f, member = transports[f], members[f]
+        for k in range(offsets[f], offsets[f + 1]):
+            gid = gluing_ids[k]
+            fa, ridge_a, _fb, ridge_b, mapping = gl[gid]
+            if gid in crossed or top - sum(ridge_a if f == fa else ridge_b) in member:
+                continue
+            crossed.add(gid)
+            step = _steps(d, ridge_a, ridge_b, mapping)[f != fa]
+            w = others[k]
+            moved = tuple(map(step.__getitem__, t_f))
+            t_w = transports.get(w)
+            if t_w is None:
+                transports[w] = moved
+                members[w] = tuple(map(step.__getitem__, member))
+                order.append(w)
+            else:  # the loop is moved, then back along the tree
+                loop = ident if moved == t_w else perm_compose(moved, perm_inverse(t_w))
+                tag = f"gluing {gid}"
+                if any(loop[v] != v for v in rep):
+                    raise Mismatch(f"a star projectivity of class {cid} moved the class ({tag})")
+                loops.append((loop, tag))
+    return StarGroup(base, PermutationGroup.generated(loops, d + 1))
 
 
 def odd_generated_subgroup(x: Complex) -> PermutationGroup:

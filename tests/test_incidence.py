@@ -8,6 +8,7 @@ lists.  The library must give exactly their results, in the same order.
 
 import gc
 import random
+import sys
 import weakref
 from dataclasses import fields
 from itertools import combinations
@@ -19,7 +20,7 @@ from sympy.combinatorics import Permutation
 from sympy.combinatorics import PermutationGroup as SymPyGroup
 from test_emit import pseudo_complexes
 
-from unfolder import cli, complexes, diagnostics, projectivities
+from unfolder import cli, diagnostics
 from unfolder.complexes import (
     AbstractComplex,
     Gluing,
@@ -44,7 +45,6 @@ from unfolder.diagnostics import (
 from unfolder.errors import (
     InvalidPath,
     NotAFace,
-    NotAFacet,
     NotLocallyStronglyConnected,
     NotStronglyConnected,
 )
@@ -246,15 +246,28 @@ def assert_kept_search_matches(x, base, ref):
         assert_search_matches(projectivity_group(x, base), ref)
 
 
+def holds_class(x, gid, cid):
+    """Whether gluing `gid`'s ridge holds a member of class `cid`."""
+    g, classes = x.gluings[gid], x.classes()
+    card = classes.cards[cid]
+    return any(classes.class_of((g.facet_a, sub)) == cid for sub in combinations(g.ridge_a, card))
+
+
 @pytest.mark.parametrize("name, x", CASES, ids=[n for n, _x in CASES])
 def test_stars_and_links_match_the_full_scan(name, x):
     for cid in range(x.classes().count):
         star = star_of_class(x, cid)
         assert star == reference_star(x, cid), (name, cid)
+        # the walk on the parent gives the star's own search from its first facet
+        sg, want = star_group(x, cid), _search(star.complex, 0).group
+        assert sg.base_parent_facet == x.classes().first_ref(cid)[0], (name, cid)
+        assert [p for p, _t in sg.group.generators] == [p for p, _t in want.generators]
+        assert sg.group.elements == want.elements
+        for _p, tag in sg.group.generators:
+            word, gid = tag.split()
+            assert word == "gluing" and holds_class(x, int(gid), cid), (name, cid, tag)
         if x.classes().cards[cid] <= x.dim:
-            lk, lk_star = link_of_class(x, cid)
-            assert lk == reference_link(x, cid), (name, cid)
-            assert lk_star == star
+            assert link_of_class(x, cid) == reference_link(x, cid), (name, cid)
             # the star's own search, inside its base component
             ref = reference_search(star.complex, 0)
             assert_search_matches(_search(star.complex, 0), ref)
@@ -322,7 +335,8 @@ def test_star_and_link_helpers_refuse_a_bad_class_or_base():
         (lambda: x.classes().first_ref(14), NotAFace, "no face class 14"),
         (lambda: x.classes().vertex_classes_of(-1), NotAFace, "no face class -1"),
         (lambda: x.classes().vertex_classes_of(14), NotAFace, "no face class 14"),
-        (lambda: star_group(x, 0, 3), NotAFacet, "facet 3 is not in the star of class 0"),
+        (lambda: star_group(x, -1), NotAFace, "no face class -1"),
+        (lambda: star_group(x, 14), NotAFace, "no face class 14"),
     ):
         with pytest.raises(error, match=f"^{message}$"):
             call()
@@ -371,13 +385,13 @@ def test_a_disconnected_star_acts_by_its_base_component(x, order):
     assert len(parts) == 2
     with pytest.raises(NotStronglyConnected):
         projectivity_group(star.complex)
-    for part in parts:
-        for base in part:
-            sg = star_group(x, cid, star.parent_facets[base])
-            ref = projectivity_group(part_complex(star.complex, part), part.index(base))
-            assert sg.group.elements == ref.group.elements
-            assert [p for p, _t in sg.group.generators] == [p for p, _t in ref.group.generators]
-            assert sg.order == order
+    # the walk starts at the first member, facet 0, and stays in its part
+    sg = star_group(x, cid)
+    assert sg.base_parent_facet == star.parent_facets[0] == 0
+    ref = projectivity_group(part_complex(star.complex, parts[0]), 0)
+    assert sg.group.elements == ref.group.elements
+    assert [p for p, _t in sg.group.generators] == [p for p, _t in ref.group.generators]
+    assert sg.order == order
 
 
 def mixed_components(variant):
@@ -505,7 +519,7 @@ def test_local_strong_connectivity_and_odd_faces_build_no_star_or_link(
     def refuse(x, cid):
         raise AssertionError(f"star or link of class {cid} built")
 
-    for module in (complexes, diagnostics, projectivities, cli):
+    for module in [m for n, m in sys.modules.items() if n.startswith("unfolder.")]:
         for name in ("star_of_class", "link_of_class"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
@@ -526,12 +540,16 @@ def test_local_strong_connectivity_and_odd_faces_build_no_star_or_link(
         assert cli.main(["analyze", str(path)]) == 0
         assert "odd subcomplex: " in capsys.readouterr().out
     # a ridge held three times branches the links of its subfaces of
-    # codimension 2; they are two-coloured in the scan, with no star built
-    # and no member tuples of the classes
+    # codimension 2; they are two-coloured in the scan, and every star group
+    # is a walk on the complex (the odd faces are the codimension-2 classes
+    # whose group moves), with no star built and no member tuples of the
+    # classes
     K = AbstractComplex.from_facets(boundary_simplex(4).facets + ((0, 1, 2, 5), (2, 3, 4, 6)))
     for y in (K, as_pseudo(K)):
         classes = y.classes()
         odd = odd_subcomplex(y).odd_faces
+        moving = [c for c in range(classes.count) if star_group(y, c).order > 1]
+        assert {c for c in moving if classes.cards[c] == y.dim - 1} == set(odd)
         assert "by_class" not in vars(classes)
         ridges = [r for r in classes.classes_of_card(3) if classes.sizes[r] >= 3]
         branched = [c for c in classes.classes_of_card(2) if in_some_copy_of(classes, c, ridges)]

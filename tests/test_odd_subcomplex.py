@@ -47,7 +47,7 @@ def reference_lsc(x):
 
 
 def reference_link_graph_is_bipartite(x, cid):
-    lk, _star = link_of_class(x, cid)
+    lk = link_of_class(x, cid)
     if lk.dim != 1:
         raise DimensionMismatch(f"link graph needs a codimension-2 class, not class {cid}")
     vertex_of = {ref: v for v, refs in enumerate(vertex_classes(lk)) for ref in refs}
@@ -166,7 +166,7 @@ def branched_classes(x):
     return [
         cid
         for cid in x.classes().classes_of_card(x.dim - 1)
-        if max(map(len, vertex_classes(link_of_class(x, cid)[0]))) >= 3
+        if max(map(len, vertex_classes(link_of_class(x, cid)))) >= 3
     ]
 
 
