@@ -25,7 +25,7 @@ from .diagnostics import (
     odd_subcomplex,
     orientable,
 )
-from .errors import BadParameter, UnfolderError
+from .errors import BadParameter, ParseError, UnfolderError
 from .io import ParsedDocument, emit, emit_component, emit_unfolding, parse_document
 from .permutations import perm_cycle_string
 from .projectivities import projectivity_group
@@ -46,10 +46,10 @@ GALLERY_NAMES = (
 
 
 def _read_document(path: str) -> ParsedDocument:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        text = Path(path).read_text()
+    try:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"the document is not text: {e}") from None
     return parse_document(text)
 
 

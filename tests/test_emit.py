@@ -1,13 +1,12 @@
-"""The document writer, the vertex-only closure and checks under `python -O`.
+"""The document writer, and checks under `python -O`.
 
-The reference builders below are the dict-and-`json.dumps` version of the
-emit: each document is built as nested dicts and lists, its vertex classes
-come from the full face-class closure, and `json.dumps(doc, indent=1)`
-writes it.  A component's reference document is built from `components(u)`,
+The reference builders in `oracles` are the dict-and-`json.dumps` version
+of the emit: each document is built as nested dicts and lists, its vertex
+classes come from the full face-class closure, and `json.dumps(doc,
+indent=1)` writes it.  A component's reference document is built from `components(u)`,
 a complex of its own.  The library must write exactly the same text.
 """
 
-import json
 import os
 import re
 import subprocess
@@ -15,15 +14,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from corpus import pseudo_complexes
 from hypothesis import given, settings
-from hypothesis import strategies as st
+from oracles import reference_emit, reference_emit_component, reference_emit_unfolding
 
-from unfolder.complexes import (
-    AbstractComplex,
-    Gluing,
-    PseudoComplex,
-    vertex_classes,
-)
+from unfolder.complexes import AbstractComplex, Gluing, PseudoComplex
 from unfolder.diagnostics import is_strongly_connected
 from unfolder.errors import BadParameter, SelfIdentification
 from unfolder.gallery import gallery_entries, starred_triangle
@@ -33,82 +28,6 @@ from unfolder.unfoldings import complete_unfolding, component_of, components, pa
 from unfolder.verify import _Context
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def reference_simplicial_doc(K, vertex_labels):
-    def lab(v):
-        if vertex_labels is not None and v in vertex_labels:
-            return str(vertex_labels[v])
-        return str(v)
-
-    return {
-        "format_version": 1,
-        "kind": "simplicial",
-        "dim": K.dim,
-        "facets": [[lab(v) for v in f] for f in K.facets],
-    }
-
-
-def reference_pseudo_doc(P):
-    classes = P.classes()
-    table = [
-        [[f, sub[0]] for f, sub in classes.members_of(cid)]
-        for cid in classes.classes_of_card(1)
-    ]
-    return {
-        "format_version": 1,
-        "kind": "pseudo",
-        "dim": P.dim,
-        "facet_count": P.facet_count,
-        "gluings": [
-            {
-                "a": g.facet_a,
-                "ridge_a": list(g.ridge_a),
-                "b": g.facet_b,
-                "ridge_b": list(g.ridge_b),
-                "mapping": list(g.mapping),
-            }
-            for g in P.gluings
-        ],
-        "vertex_classes": table,
-    }
-
-
-def reference_copy_tags(kind, labels):
-    if kind == "complete":
-        return [{"facet": t[0], "coloring": "".join(map(str, t[1]))} for t in labels]
-    return [{"facet": t[0], "vertex": t[1]} for t in labels]
-
-
-def reference_emit(x, vertex_labels=None):
-    if isinstance(x, AbstractComplex):
-        doc = reference_simplicial_doc(x, vertex_labels)
-    else:
-        doc = reference_pseudo_doc(x)
-    return json.dumps(doc, indent=1) + "\n"
-
-
-def reference_emit_unfolding(u):
-    doc = reference_pseudo_doc(u.total)
-    doc["unfolding"] = {
-        "mode": u.kind,
-        "projection": list(u.projection),
-        "copies": reference_copy_tags(u.kind, u.labels),
-    }
-    if u.component_partition is not None:
-        doc["unfolding"]["components"] = [list(c) for c in u.component_partition]
-    return json.dumps(doc, indent=1) + "\n"
-
-
-def reference_emit_component(comp, kind):
-    doc = reference_pseudo_doc(comp.complex)
-    doc["unfolding"] = {
-        "mode": kind,
-        "projection": list(comp.projection),
-        "copies": reference_copy_tags(kind, comp.labels),
-        "source_copies": list(comp.member_copies),
-    }
-    return json.dumps(doc, indent=1) + "\n"
 
 
 def assert_components_match_the_reference(u):
@@ -134,11 +53,6 @@ def test_emit_unfolding_refuses_components_that_miss_or_repeat_copies():
     assert emit_unfolding(u, comps) == reference_emit_unfolding(u)
 
 
-def _vertex_members(x):
-    classes = x.classes()
-    return tuple(map(classes.members_of, classes.classes_of_card(1)))
-
-
 ENTRIES = gallery_entries()
 
 
@@ -150,17 +64,6 @@ def test_emit_matches_the_reference_on_the_gallery(entry):
         assert emit(u.total) == reference_emit(u.total)
         assert emit_unfolding(u) == reference_emit_unfolding(u)
         assert_components_match_the_reference(u)
-
-
-@pytest.mark.parametrize("entry", ENTRIES, ids=[e.name for e in ENTRIES])
-def test_vertex_classes_match_the_full_closure_on_the_gallery(entry):
-    x = entry.complex
-    assert vertex_classes(x) == _vertex_members(x)
-    if isinstance(x, AbstractComplex):
-        P = PseudoComplex(x.dim, x.facet_count, x.derived_gluings())
-        assert vertex_classes(P) == _vertex_members(P)
-    total = complete_unfolding(x).total
-    assert vertex_classes(total) == _vertex_members(total)
 
 
 def test_emit_edge_cases():
@@ -204,31 +107,6 @@ def test_emit_raises_on_a_copy_that_identifies_two_of_its_vertices():
         emit(bad)
     with pytest.raises(SelfIdentification):
         bad.classes()
-
-
-@st.composite
-def pseudo_complexes(draw):
-    d = draw(st.integers(1, 3))
-    n = draw(st.integers(2, 6))
-    ridges = [tuple(v for v in range(d + 1) if v != skip) for skip in range(d + 1)]
-    gluings = []
-    for _ in range(draw(st.integers(0, 3 * n))):
-        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-        ra, rb = draw(st.sampled_from(ridges)), draw(st.sampled_from(ridges))
-        gluings.append(Gluing(a, ra, b, rb, tuple(draw(st.permutations(rb)))))
-    return PseudoComplex(d, n, tuple(gluings))
-
-
-@settings(max_examples=300, deadline=None)
-@given(pseudo_complexes())
-def test_vertex_classes_match_the_full_closure_on_random_complexes(P):
-    try:
-        want = _vertex_members(P)
-    except SelfIdentification:
-        with pytest.raises(SelfIdentification):
-            vertex_classes(P)
-        return
-    assert vertex_classes(P) == want
 
 
 @settings(max_examples=200, deadline=None)

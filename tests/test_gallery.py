@@ -16,7 +16,6 @@ from unfolder.gallery import (
     gallery_entries,
     hexagon_cone,
     knot_neighborhood,
-    pinched_strip,
     starred_triangle,
     surface_family,
     surface_sphere,
@@ -76,16 +75,6 @@ def test_small_fixed_complexes():
     assert isinstance(digon, PseudoComplex) and digon.facet_count == 2
     with pytest.raises(BadParameter):
         cycle_graph(1)
-
-
-def test_pinched_strip_shape():
-    K = pinched_strip()
-    assert K.dim == 2
-    assert len(K.facets) == 6
-    from unfolder.diagnostics import is_locally_strongly_connected, is_strongly_connected
-
-    assert is_strongly_connected(K)
-    assert not is_locally_strongly_connected(K)[0]
 
 
 def test_doubled_triangle_is_pseudo_and_small():

@@ -3,9 +3,11 @@
 The package loads each public name on first use, so a process compiles and
 runs only the submodules it reads.  Each check runs in a new interpreter,
 under `python` and under `python -O`, because `sys.modules` of the test
-process already holds every submodule.
+process already holds every submodule.  The last test checks the layout of
+the tests themselves.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -153,3 +155,19 @@ def test_analyze_loads_neither_the_gallery_nor_verify(flag, tmp_path):
         "print(code, 'unfolder.gallery' in sys.modules, 'unfolder.verify' in sys.modules)\n"
     )
     assert fresh(flag, program, str(doc)) == ["0 False False"]
+
+
+def test_no_test_module_imports_another():
+    # shared references live in `oracles` and shared inputs in `corpus`, so
+    # no test module reads another, at top level or inside a function
+    found = []
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n.startswith("test_")]
+    assert found == []

@@ -1,6 +1,6 @@
 """The incidence index: stars, links and the projectivity search read it.
 
-The reference functions below are the full-scan versions of `star_of_class`,
+The references in `oracles` are the full-scan versions of `star_of_class`,
 `link_of_class` and the breadth-first search of `projectivity_group`: every
 star rescans the whole gluing list, and the search keeps its spanning data in
 lists.  The library must give exactly their results, in the same order.
@@ -13,19 +13,25 @@ import weakref
 from dataclasses import fields
 from itertools import combinations
 
-import networkx as nx
 import pytest
+from corpus import branched_cases, gallery_cases, pseudo_complexes
 from hypothesis import given, settings
-from sympy.combinatorics import Permutation
-from sympy.combinatorics import PermutationGroup as SymPyGroup
-from test_emit import pseudo_complexes
+from oracles import (
+    dual_components,
+    part_complex,
+    reference_components,
+    reference_containing,
+    reference_link,
+    reference_perspectivity,
+    reference_search,
+    reference_star,
+)
 
 from unfolder import cli, diagnostics
 from unfolder.complexes import (
     AbstractComplex,
     Gluing,
     PseudoComplex,
-    StarView,
     _steps,
     as_pseudo,
     dual_graph,
@@ -48,181 +54,19 @@ from unfolder.errors import (
     NotLocallyStronglyConnected,
     NotStronglyConnected,
 )
-from unfolder.gallery import boundary_simplex, gallery_entries, knot_neighborhood, pinched_strip
+from unfolder.gallery import boundary_simplex, knot_neighborhood, pinched_strip
 from unfolder.io import emit
-from unfolder.permutations import perm_compose, perm_identity, perm_inverse, perm_sign
+from unfolder.permutations import perm_compose, perm_identity, perm_sign
 from unfolder.projectivities import _search, projectivity_group, star_group
 from unfolder.subdivisions import antiprismatic, barycentric
 from unfolder.unfoldings import (
-    Component,
     complete_unfolding,
     components,
     partial_unfolding,
 )
 
 
-def reference_star(x, cid):
-    members = x.classes().members_of(cid)
-    facet_ids = tuple(sorted({f for f, _s in members}))
-    rep_by_facet = {f: s for f, s in members}
-    index = {f: i for i, f in enumerate(facet_ids)}
-    sub = []
-    for g in x.gluings:
-        rep = rep_by_facet.get(g.facet_a)
-        if rep is None or not set(rep) <= set(g.ridge_a):
-            continue
-        sub.append(
-            Gluing(index[g.facet_a], g.ridge_a, index[g.facet_b], g.ridge_b, g.mapping)
-        )
-    star = PseudoComplex(x.dim, len(facet_ids), tuple(sub))
-    reps = tuple(rep_by_facet[f] for f in facet_ids)
-    return StarView(cid, facet_ids, star, reps)
-
-
-def reference_link(x, cid):
-    star = reference_star(x, cid)
-    d = x.dim
-    comp_index = [
-        {v: i for i, v in enumerate(u for u in range(d + 1) if u not in rep)}
-        for rep in star.rep_in
-    ]
-    out = []
-    for g in star.complex.gluings:
-        rep_a = set(star.rep_in[g.facet_a])
-        ia, ib = comp_index[g.facet_a], comp_index[g.facet_b]
-        pairs = [
-            (ia[v], ib[g.mapping[p]]) for p, v in enumerate(g.ridge_a) if v not in rep_a
-        ]
-        ra = tuple(r for r, _m in pairs)
-        mapping = tuple(m for _r, m in pairs)
-        out.append(Gluing(g.facet_a, ra, g.facet_b, tuple(sorted(mapping)), mapping))
-    return PseudoComplex(d - len(star.rep_in[0]), len(star.parent_facets), tuple(out))
-
-
-def reference_compose(p, q):
-    """p, then q, one index at a time."""
-    return tuple(q[p[i]] for i in range(len(p)))
-
-
-def reference_perspectivity(x, facet, gid):
-    """The step through gluing `gid` from `facet`, built from the ridge data
-    on every call."""
-    g = x.gluings[gid]
-    if facet == g.facet_a:
-        src_dst, ridge_dst = zip(g.ridge_a, g.mapping), g.ridge_b
-    else:
-        assert facet == g.facet_b
-        src_dst, ridge_dst = zip(g.mapping, g.ridge_a), g.ridge_a
-    # a ridge leaves out d(d+1)/2 minus its sum; the ridge overwrites the rest
-    d = x.dim
-    out = [d * (d + 1) // 2 - sum(ridge_dst)] * (d + 1)
-    for v, w in src_dst:
-        out[v] = w
-    return tuple(out)
-
-
-def reference_closure(gens, degree):
-    """Every product of generators, by saturation."""
-    elems = {tuple(range(degree))}
-    while True:
-        grown = elems | {reference_compose(e, g) for e in elems for g in gens}
-        if grown == elems:
-            return frozenset(elems)
-        elems = grown
-
-
-def dual_components(x):
-    """The dual graph's components by networkx: sorted facet tuples, by
-    smallest facet."""
-    g = nx.MultiGraph()
-    g.add_nodes_from(range(x.facet_count))
-    g.add_edges_from((gl.facet_a, gl.facet_b) for gl in x.gluings)
-    return tuple(sorted(tuple(sorted(c)) for c in nx.connected_components(g)))
-
-
-def reference_search(x, base):
-    """Each `ProjectivityGroup` field of the search forest from `base`, by
-    name, and the group as (generators, elements): a breadth-first tree from
-    `base`, then one from each facet not yet reached, in id order.  Only the
-    loops at `base` are kept, and they generate the group; orientability
-    comes from the propagation in `test_transport`."""
-    from test_transport import reference_orientable  # it imports this module
-
-    gl = x.gluings
-    n = x.facet_count
-    adj = {v: [] for v in range(n)}
-    for gid, g in enumerate(gl):
-        adj[g.facet_a].append((gid, g.facet_b))
-        adj[g.facet_b].append((gid, g.facet_a))
-    for v in adj:
-        adj[v].sort()
-    transports = [None] * n
-    roots = [None] * n
-    order, tree, non_tree = [], [], []  # non_tree: (gluing id, facet reached first)
-    for root in [base, *range(n)]:
-        if transports[root] is not None:
-            continue
-        transports[root] = perm_identity(x.dim + 1)
-        roots[root] = root
-        head = len(order)
-        order.append(root)
-        while head < len(order):
-            f = order[head]
-            head += 1
-            for gid, w in adj[f]:
-                if transports[w] is None:
-                    step = reference_perspectivity(x, f, gid)
-                    transports[w] = reference_compose(transports[f], step)
-                    roots[w] = root
-                    tree.append(gid)
-                    order.append(w)
-                elif gid not in tree and all(g != gid for g, _f in non_tree):
-                    non_tree.append((gid, f))
-    loops = []
-    for gid, f in non_tree:
-        if roots[f] != base:
-            continue
-        w = gl[gid].other(f)
-        loop = reference_compose(
-            reference_compose(transports[f], reference_perspectivity(x, f, gid)),
-            perm_inverse(transports[w]),
-        )
-        loops.append((loop, gid))
-    gens = [(loop, f"gluing {gid}") for loop, gid in loops]
-    return {
-        "base": base,
-        "group": (tuple(gens), reference_closure([p for p, _t in gens], x.dim + 1)),
-        "transports": tuple(transports),
-        "tree_gluings": tuple(tree),
-        "reached": tuple(order),
-        "roots": tuple(roots),
-        "loops": tuple(loops),
-        "orientable": reference_orientable(x),
-    }
-
-
-def shuffled_bary2():
-    """bary^2 of the 3-simplex's boundary, relabelled and reordered from seed 7."""
-    rng = random.Random(7)
-    K = boundary_simplex(3)
-    for _ in range(2):
-        K = barycentric(K).result
-    labels = list(K.vertices())
-    rng.shuffle(labels)
-    relabelled = AbstractComplex.from_facets([labels[v] for v in f] for f in K.facets)
-    order = list(range(relabelled.facet_count))
-    rng.shuffle(order)
-    new_id = {old: new for new, old in enumerate(order)}
-    gluings = [
-        Gluing(new_id[g.facet_a], g.ridge_a, new_id[g.facet_b], g.ridge_b, g.mapping)
-        for g in relabelled.derived_gluings()
-    ]
-    rng.shuffle(gluings)
-    return relabelled, PseudoComplex(K.dim, K.facet_count, tuple(gluings))
-
-
-CASES = [(e.name, e.complex) for e in gallery_entries()]
-CASES += list(zip(("bary2-shuffled", "bary2-shuffled-pseudo"), shuffled_bary2()))
+CASES = gallery_cases()
 
 
 def assert_search_matches(pg, ref):
@@ -253,7 +97,10 @@ def holds_class(x, gid, cid):
     return any(classes.class_of((g.facet_a, sub)) == cid for sub in combinations(g.ridge_a, card))
 
 
-@pytest.mark.parametrize("name, x", CASES, ids=[n for n, _x in CASES])
+STAR_CASES = CASES + branched_cases()
+
+
+@pytest.mark.parametrize("name, x", STAR_CASES, ids=[n for n, _x in STAR_CASES])
 def test_stars_and_links_match_the_full_scan(name, x):
     for cid in range(x.classes().count):
         star = star_of_class(x, cid)
@@ -355,18 +202,6 @@ def test_perspectivity_refuses_a_step_off_its_gluing():
             perspectivity(x, facet, gid)
 
 
-@pytest.mark.parametrize("name, x", CASES, ids=[n for n, _x in CASES])
-def test_group_order_and_orbits_agree_with_sympy(name, x):
-    pg = _search(x, 0)
-    assert_kept_search_matches(x, 0, reference_search(x, 0))
-    degree = x.dim + 1
-    perms = [Permutation(list(p)) for p, _tag in pg.group.generators]
-    oracle = SymPyGroup(perms or [Permutation(list(range(degree)))])
-    assert pg.order == oracle.order()
-    got = {frozenset(orbit) for orbit in pg.group.orbits()}
-    assert got == {frozenset(orbit) for orbit in oracle.orbits()}
-
-
 def two_tetrahedra_at_a_vertex():
     """Two tetrahedron boundaries sharing vertex 0: its star is two 3-cycles
     of triangles, and a loop around either swaps the other two vertices."""
@@ -448,30 +283,6 @@ def test_dual_graph_is_kept_on_the_complex():
     for pair in ((0, 4), (-1, 0), (0, 0)):
         with pytest.raises(InvalidPath):
             path_from_facets(K, pair)
-
-
-def part_complex(x, part):
-    """The sorted copies `part` of `x`, closed under its gluings, as their own
-    complex: a full scan of the gluing list, copy `part[k]` renumbered to k."""
-    where = {c: i for i, c in enumerate(part)}
-    sub = tuple(
-        Gluing(where[g.facet_a], g.ridge_a, where[g.facet_b], g.ridge_b, g.mapping)
-        for g in x.gluings
-        if g.facet_a in where
-    )
-    return PseudoComplex(x.dim, len(part), sub)
-
-
-def reference_components(u):
-    return [part_complex(u.total, members) for members in u.component_partition]
-
-
-def reference_containing(u, copy):
-    """The component of `u` holding `copy`, cut out of the whole total."""
-    members = next(part for part in u.component_partition if copy in part)
-    projection = tuple(u.projection[c] for c in members)
-    labels = tuple(u.labels[c] for c in members)
-    return Component(part_complex(u.total, members), members, projection, labels)
 
 
 @pytest.mark.parametrize("name, x", CASES, ids=[n for n, _x in CASES])

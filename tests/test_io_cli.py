@@ -1,6 +1,7 @@
 """Document round-trips and the command line front end."""
 
 import ast
+import io as _io
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
-from test_emit import reference_emit_component, reference_emit_unfolding
+from oracles import reference_emit_component, reference_emit_unfolding
 
 from unfolder.cli import main
 from unfolder.complexes import AbstractComplex, PseudoComplex
@@ -197,9 +198,6 @@ def _run(capsys, *argv):
 
 
 def test_cli_analyze_reads_stdin(capsys, monkeypatch, tmp_path):
-    import io as _io
-    import sys
-
     monkeypatch.setattr(sys, "stdin", _io.StringIO(emit(boundary_simplex(3))))
     code, out, err = _run(capsys, "analyze", "-")
     assert code == 0
@@ -346,12 +344,19 @@ def test_cli_gallery_unknown_name(capsys):
     assert "error:" in err
 
 
-def test_cli_parse_error_exit_code(capsys, tmp_path):
+@pytest.mark.parametrize("data", [b"{oops", b"\xff\xfe{}"], ids=["not-json", "not-utf-8"])
+def test_cli_parse_error_exit_code(data, capsys, monkeypatch, tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{oops")
-    code, _, err = _run(capsys, "analyze", str(bad))
-    assert code == 2
-    assert "error:" in err
+    bad.write_bytes(data)
+    # a strict UTF-8 stdin, as a terminal's may be
+    strict = _io.TextIOWrapper(_io.BytesIO(data), encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stdin", strict)
+    for command in (["analyze"], ["unfold", "--mode", "partial"], ["subdivide", "--kind", "barycentric"]):
+        for path in (str(bad), "-"):
+            strict.seek(0)
+            code, out, err = _run(capsys, *command, path)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_verify_paper_suite_is_green(capsys):

@@ -7,156 +7,26 @@ witness it returns must be an isomorphism of face structure.
 """
 
 import random
-from itertools import permutations as all_permutations
 
 import pytest
+from corpus import pseudo_complexes
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_emit import pseudo_complexes
+from oracles import reference_isomorphic
 
 from unfolder.complexes import (
     AbstractComplex,
     Gluing,
     PseudoComplex,
     as_pseudo,
-    dual_graph,
     nonempty_subsets,
     subset_index,
 )
-from unfolder.diagnostics import IsoWitness, ProjectionConstraint, isomorphic
+from unfolder.diagnostics import ProjectionConstraint, isomorphic
 from unfolder.errors import SelfIdentification, UnfolderError
 from unfolder.gallery import gallery_entries, pinched_strip
 from unfolder.permutations import perm_compose, perm_inverse
 from unfolder.unfoldings import complete_unfolding, partial_unfolding
-
-
-def _facet_fingerprints(classes, dim):
-    cards = [len(s) for s in nonempty_subsets(dim + 1)]
-    sc, per, sizes = classes.slot_class, classes.per, classes.sizes
-    out = []
-    for f in range(classes.facet_count):
-        pairs = sorted(zip(cards, (sizes[c] for c in sc[f * per : (f + 1) * per])))
-        out.append(tuple(v for pair in pairs for v in pair))
-    return out
-
-
-def reference_isomorphic(p, q, constraints=None):
-    """Backtracking over every target facet with a matching fingerprint."""
-    if p.dim != q.dim:
-        return None
-    n = p.facet_count
-    if n != q.facet_count:
-        return None
-    d = p.dim
-    cp, cq = p.classes(), q.classes()
-    if sorted(zip(cp.cards, cp.sizes)) != sorted(zip(cq.cards, cq.sizes)):
-        return None
-    subs = nonempty_subsets(d + 1)
-    fp = _facet_fingerprints(cp, d)
-    fq = _facet_fingerprints(cq, d)
-    if sorted(fp) != sorted(fq):
-        return None
-
-    order = []
-    seen = [False] * n
-    adj = dual_graph(p).adjacency()
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            f = queue[head]
-            head += 1
-            order.append(f)
-            for _gid, w in adj[f]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-
-    lambdas = tuple(all_permutations(range(d + 1)))
-
-    def candidates(f, used):
-        for t in range(n):
-            if used[t] or fq[t] != fp[f]:
-                continue
-            if constraints is not None:
-                want, have = constraints
-                if have.targets[t] != want.targets[f]:
-                    continue
-                yield t, perm_compose(want.local_maps[f], perm_inverse(have.local_maps[t]))
-            else:
-                for lam in lambdas:
-                    yield t, lam
-
-    facet_map = [-1] * n
-    vertex_maps = [None] * n
-    used = [False] * n
-    class_map = {}
-    class_rev = {}
-    index = subset_index(d + 1)
-    sp, sq, per = cp.slot_class, cq.slot_class, cp.per
-
-    images = {}
-
-    def try_assign(f, t, lam):
-        image = images.get(lam)
-        if image is None:
-            image = images[lam] = [index[tuple(sorted(lam[v] for v in s))] for s in subs]
-        added = []
-        for i, j in enumerate(image):
-            a = sp[f * per + i]
-            b = sq[t * per + j]
-            have = class_map.get(a)
-            if have is not None:
-                if have != b:
-                    break
-                continue
-            if class_rev.get(b) is not None or cp.sizes[a] != cq.sizes[b]:
-                break
-            class_map[a] = b
-            class_rev[b] = a
-            added.append((a, b))
-        else:
-            return added
-        for a, b in added:
-            del class_map[a]
-            del class_rev[b]
-        return None
-
-    stack = []
-    depth = 0
-    iterator = candidates(order[0], used)
-    while True:
-        f = order[depth]
-        advanced = False
-        for t, lam in iterator:
-            trail = try_assign(f, t, lam)
-            if trail is None:
-                continue
-            facet_map[f] = t
-            vertex_maps[f] = lam
-            used[t] = True
-            stack.append((iterator, t, trail))
-            depth += 1
-            if depth == n:
-                return IsoWitness(tuple(facet_map), tuple(vertex_maps))
-            iterator = candidates(order[depth], used)
-            advanced = True
-            break
-        if advanced:
-            continue
-        if not stack:
-            return None
-        iterator, t, trail = stack.pop()
-        depth -= 1
-        facet_map[order[depth]] = -1
-        vertex_maps[order[depth]] = None
-        used[t] = False
-        for a, b in trail:
-            del class_map[a]
-            del class_rev[b]
 
 
 def assert_witness(p, q, w, constraints=None):

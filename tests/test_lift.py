@@ -1,81 +1,29 @@
 """Both unfoldings are one lift: the kernel against the two separate loops.
 
-`reference_complete` and `reference_partial` are the lifting loops each
-unfolding used to run on its own.  The shared `_lift` must give the same
-totals (gluing for gluing, in order), projections and labels.
+`reference_complete` and `reference_partial` in `oracles` are the lifting
+loops each unfolding used to run on its own.  The shared `_lift` must give
+the same totals (gluing for gluing, in order), projections and labels.
 """
 
 import pytest
+from corpus import gallery_cases, pseudo_complexes
 from hypothesis import given, settings
-from test_emit import pseudo_complexes
-from test_incidence import dual_components, shuffled_bary2
+from oracles import dual_components, reference_complete, reference_partial
 
 from unfolder import complexes, diagnostics, permutations, projectivities, unfoldings
 from unfolder.cli import main
-from unfolder.complexes import (
-    MAX_CLOSURE_SLOTS,
-    Gluing,
-    PseudoComplex,
-    check_size,
-    max_copies,
-    perspectivity,
-)
+from unfolder.complexes import MAX_CLOSURE_SLOTS, PseudoComplex, check_size, max_copies
 from unfolder.errors import BadParameter
-from unfolder.gallery import boundary_simplex, gallery_entries, knot_neighborhood
+from unfolder.gallery import boundary_simplex, knot_neighborhood
 from unfolder.io import emit, emit_unfolding, parse_document
-from unfolder.permutations import perm_compose, perm_inverse
 from unfolder.projectivities import projectivity_group
 from unfolder.unfoldings import complete_unfolding, components, partial_unfolding
 
 
-def reference_complete(x, base):
-    pg = projectivity_group(x, base)
-    elements = pg.group.sorted_elements()
-    index = {g: i for i, g in enumerate(elements)}
-    m = len(elements)
-    n = x.facet_count
-    lifted = []
-    for gid, g in enumerate(x.gluings):
-        step = perspectivity(x, g.facet_a, gid)
-        hol = perm_compose(
-            perm_compose(pg.transports[g.facet_a], step),
-            perm_inverse(pg.transports[g.facet_b]),
-        )
-        for i, elt in enumerate(elements):
-            j = index[perm_compose(elt, hol)]
-            lifted.append(
-                Gluing(g.facet_a * m + i, g.ridge_a, g.facet_b * m + j, g.ridge_b, g.mapping)
-            )
-    total = PseudoComplex(x.dim, n * m, tuple(lifted))
-    labels = tuple(
-        (f, perm_inverse(perm_compose(elt, pg.transports[f]))) for f in range(n) for elt in elements
-    )
-    projection = tuple(f for f in range(n) for _ in elements)
-    return total, projection, labels
-
-
-def reference_partial(x):
-    width = x.dim + 1
-    n = x.facet_count
-    lifted = []
-    for gid, g in enumerate(x.gluings):
-        step = perspectivity(x, g.facet_a, gid)
-        for v in range(width):
-            b = g.facet_b * width + step[v]
-            lifted.append(Gluing(g.facet_a * width + v, g.ridge_a, b, g.ridge_b, g.mapping))
-    total = PseudoComplex(x.dim, n * width, tuple(lifted))
-    projection = tuple(f for f in range(n) for _ in range(width))
-    labels = tuple((f, v) for f in range(n) for v in range(width))
-    return total, projection, labels
-
-
-CASES = [(e.name, e.complex) for e in gallery_entries()]
-CASES += [
-    (f"knot-nbhd:{n}:{variant}", knot_neighborhood(n, variant).complex)
-    for n in (2, 3, 4)
+CASES = gallery_cases() + [
+    (f"knot-nbhd:4:{variant}", knot_neighborhood(4, variant).complex)
     for variant in ("orientable", "klein")
 ]
-CASES += list(zip(("bary2-shuffled", "bary2-shuffled-pseudo"), shuffled_bary2()))
 
 
 @pytest.mark.parametrize("name, x", CASES, ids=[n for n, _x in CASES])

@@ -1,8 +1,8 @@
 """The mod-2 boundary problem, solved by sparse column reduction.
 
-`reference_mod2_boundary_check` is the dense elimination the library used
-before (a numpy uint8 matrix of codimension-2 faces by ridges, reduced row
-by row), ported to plain lists.  It sets the free variables to zero, so its
+`reference_mod2_boundary_check` in `oracles` is the dense elimination the
+library used before (a numpy uint8 matrix of codimension-2 faces by ridges,
+reduced row by row), ported to plain lists.  It sets the free variables to zero, so its
 chain is the unique sum of the ridges that are independent of the ridges
 before them; the sparse reduction must give the same verdict and the same
 chain, and every chain's boundary must be its target.
@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_mod2_boundary_check
 
 from unfolder.complexes import AbstractComplex
 from unfolder.diagnostics import is_pseudo_manifold, mod2_boundary_check, odd_subcomplex
@@ -30,40 +31,6 @@ SEED = 20261018
 
 def _faces_of(rho):
     return [rho[:k] + rho[k + 1 :] for k in range(len(rho))]
-
-
-def reference_mod2_boundary_check(K, wanted):
-    d = K.dim
-    codim2 = K.faces(d - 2)
-    ridges = K.faces(d - 1)
-    index2 = {f: i for i, f in enumerate(codim2)}
-    m, n = len(codim2), len(ridges)
-    M = [[0] * (n + 1) for _ in range(m)]
-    for j, rho in enumerate(ridges):
-        for sub in _faces_of(rho):
-            M[index2[sub]][j] = 1
-    for f in wanted:
-        M[index2[f]][n] = 1
-    pivots = []
-    r = 0
-    for c in range(n):
-        hit = next((i for i in range(r, m) if M[i][c]), None)
-        if hit is None:
-            continue
-        M[r], M[hit] = M[hit], M[r]
-        for i in range(m):
-            if i != r and M[i][c]:
-                M[i] = [a ^ b for a, b in zip(M[i], M[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    if any(M[i][n] for i in range(r, m)):
-        return False, None
-    x = [0] * n
-    for row, col in pivots:
-        x[col] = M[row][n]
-    return True, tuple(ridges[j] for j in range(n) if x[j])
 
 
 def boundary(chain):

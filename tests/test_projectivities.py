@@ -1,6 +1,7 @@
 """Walks between facets and the groups they generate."""
 
 import pytest
+from oracles import carried
 
 from unfolder.complexes import FacetPath, as_pseudo, path_from_facets
 from unfolder.errors import DegenerateMap, NotAFacet
@@ -8,7 +9,6 @@ from unfolder.gallery import (
     boundary_simplex,
     cycle_graph,
     gallery_entries,
-    hexagon_cone,
     knot_neighborhood,
     starred_triangle,
     torus_z3,
@@ -56,29 +56,6 @@ def test_loop_projectivity_requires_a_loop():
         loop_projectivity(K, not_loop)
 
 
-@pytest.mark.parametrize(
-    "make, order",
-    [
-        (lambda: boundary_simplex(2), 2),
-        (lambda: boundary_simplex(3), 6),
-        (starred_triangle, 2),
-        (hexagon_cone, 1),
-        (torus_z3, 3),
-        (lambda: cycle_graph(5), 2),
-        (lambda: cycle_graph(6), 1),
-    ],
-)
-def test_group_orders(make, order):
-    assert projectivity_group(make()).order == order
-
-
-def test_full_symmetric_group_on_tetrahedron_boundary():
-    pg = projectivity_group(boundary_simplex(3))
-    assert pg.order == 6
-    assert len(pg.group.elements) == 6  # all of the permutations of 3 labels
-    assert pg.group.orbits() == ((0, 1, 2),)
-
-
 def test_transports_start_at_identity_and_land_correctly():
     K = boundary_simplex(3)
     pg = projectivity_group(K, base=2)
@@ -100,14 +77,6 @@ def test_base_change_is_conjugation():
     assert {perm_compose(perm_compose(ti, g), t) for g in pg0.group.elements} == set(
         pg1.group.elements
     )
-
-
-def carried(g, t):
-    """t^-1 g t written out: the label t(i) goes where t sends g(i)."""
-    h = [0] * len(t)
-    for i, v in enumerate(t):
-        h[v] = t[g[i]]
-    return tuple(h)
 
 
 @pytest.mark.parametrize("e", gallery_entries(), ids=lambda e: e.name)

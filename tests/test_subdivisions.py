@@ -3,11 +3,16 @@
 import json
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import factorial
 
 import pytest
-from test_projectivities import carried
+from oracles import (
+    carried,
+    central_labels,
+    reference_crumpling_group_pair,
+    reference_facet_shapes,
+    reference_is_simplicial,
+)
 
 from unfolder import cli
 from unfolder.complexes import AbstractComplex, PseudoComplex, as_pseudo, is_simplicial
@@ -68,37 +73,6 @@ def _det(rows):
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
         total += (-1) ** j * rows[0][j] * _det(minor)
     return total
-
-
-@lru_cache(maxsize=None)
-def reference_facet_shapes(dim: int):
-    """The depth-first search the generator replaced: every subset is tried
-    for containment and admissibility at every step."""
-    d = dim
-    full = tuple(range(d + 1))
-    subsets = [tuple(s) for k in range(1, d + 2) for s in combinations(full, k)]
-    shapes = []
-
-    def extend(pairs, tau):
-        if len(pairs) == d + 1:
-            shapes.append(tuple(pairs))
-            return
-        for nxt in subsets:
-            if tau is not None:
-                if len(nxt) < len(tau) or not set(tau) <= set(nxt):
-                    continue
-            smaller = [t for t, _w in pairs if set(t) < set(nxt)]
-            for w in nxt:
-                if nxt == tau and w <= pairs[-1][1]:
-                    continue
-                if any(w in t for t in smaller):
-                    continue
-                pairs.append((nxt, w))
-                extend(pairs, nxt)
-                pairs.pop()
-
-    extend([], None)
-    return tuple(shapes)
 
 
 @pytest.mark.parametrize("dim", range(6))
@@ -284,32 +258,6 @@ def _anti(name):
     return antiprismatic(SOURCES[name])
 
 
-def central_labels(rec, base=0):
-    """The copy-`base` label of each vertex of the central facet of that copy."""
-    classes = rec.source.classes()
-    labels = []
-    for vid in rec.result.facets[rec.central_facet(base)]:
-        _tau_class, w_class = rec.vertex_provenance[vid]
-        _f, (l,) = next(r for r in classes.members_of(w_class) if r[0] == base)
-        labels.append(l)
-    return tuple(labels)
-
-
-def reference_crumpling_group_pair(rec, base=0):
-    """The crumpling group pair from a second search, at the central facet."""
-    x = rec.source
-    d = x.dim
-    sub_pg = projectivity_group(rec.result, base=rec.central_facet(base))
-    mu = central_labels(rec, base)
-    transported = [carried(g, mu) for g in sub_pg.group.sorted_elements()]
-    lifted = PermutationGroup(
-        degree=d + 1,
-        elements=frozenset(transported),
-        generators=tuple((p, "transported") for p in transported),
-    )
-    return lifted, projectivity_group(x, base=base).group
-
-
 @pytest.mark.parametrize("name", sorted(SOURCES))
 def test_crumpling_group_pair_matches_a_search_at_the_central_facet(name):
     rec = _anti(name)
@@ -325,19 +273,6 @@ def test_crumpling_group_pair_matches_a_search_at_the_central_facet(name):
     d = rec.source.dim
     assert PermutationGroup.generated(lifted.generators, d + 1).elements == lifted.elements
     assert ground == want_ground
-
-
-def reference_is_simplicial(P):
-    """The per-class loop: one `class_of` lookup per vertex of each class."""
-    classes = P.classes()
-    seen = {}
-    for cid in range(classes.count):
-        f, sub = classes.members_of(cid)[0]
-        key = tuple(sorted(classes.class_of((f, (l,))) for l in sub))
-        if key in seen:
-            return False, (seen[key], cid)
-        seen[key] = cid
-    return True, None
 
 
 @pytest.mark.parametrize("name", sorted(SOURCES))  # figure3 is `pinched_strip()`

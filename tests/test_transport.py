@@ -1,6 +1,6 @@
 """Orientability and balancedness are read off the projectivity search.
 
-The reference functions below are the propagation versions of `orientable`
+The references in `oracles` are the propagation versions of `orientable`
 and `balanced_coloring`: each walks the dual graph on its own, one with a
 sign per gluing from the ridge data, the other with a coloring per facet
 and a final scan of every gluing.  The library must give the same result,
@@ -9,94 +9,25 @@ trivial group" tied to a computation that does not use the group.
 """
 
 import pytest
+from corpus import named_cases, pseudo_complexes
 from hypothesis import given, settings
-from test_emit import pseudo_complexes
-from test_incidence import CASES, dual_components
-from test_odd_subcomplex import fresh, outcome
+from oracles import (
+    dual_components,
+    fresh,
+    outcome,
+    reference_balanced_coloring,
+    reference_orientable,
+)
 
 from unfolder import cli, complexes, diagnostics, projectivities, unfoldings
-from unfolder.complexes import (
-    Gluing,
-    PseudoComplex,
-    as_pseudo,
-    dual_graph,
-    perspectivity,
-)
+from unfolder.complexes import Gluing, PseudoComplex, as_pseudo
 from unfolder.diagnostics import balanced_coloring, orientable
 from unfolder.errors import NotStronglyConnected
-from unfolder.gallery import boundary_simplex, gallery_entries, knot_neighborhood
+from unfolder.gallery import boundary_simplex
 from unfolder.io import emit
-from unfolder.permutations import (
-    PermutationGroup,
-    perm_compose,
-    perm_identity,
-    perm_inverse,
-    perm_sign,
-)
+from unfolder.permutations import PermutationGroup
 from unfolder.projectivities import projectivity_group
-from unfolder.unfoldings import complete_unfolding, partial_unfolding
-
-
-def _crossing_sign(x, gid):
-    g = x.gluings[gid]
-    order = tuple(g.ridge_b.index(m) for m in g.mapping)
-    # the opposite labels are d(d+1)/2 minus the ridge sums, and d(d+1) is even
-    return -perm_sign(order) * (-1) ** (sum(g.ridge_a) + sum(g.ridge_b))
-
-
-def reference_orientable(x):
-    """Propagate facet orientations; True when all loops close with sign +1."""
-    n = x.facet_count
-    adj = dual_graph(x).adjacency()
-    sign = [0] * n
-    for start in range(n):
-        if sign[start]:
-            continue
-        sign[start] = 1
-        stack = [start]
-        while stack:
-            f = stack.pop()
-            for gid, w in adj[f]:
-                s = sign[f] * _crossing_sign(x, gid)
-                if sign[w] == 0:
-                    sign[w] = s
-                    stack.append(w)
-                elif sign[w] != s:
-                    return False
-    return True
-
-
-def reference_balanced_coloring(x, base=0):
-    """Colors spread over a spanning tree, then every gluing is checked."""
-    n = x.facet_count
-    adj = dual_graph(x).adjacency()
-    coloring = [None] * n
-    coloring[base] = perm_identity(x.dim + 1)
-    queue = [base]
-    head = 0
-    while head < len(queue):
-        f = queue[head]
-        head += 1
-        for gid, w in adj[f]:
-            if coloring[w] is None:
-                step = perspectivity(x, f, gid)
-                coloring[w] = perm_compose(perm_inverse(step), coloring[f])
-                queue.append(w)
-    if len(queue) < n:
-        missing = sorted(f for f in range(n) if coloring[f] is None)
-        raise NotStronglyConnected(f"facets {missing} are not reachable from {base}")
-    for g in x.gluings:
-        ca, cb = coloring[g.facet_a], coloring[g.facet_b]
-        if any(ca[v] != cb[g.mapping[i]] for i, v in enumerate(g.ridge_a)):
-            return None
-    classes = x.classes()
-    out = {}
-    for cid in classes.classes_of_card(1):
-        seen = {coloring[f][l] for f, (l,) in classes.members_of(cid)}
-        if len(seen) > 1:
-            return None
-        out[cid] = seen.pop()
-    return out
+from unfolder.unfoldings import partial_unfolding
 
 
 def assert_agrees(x):
@@ -115,18 +46,7 @@ def negatives(x):
     return not reference_orientable(x), len(dual_components(x)) > 1
 
 
-def _cases():
-    cases = list(CASES)
-    for e in gallery_entries():
-        cases.append((f"complete({e.name})", complete_unfolding(e.complex).total))
-        cases.append((f"partial({e.name})", partial_unfolding(e.complex).total))
-    for n in range(2, 7):
-        for variant in ("orientable", "klein"):
-            cases.append((f"knot-nbhd:{n}:{variant}", knot_neighborhood(n, variant).complex))
-    return cases
-
-
-TRANSPORT_CASES = _cases()
+TRANSPORT_CASES = named_cases()
 
 
 @pytest.mark.parametrize("name, x", TRANSPORT_CASES, ids=[n for n, _x in TRANSPORT_CASES])

@@ -3,7 +3,7 @@
 import time
 
 import pytest
-from test_incidence import dual_components, reference_components, reference_containing
+from oracles import dual_components, reference_components, reference_containing
 
 from unfolder import unfoldings
 from unfolder.complexes import Gluing, PseudoComplex
