@@ -127,28 +127,36 @@ def part_complex(x, part):
 
 
 def structure_law_failures(corpus):
-    """(index, error type, message) of each strongly connected complex in
-    `corpus` that breaks a law relating it to its unfoldings."""
+    """(index, law) of each law relating a strongly connected complex in
+    `corpus` to its unfoldings that it breaks, and (index, error type,
+    message) of each complex whose checks raise.  No law is an `assert`, so
+    that `python -O` keeps them."""
     failures = []
     for i, P in enumerate(corpus):
         try:
             pg = projectivity_group(P)
             uc = complete_unfolding(P)
             up = partial_unfolding(P)
-            assert uc.total.facet_count == pg.group.order * P.facet_count
-            assert up.total.facet_count == (P.dim + 1) * P.facet_count
-            assert projectivity_group(uc.total).group.is_trivial
-            assert is_strongly_connected(uc.total)
-            assert len(dual_components(up.total)) == len(pg.group.orbits())
-            for comp in components(up):
-                assert is_strongly_connected(comp.complex)
-            if is_pseudo_manifold(P) == "closed":
-                assert is_pseudo_manifold(uc.total) == "closed"
-            if orientable(P) and is_pseudo_manifold(P) in ("closed", "with-boundary"):
-                assert orientable(uc.total)
+            kind = is_pseudo_manifold(P)
             again = parse(emit(P))
-            assert again.facet_count == P.facet_count
-            assert again.gluings == P.gluings
+            laws = {
+                "complete size": uc.total.facet_count == pg.group.order * P.facet_count,
+                "partial size": up.total.facet_count == (P.dim + 1) * P.facet_count,
+                "complete group trivial": projectivity_group(uc.total).group.is_trivial,
+                "complete strongly connected": is_strongly_connected(uc.total),
+                "partial parts are orbits": len(dual_components(up.total))
+                == len(pg.group.orbits()),
+                "components strongly connected": all(
+                    is_strongly_connected(comp.complex) for comp in components(up)
+                ),
+                "closed stays closed": kind != "closed"
+                or is_pseudo_manifold(uc.total) == "closed",
+                "orientable stays orientable": not orientable(P)
+                or kind not in ("closed", "with-boundary")
+                or orientable(uc.total),
+                "round trip": (again.facet_count, again.gluings) == (P.facet_count, P.gluings),
+            }
+            failures += [(i, law) for law, holds in laws.items() if not holds]
         except Exception as e:  # collect everything, report once
             failures.append((i, type(e).__name__, str(e)[:80]))
     return failures
@@ -282,6 +290,11 @@ def reference_derived_gluings(K, limit=MAX_CLOSURE_SLOTS):
         mapping = tuple(fb.index(v) for v in ridge)
         out.append(Gluing(i, ra, j, tuple(sorted(mapping)), mapping))
     return tuple(out)
+
+
+def _gluings(x):
+    """`x`'s gluings; an abstract complex's by `reference_derived_gluings`."""
+    return reference_derived_gluings(x) if isinstance(x, AbstractComplex) else x.gluings
 
 
 def reference_vertex_classes(x):
@@ -461,8 +474,8 @@ def reference_search(x, base):
     }
 
 
-def reference_group(x, base=0):
-    """The group of projectivities at `base` as a sympy group: the loop of
+def reference_group(x):
+    """The group of projectivities at facet 0 as a sympy group: the loop of
     every gluing, closed through a networkx spanning tree of the dual graph."""
     graph = nx.MultiGraph()
     graph.add_nodes_from(range(x.facet_count))
@@ -471,8 +484,8 @@ def reference_group(x, base=0):
     tree.add_nodes_from(graph)
     for a, b, gid in nx.minimum_spanning_edges(graph, keys=True, data=False):
         tree.add_edge(a, b, gid=gid)
-    transports = {base: tuple(range(x.dim + 1))}
-    for a, b in nx.bfs_edges(tree, base):
+    transports = {0: tuple(range(x.dim + 1))}
+    for a, b in nx.bfs_edges(tree, 0):
         step = reference_perspectivity(x, a, tree[a][b]["gid"])
         transports[b] = reference_compose(transports[a], step)
     loops = [
@@ -482,7 +495,7 @@ def reference_group(x, base=0):
         )
         for gid, g in enumerate(x.gluings)
     ]
-    return SymPyGroup([Permutation(list(p)) for p in loops or [transports[base]]])
+    return SymPyGroup([Permutation(list(p)) for p in loops or [transports[0]]])
 
 
 def _crossing_sign(x, gid):
@@ -514,24 +527,25 @@ def reference_orientable(x):
     return True
 
 
-def reference_balanced_coloring(x, base=0):
-    """Colors spread over a spanning tree, then every gluing is checked, and
-    each vertex class must wear one color."""
+def reference_balanced_coloring(x):
+    """Colors spread from facet 0 over a spanning tree, then every gluing is
+    checked, and each vertex class must wear one color."""
     n = x.facet_count
-    adj = reference_adjacency(x)
+    glued = PseudoComplex(x.dim, n, _gluings(x))
+    adj = reference_adjacency(glued)
     coloring = [None] * n
-    coloring[base] = perm_identity(x.dim + 1)
-    queue = [base]
+    coloring[0] = perm_identity(x.dim + 1)
+    queue = [0]
     for f in queue:  # grows while it is read
         for gid, w in adj[f]:
             if coloring[w] is None:
-                step = reference_perspectivity(x, f, gid)
+                step = reference_perspectivity(glued, f, gid)
                 coloring[w] = perm_compose(perm_inverse(step), coloring[f])
                 queue.append(w)
     if len(queue) < n:
         missing = sorted(f for f in range(n) if coloring[f] is None)
-        raise NotStronglyConnected(f"facets {missing} are not reachable from {base}")
-    for g in x.gluings:
+        raise NotStronglyConnected(f"facets {missing} are not reachable from 0")
+    for g in glued.gluings:
         ca, cb = coloring[g.facet_a], coloring[g.facet_b]
         if any(ca[v] != cb[g.mapping[i]] for i, v in enumerate(g.ridge_a)):
             return None
@@ -562,7 +576,7 @@ def reference_lsc_witness(x):
     stars.add_nodes_from((cid, f) for cid in low for f, _s in members[cid])
     stars.add_edges_from(
         ((cid, g.facet_a), (cid, g.facet_b))
-        for g in x.gluings
+        for g in _gluings(x)
         for k in range(1, x.dim)
         for cid in (class_of[g.facet_a, sub] for sub in combinations(g.ridge_a, k))
     )
@@ -951,30 +965,31 @@ def reference_facet_shapes(dim: int):
     return tuple(shapes)
 
 
-def central_labels(rec, base=0):
-    """The copy-`base` label of each vertex of the central facet of that copy."""
+def central_labels(rec):
+    """The copy-0 label of each vertex of the central facet of copy 0."""
     classes = rec.source.classes()
     labels = []
-    for vid in rec.result.facets[rec.central_facet(base)]:
+    for vid in rec.result.facets[rec.central_facet(0)]:
         _tau_class, w_class = rec.vertex_provenance[vid]
-        _f, (l,) = next(r for r in classes.members_of(w_class) if r[0] == base)
+        _f, (l,) = next(r for r in classes.members_of(w_class) if r[0] == 0)
         labels.append(l)
     return tuple(labels)
 
 
-def reference_crumpling_group_pair(rec, base=0):
-    """The crumpling group pair from a second search, at the central facet."""
+def reference_crumpling_group_pair(rec):
+    """The crumpling group pair from a second search, at the central facet
+    of copy 0."""
     x = rec.source
     d = x.dim
-    sub_pg = projectivity_group(rec.result, base=rec.central_facet(base))
-    mu = central_labels(rec, base)
+    sub_pg = projectivity_group(rec.result, base=rec.central_facet(0))
+    mu = central_labels(rec)
     transported = [carried(g, mu) for g in sub_pg.group.sorted_elements()]
     lifted = PermutationGroup(
         degree=d + 1,
         elements=frozenset(transported),
         generators=tuple((p, "transported") for p in transported),
     )
-    return lifted, projectivity_group(x, base=base).group
+    return lifted, projectivity_group(x).group
 
 
 # -------------------------------------------------------- the whole report
@@ -992,18 +1007,19 @@ def _cycles(p):
 
 def oracle_analyze(text):
     """What `unfolder analyze` prints for document `text`, from the
-    references alone: none of the library's face classes, search, dual
-    graph or diagnostics is read."""
+    references alone: none of the library's face classes, derived gluings,
+    search, dual graph or diagnostics is read."""
     doc = parse_document(text)
     x = doc.complex
     d, n = x.dim, x.facet_count
+    glued = PseudoComplex(d, n, _gluings(x))
     _d, _n, members, *_tables, keys, _slots = reference_shape(x)
     counts = [0] * (d + 1)
     for refs in members:
         counts[len(refs[0][1]) - 1] += 1
     graph = nx.MultiGraph()
     graph.add_nodes_from(range(n))
-    graph.add_edges_from((g.facet_a, g.facet_b) for g in x.gluings)
+    graph.add_edges_from((g.facet_a, g.facet_b) for g in glued.gluings)
     connected = nx.is_connected(graph)
     lsc, _witness = reference_lsc_witness(x)
     lines = [
@@ -1014,7 +1030,7 @@ def oracle_analyze(text):
         f"strongly connected: {_yes(connected)}",
         f"locally strongly connected: {_yes(lsc)}",
         f"pseudo-manifold: {reference_pseudo_manifold(x)}",
-        f"orientable: {_yes(reference_orientable(x))}",
+        f"orientable: {_yes(reference_orientable(glued))}",
         f"euler characteristic: {sum((-1) ** k * c for k, c in enumerate(counts))}",
     ]
     if not connected:
@@ -1022,9 +1038,9 @@ def oracle_analyze(text):
         lines.append("Pi order: n/a (dual graph disconnected)")
     else:
         lines.append(f"balanced: {_yes(reference_balanced_coloring(x) is not None)}")
-        group = reference_group(x)
+        group = reference_group(glued)
         lines.append(f"Pi order: {group.order()}")
-        gens = reference_search(x, 0)["group"][0]
+        gens = reference_search(glued, 0)["group"][0]
         if gens:
             lines.append("Pi generators:")
             lines += [f"  {_cycles(p)} from {tag}" for p, tag in gens]

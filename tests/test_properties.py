@@ -6,7 +6,8 @@ from itertools import islice
 from corpus import seeded_pseudo
 from oracles import structure_law_failures
 
-from unfolder.diagnostics import is_strongly_connected
+from unfolder.diagnostics import is_pseudo_manifold, is_strongly_connected, orientable
+from unfolder.projectivities import projectivity_group
 
 SEED = 20260822
 CASES = 200
@@ -27,9 +28,14 @@ def test_generated_corpus_obeys_the_structure_laws():
 
 
 def test_corpus_is_deterministic_and_big_enough():
-    sizes = [P.facet_count for P in _corpus()]
+    corpus = _corpus()
+    sizes = [P.facet_count for P in corpus]
     assert len(sizes) == CASES
-    assert {P.dim for P in _corpus()} == {2}
+    assert {P.dim for P in corpus} == {2}
     assert min(sizes) >= 2 and max(sizes) <= 8
+    # the seed draws 54 nontrivial groups, 6 closed and 47 non-orientable
+    assert sum(not projectivity_group(P).group.is_trivial for P in corpus) >= 40
+    assert sum(is_pseudo_manifold(P) == "closed" for P in corpus) >= 5
+    assert sum(not orientable(P) for P in corpus) >= 40
     for a, b in zip(islice(_connected(SEED), 3), _corpus()):
         assert a.gluings == b.gluings
