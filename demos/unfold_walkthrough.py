@@ -34,7 +34,7 @@ def main() -> None:
 
     pg = projectivity_group(K)
     print(f"group of projectivities at facet {pg.base}:")
-    for p in pg.group.sorted_elements():
+    for p in sorted(pg.group.elements):
         print(f"  {perm_cycle_string(p)}")
     print("every permutation of a facet's three vertices shows up,")
     print("so no consistent vertex coloring can exist:")

@@ -32,9 +32,8 @@ _SOURCES = {
     "io": "ParsedDocument emit emit_component emit_unfolding parse parse_document",
     "permutations": """Perm PermutationGroup perm_compose perm_cycle_string perm_identity
         perm_inverse perm_sign""",
-    "projectivities": """ProjectivityGroup StarGroup induced_homomorphism_check
-        loop_projectivity odd_generated_subgroup path_projectivity projectivity_group
-        star_group""",
+    "projectivities": """ProjectivityGroup induced_homomorphism_check loop_projectivity
+        odd_generated_subgroup path_projectivity projectivity_group star_group""",
     "subdivisions": """SubdivisionRecord antiprism_facet_shapes antiprismatic barycentric
         crumpling_group_pair crumpling_map iterate stellar
         unfold_commutes_with_antiprismatic""",

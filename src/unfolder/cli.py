@@ -90,7 +90,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     else:
         print(f"balanced: {'yes' if balanced_coloring(x) is not None else 'no'}")
         pg = projectivity_group(x)
-        print(f"Pi order: {pg.order}")
+        print(f"Pi order: {pg.group.order}")
         if pg.group.generators:
             print("Pi generators:")
             for p, tag in pg.group.generators:

@@ -6,16 +6,19 @@ Projectivities compose left to right (apply the first path segment first),
 so `perm_compose(p, q)` means "p, then q", and the projectivity search
 composes its transports with a gluing's step in that same way.
 
-Groups here are small: order at most (d+1)!, where d <= 4 for the gallery
-and benchmark inputs and d <= `complexes.MAX_DIM` = 8 for any document.  So
-the closure is computed by saturation and the full element set is kept.
-A group changes base by conjugation: carried along a label bijection t, each
-element g becomes t^-1 g t (`PermutationGroup.conjugated`).
+A group is its tagged generators.  Triviality, orbits and a change of base
+read the generators alone; a change of base carries each generator g along
+a label bijection t to t^-1 g t (`PermutationGroup.conjugated`).  Only the
+order, a membership test or the element list close the group, by
+saturation, on first read, and the elements are then kept.  Groups here
+are small: order at most (d+1)!, where d <= 4 for the gallery and benchmark
+inputs and d <= `complexes.MAX_DIM` = 8 for any document.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import inf
 
 Perm = tuple[int, ...]
@@ -101,18 +104,33 @@ def closure(generators: list[Perm], degree: int, limit: float = inf) -> frozense
 
 @dataclass(frozen=True)
 class PermutationGroup:
-    """A concrete subgroup of Sym({0..degree-1}) with tagged generators,
-    which generate `elements`."""
+    """The subgroup of Sym({0..degree-1}) that the tagged generators
+    generate, closed on first read of `elements`."""
 
     degree: int
-    elements: frozenset[Perm]
     generators: tuple[tuple[Perm, str], ...]
 
     @staticmethod
-    def generated(gens: list[tuple[Perm, str]], degree: int, limit=inf) -> "PermutationGroup | None":
-        """The group `gens` generate; None when it has more than `limit` elements."""
-        elems = closure([g for g, _tag in gens], degree, limit)
-        return None if elems is None else PermutationGroup(degree, elems, tuple(gens))
+    def generated(gens: list[tuple[Perm, str]], degree: int) -> "PermutationGroup":
+        """The group `gens` generate, closed now."""
+        group = PermutationGroup(degree, tuple(gens))
+        group.within(inf)
+        return group
+
+    @cached_property
+    def elements(self) -> frozenset[Perm]:
+        return closure([g for g, _tag in self.generators], self.degree)
+
+    def within(self, limit: float) -> bool:
+        """Whether the group has at most `limit` elements.  The closure stops
+        once it passes `limit`, and the elements are kept only when it
+        finished."""
+        if "elements" not in self.__dict__:
+            elems = closure([g for g, _tag in self.generators], self.degree, limit)
+            if elems is None:
+                return False
+            self.__dict__["elements"] = elems  # what reading `elements` keeps
+        return self.order <= limit
 
     @property
     def order(self) -> int:
@@ -120,22 +138,20 @@ class PermutationGroup:
 
     @property
     def is_trivial(self) -> bool:
-        return self.order == 1
+        ident = perm_identity(self.degree)
+        return all(g == ident for g, _tag in self.generators)
 
     def __contains__(self, p: Perm) -> bool:
         return p in self.elements
 
     def conjugated(self, t: Perm) -> "PermutationGroup":
-        """The group carried along the label bijection t: each g becomes
-        t^-1 g t, generators with their tags.  Conjugation is a bijection,
-        so nothing is closed again."""
+        """The group carried along the label bijection t: each generator g
+        becomes t^-1 g t, with its tag."""
         t_inv = perm_inverse(t)
-        image = {g: perm_compose(perm_compose(t_inv, g), t) for g in self.elements}
-        gens = tuple((image[g], tag) for g, tag in self.generators)
-        return PermutationGroup(self.degree, frozenset(image.values()), gens)
-
-    def sorted_elements(self) -> list[Perm]:
-        return sorted(self.elements)
+        return PermutationGroup(
+            self.degree,
+            tuple((perm_compose(perm_compose(t_inv, g), t), tag) for g, tag in self.generators),
+        )
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbit partition of {0..degree-1}, each orbit sorted, orbits by min.

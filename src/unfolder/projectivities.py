@@ -13,7 +13,7 @@ with their parity, and a crossing is one lookup and one index map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
+from functools import cached_property
 
 from .complexes import (
     AbstractComplex,
@@ -61,10 +61,12 @@ class ProjectivityGroup:
     `roots[f]` is the root of f's tree and `transports[f]` the projectivity
     along the tree path from that root to f.  Each non-tree gluing of the
     base's tree closes one loop at the base; `loops` holds each as
-    (projectivity, gluing id), in search order, and they generate the group,
-    which is closed on first read.  `orientable` says whether every non-tree
-    gluing of the forest agrees with the facet orientations carried along
-    its tree.  Connectivity, `balanced_coloring`, `orientable` and the
+    (projectivity, gluing id), in search order.  On first read, `group` is
+    built from the loops, each tagged by its gluing; like any
+    `PermutationGroup` it is closed only where its order, a membership or
+    its elements are read.  `orientable` says whether every non-tree gluing
+    of the forest agrees with the facet orientations carried along its
+    tree.  Connectivity, `balanced_coloring`, `orientable` and the
     isomorphism search's facet order are all read off this one search.
     """
 
@@ -76,19 +78,10 @@ class ProjectivityGroup:
     loops: tuple[tuple[Perm, int], ...]
     orientable: bool
 
-    @property
+    @cached_property
     def group(self) -> PermutationGroup:
-        return self.group_within(inf)
-
-    def group_within(self, limit: float) -> PermutationGroup | None:
-        """The group, closed on first read and kept; None, with nothing kept,
-        when it has more than `limit` elements, where its closure stops."""
-        group = self.__dict__.get("_group")
-        if group is None:
-            gens = [(p, f"gluing {gid}") for p, gid in self.loops]
-            group = PermutationGroup.generated(gens, len(self.transports[self.base]), limit)
-            self.__dict__["_group"] = group
-        return group if group is not None and group.order <= limit else None
+        gens = tuple((p, f"gluing {gid}") for p, gid in self.loops)
+        return PermutationGroup(len(self.transports[self.base]), gens)
 
     @property
     def spans(self) -> bool:
@@ -99,10 +92,6 @@ class ProjectivityGroup:
         if not 0 <= facet < len(self.transports):
             raise NotAFacet(f"no facet {facet}")
         return self.transports[facet]
-
-    @property
-    def order(self) -> int:
-        return self.group.order
 
 
 def projectivity_group(x: Complex, base: int = 0) -> ProjectivityGroup:
@@ -187,20 +176,7 @@ def _search(x: Complex, base: int) -> ProjectivityGroup:
     return pg
 
 
-@dataclass(frozen=True)
-class StarGroup:
-    """Projectivities around one face class, based at the facet of its first
-    member; a disconnected star acts through its base component alone."""
-
-    base_parent_facet: int
-    group: PermutationGroup
-
-    @property
-    def order(self) -> int:
-        return self.group.order
-
-
-def star_group(x: Complex, cid: int) -> StarGroup:
+def star_group(x: Complex, cid: int) -> PermutationGroup:
     """Group of projectivities of the star of a face class, at the facet of
     its first member: a breadth-first walk on `dual_graph(x)` that crosses
     only gluings whose ridge holds the current facet's member, carried across
@@ -240,25 +216,27 @@ def star_group(x: Complex, cid: int) -> StarGroup:
                 if any(loop[v] != v for v in rep):
                     raise Mismatch(f"a star projectivity of class {cid} moved the class ({tag})")
                 loops.append((loop, tag))
-    return StarGroup(base, PermutationGroup.generated(loops, d + 1))
+    return PermutationGroup(d + 1, tuple(loops))
 
 
 def odd_generated_subgroup(x: Complex) -> PermutationGroup:
     """Subgroup generated by loops around the odd codimension-2 faces.
 
     Each odd face class contributes the generators of its star group,
-    conjugated back to facet 0 along the spanning-tree transport.
+    conjugated back to facet 0 along the spanning-tree transport from the
+    facet of the class's first member, where the star group is based.
     """
     from .diagnostics import odd_subcomplex  # import cycle with diagnostics
 
     odd = odd_subcomplex(x).odd_faces
     pg = projectivity_group(x)
+    classes = x.classes()
     gens: list[tuple[Perm, str]] = []
     for cid in odd:
-        sg = star_group(x, cid)
-        at_base = sg.group.conjugated(perm_inverse(pg.transport_to(sg.base_parent_facet)))
+        to_base = perm_inverse(pg.transport_to(classes.first_ref(cid)[0]))
+        at_base = star_group(x, cid).conjugated(to_base)
         gens.extend((p, f"around class {cid}") for p, _tag in at_base.generators)
-    return PermutationGroup.generated(gens, x.dim + 1)
+    return PermutationGroup(x.dim + 1, tuple(gens))
 
 
 def induced_homomorphism_check(K, L, vertex_map: dict[int, int]) -> bool:

@@ -113,10 +113,9 @@ def complete_unfolding(x: Complex, base: int = 0) -> UnfoldingResult:
     """
     pg = projectivity_group(x, base)
     most = max_copies(x.dim, x.facet_count)
-    group = pg.group_within(most)
-    if group is None:
+    if not pg.group.within(most):
         check_size(x.dim, x.facet_count * (most + 1), at_least=True)  # always refuses
-    elements = group.sorted_elements()
+    elements = sorted(pg.group.elements)
     index = {g: i for i, g in enumerate(elements)}
     t = pg.transports
     by_holonomy: dict[Perm, list[int]] = {}  # at most |G| fibre images
@@ -223,9 +222,9 @@ class TowerStage:
 class Tower:
     """Iterated one-vertex unfoldings ending in the complete unfolding.
 
-    `stages` has d+1 entries; `complexes` lists the root followed by each
-    stage, and the last one is isomorphic to the complete unfolding by
-    `witness`, compatibly with both projections to the root.
+    `stages` has d+1 entries, and the last one's complex is isomorphic to
+    the complete unfolding by `witness`, compatibly with both projections
+    to the root.
     """
 
     root: Complex
@@ -234,18 +233,6 @@ class Tower:
     stages: tuple[TowerStage, ...]
     complete: UnfoldingResult
     witness: "IsoWitness"
-
-    @property
-    def complexes(self) -> tuple[Complex, ...]:
-        return (self.root,) + tuple(s.complex for s in self.stages)
-
-    @property
-    def final(self) -> PseudoComplex:
-        return self.stages[-1].complex
-
-    @property
-    def final_to_root(self) -> tuple[int, ...]:
-        return self.stages[-1].to_root
 
 
 def composition_tower(

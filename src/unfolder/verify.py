@@ -197,7 +197,7 @@ class _Context:
                 hom=lambda rec: induced_homomorphism_check(
                     rec.result, rec.source, crumpling_map(rec)
                 ),
-                order=lambda rec: projectivity_group(rec.result).order,
+                order=lambda rec: projectivity_group(rec.result).group.order,
                 crumpling=_crumpling_agreement,
                 balanced=lambda rec: balanced_coloring(rec.result) is not None,
                 euler=lambda rec: euler_characteristic(rec.result),
@@ -369,7 +369,7 @@ def check_proj_03(ctx: _Context) -> str:
         last = x.facet_count - 1
         pg0 = projectivity_group(x)
         pg1 = projectivity_group(x, last)
-        _require(pg0.order == pg1.order, f"{e.name}: orders differ")
+        _require(pg0.group.order == pg1.group.order, f"{e.name}: orders differ")
         conj = pg0.group.conjugated(pg0.transport_to(last))
         _require(conj.elements == pg1.group.elements, f"{e.name}: transport conjugation")
         n += 1
@@ -385,7 +385,7 @@ def check_proj_04(ctx: _Context) -> str:
         # G is closed under products, so H <= G when every generator of H is in G
         _require(all(p in pg.group for p, _tag in sub.generators), f"{e.name}: not a subgroup")
         if e.name in simply_connected:
-            _require(sub.order == pg.order, f"{e.name}: odd loops fail to generate")
+            _require(sub.order == pg.group.order, f"{e.name}: odd loops fail to generate")
         n += 1
     for maker in (pinched_strip,):
         try:
@@ -423,7 +423,7 @@ def check_unf_01(ctx: _Context) -> str:
         x = e.complex
         n = x.facet_count
         uc, up = ctx.uc(e), ctx.up(e)
-        _require(uc.total.facet_count == projectivity_group(x).order * n, e.name)
+        _require(uc.total.facet_count == projectivity_group(x).group.order * n, e.name)
         _require(up.total.facet_count == (x.dim + 1) * n, e.name)
     return f"facet-count laws hold on {len(ctx.entries)} complexes"
 
@@ -484,15 +484,16 @@ def check_unf_07(ctx: _Context) -> str:
         x = e.complex
         pg = projectivity_group(x)
         fibers = fibers_over(ctx.uc(e))
-        for cid in range(x.classes().count):
-            sg = star_group(x, cid)
-            emb = sg.group.conjugated(perm_inverse(pg.transport_to(sg.base_parent_facet)))
+        classes = x.classes()
+        for cid in range(classes.count):
+            to_base = perm_inverse(pg.transport_to(classes.first_ref(cid)[0]))
+            emb = star_group(x, cid).conjugated(to_base)
             _require(all(p in pg.group for p, _tag in emb.generators), f"{e.name}: class {cid}")
-            _require(pg.order % emb.order == 0)
+            index, rest = divmod(pg.group.order, emb.order)
+            _require(rest == 0)
             _require(
-                len(fibers[cid]) == pg.order // emb.order,
-                f"{e.name}: class {cid} has {len(fibers[cid])} fibers, "
-                f"index says {pg.order // emb.order}",
+                len(fibers[cid]) == index,
+                f"{e.name}: class {cid} has {len(fibers[cid])} fibers, index says {index}",
             )
             n += 1
     return f"{n} face classes match the coset count of their star group"
@@ -536,7 +537,7 @@ def check_sub_03(ctx: _Context) -> str:
         a = ctx.anti(e)
         _require(a["hom"], e.name)
         _require(
-            a["order"] == projectivity_group(e.complex).order,
+            a["order"] == projectivity_group(e.complex).group.order,
             f"{e.name}: image misses part of the group",
         )
         n += 1
@@ -611,7 +612,7 @@ def check_diag_02(ctx: _Context) -> str:
                     for small in combinations(sub, k):
                         closure.add(classes.class_of((f, small)))
         for cid in range(classes.count):
-            nontrivial = star_group(x, cid).order > 1
+            nontrivial = not star_group(x, cid).is_trivial
             _require((cid in closure) == nontrivial, f"{e.name}: class {cid}")
             n += 1
     return f"{n} star groups agree with odd-subcomplex membership"
@@ -669,7 +670,8 @@ def check_gen_01(ctx: _Context) -> str:
     for e in ctx.entries:
         x, want = e.complex, e.expected
         if want.group_order is not None:
-            _require(projectivity_group(x).order == want.group_order, f"{e.name}: group order")
+            order = projectivity_group(x).group.order
+            _require(order == want.group_order, f"{e.name}: group order")
         if want.odd_face_count is not None:
             got = len(odd_subcomplex(x).odd_faces)
             _require(got == want.odd_face_count, f"{e.name}: odd faces {got}")

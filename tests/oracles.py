@@ -797,7 +797,7 @@ def reference_isomorphic(p, q, constraints=None):
 
 def reference_complete(x, base):
     pg = projectivity_group(x, base)
-    elements = pg.group.sorted_elements()
+    elements = sorted(pg.group.elements)
     index = {g: i for i, g in enumerate(elements)}
     m = len(elements)
     n = x.facet_count
@@ -983,12 +983,8 @@ def reference_crumpling_group_pair(rec):
     d = x.dim
     sub_pg = projectivity_group(rec.result, base=rec.central_facet(0))
     mu = central_labels(rec)
-    transported = [carried(g, mu) for g in sub_pg.group.sorted_elements()]
-    lifted = PermutationGroup(
-        degree=d + 1,
-        elements=frozenset(transported),
-        generators=tuple((p, "transported") for p in transported),
-    )
+    transported = [carried(g, mu) for g in sorted(sub_pg.group.elements)]
+    lifted = PermutationGroup(d + 1, tuple((p, "transported") for p in transported))
     return lifted, projectivity_group(x).group
 
 

@@ -53,7 +53,7 @@ EXPORTS = {
         "perm_inverse", "perm_sign",
     ),
     "projectivities": (
-        "ProjectivityGroup", "StarGroup", "induced_homomorphism_check", "loop_projectivity",
+        "ProjectivityGroup", "induced_homomorphism_check", "loop_projectivity",
         "odd_generated_subgroup", "path_projectivity", "projectivity_group", "star_group",
     ),
     "subdivisions": (

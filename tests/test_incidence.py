@@ -107,10 +107,10 @@ def test_stars_and_links_match_the_full_scan(name, x):
         assert star == reference_star(x, cid), (name, cid)
         # the walk on the parent gives the star's own search from its first facet
         sg, want = star_group(x, cid), _search(star.complex, 0).group
-        assert sg.base_parent_facet == x.classes().first_ref(cid)[0], (name, cid)
-        assert [p for p, _t in sg.group.generators] == [p for p, _t in want.generators]
-        assert sg.group.elements == want.elements
-        for _p, tag in sg.group.generators:
+        assert star.parent_facets[0] == x.classes().first_ref(cid)[0], (name, cid)
+        assert [p for p, _t in sg.generators] == [p for p, _t in want.generators]
+        assert sg.elements == want.elements
+        for _p, tag in sg.generators:
             word, gid = tag.split()
             assert word == "gluing" and holds_class(x, int(gid), cid), (name, cid, tag)
         if x.classes().cards[cid] <= x.dim:
@@ -222,10 +222,10 @@ def test_a_disconnected_star_acts_by_its_base_component(x, order):
         projectivity_group(star.complex)
     # the walk starts at the first member, facet 0, and stays in its part
     sg = star_group(x, cid)
-    assert sg.base_parent_facet == star.parent_facets[0] == 0
+    assert x.classes().first_ref(cid)[0] == star.parent_facets[0] == 0
     ref = projectivity_group(part_complex(star.complex, parts[0]), 0)
-    assert sg.group.elements == ref.group.elements
-    assert [p for p, _t in sg.group.generators] == [p for p, _t in ref.group.generators]
+    assert sg.elements == ref.group.elements
+    assert [p for p, _t in sg.generators] == [p for p, _t in ref.group.generators]
     assert sg.order == order
 
 

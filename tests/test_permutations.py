@@ -73,6 +73,11 @@ def test_group_generated_and_orbits():
     assert g.orbits() == ((0, 1), (2, 3))
 
 
-def test_sorted_elements_deterministic():
-    g = PermutationGroup.generated([((1, 2, 0), "r")], 3)
-    assert g.sorted_elements() == [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+def test_a_group_is_closed_on_first_read_and_kept_only_when_finished():
+    g = PermutationGroup(3, (((1, 2, 0), "r"),))
+    assert not g.is_trivial
+    assert not g.within(2) and "elements" not in vars(g)
+    assert g.within(3) and sorted(g.elements) == [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+    assert vars(g)["elements"] is g.elements
+    assert not g.within(2) and g.order == 3
+    assert PermutationGroup(3, (((0, 1, 2), "id"),)).is_trivial

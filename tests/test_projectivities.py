@@ -129,14 +129,14 @@ def test_odd_generated_subgroup_recovers_whole_group_on_spheres():
     K = boundary_simplex(3)
     sub = odd_generated_subgroup(K)
     pg = projectivity_group(K)
-    assert sub.order == pg.order == 6
+    assert sub.order == pg.group.order == 6
 
 
 def test_odd_generated_subgroup_proper_on_torus():
     K = torus_z3()
     sub = odd_generated_subgroup(K)
     assert sub.is_trivial  # no odd faces, yet the group has order 3
-    assert projectivity_group(K).order == 3
+    assert projectivity_group(K).group.order == 3
 
 
 def test_meridian_is_a_transposition():

@@ -6,21 +6,25 @@ graphs by networkx, the group's order and orbits by sympy.  The corpus is
 every gallery entry and each abstract one as a pseudo-complex, seeded
 pseudo-complexes of dims 1 to 4, seeded abstract complexes, shuffled
 variants, and the emit -> parse round trip of each document whose labels
-are canonical, which must keep its report.
+are canonical, which must keep its report.  A locally strongly connected
+abstract complex must keep its report as a pseudo-complex, but for the
+lines that name vertices.
 """
 
 import json
+import re
 from functools import lru_cache
 from itertools import islice
 
 import pytest
 from corpus import seeded_abstract, seeded_pseudo, shuffled, shuffled_bary2, shuffled_pseudo
-from oracles import oracle_analyze
+from oracles import oracle_analyze, reference_lsc_witness
 
 from unfolder.cli import main
 from unfolder.complexes import AbstractComplex, as_pseudo
 from unfolder.gallery import gallery_entries
 from unfolder.io import emit, parse_document
+from unfolder.subdivisions import barycentric
 
 SEED = 20261020
 
@@ -66,15 +70,52 @@ DOCUMENTS = _documents()
 report = lru_cache(maxsize=None)(oracle_analyze)
 
 
-@pytest.mark.parametrize("text, source", [d[1:] for d in DOCUMENTS], ids=[d[0] for d in DOCUMENTS])
-def test_analyze_prints_the_oracle_report(text, source, capsys, tmp_path):
+def _analyze(text, capsys, tmp_path):
     path = tmp_path / "doc.json"
     path.write_text(text)
     assert main(["analyze", str(path)]) == 0
     out = capsys.readouterr()
-    assert (out.out, out.err) == (report(text), "")
+    assert out.err == ""
+    return out.out
+
+
+@pytest.mark.parametrize("text, source", [d[1:] for d in DOCUMENTS], ids=[d[0] for d in DOCUMENTS])
+def test_analyze_prints_the_oracle_report(text, source, capsys, tmp_path):
+    assert _analyze(text, capsys, tmp_path) == report(text)
     if source is not None:
         assert report(text) == report(source)
+
+
+def _abstract_lsc_documents():
+    """(name, text) of each abstract document of the corpus, and of the
+    barycentric subdivision of each abstract gallery entry, that is locally
+    strongly connected by the reference."""
+    docs = [(name, text) for name, text, _source in DOCUMENTS]
+    docs += [
+        (f"barycentric({e.name})", emit(barycentric(e.complex).result))
+        for e in gallery_entries()
+        if isinstance(e.complex, AbstractComplex)
+    ]
+    return [
+        (name, text)
+        for name, text in docs
+        if isinstance(K := parse_document(text).complex, AbstractComplex)
+        and reference_lsc_witness(K)[0]
+    ]
+
+
+ABSTRACT_LSC = _abstract_lsc_documents()
+
+
+@pytest.mark.parametrize("text", [d[1] for d in ABSTRACT_LSC], ids=[d[0] for d in ABSTRACT_LSC])
+def test_as_pseudo_changes_only_the_kind_and_the_vertex_names(text, capsys, tmp_path):
+    """K's classes keep their ids in as_pseudo(K): its report is K's, with
+    the kind changed and each odd class printed without its vertices."""
+    mine = _analyze(text, capsys, tmp_path)
+    want = re.sub(r"^kind: simplicial$", "kind: pseudo", mine, flags=re.M)
+    want = re.sub(r"^(  class \d+) = vertices \(.*\)$", r"\1", want, flags=re.M)
+    pseudo = emit(as_pseudo(parse_document(text).complex))
+    assert _analyze(pseudo, capsys, tmp_path) == want
 
 
 def test_the_corpus_holds_every_kind_of_report():
@@ -88,3 +129,5 @@ def test_the_corpus_holds_every_kind_of_report():
         assert line in seen, line
     assert any(line.startswith("Pi orbits: {") and line.count("{") >= 2 for line in seen)
     assert any(line.endswith("classes of codimension 2") for line in seen)
+    # printed only for an abstract, locally strongly connected document
+    assert any(line.startswith("  class ") and " = vertices (" in line for line in seen)

@@ -238,7 +238,7 @@ def test_barycentric_of_unbalanced_complex_unfolds_trivially():
     from unfolder.projectivities import projectivity_group
 
     K = boundary_simplex(3)
-    assert projectivity_group(K).order == 6
+    assert projectivity_group(K).group.order == 6
     b = barycentric(K).result
     assert projectivity_group(b).group.is_trivial
 

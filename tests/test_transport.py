@@ -19,14 +19,15 @@ from oracles import (
     reference_orientable,
 )
 
-from unfolder import cli, complexes, diagnostics, projectivities, unfoldings
+from unfolder import cli, complexes, diagnostics, permutations, projectivities, unfoldings
 from unfolder.complexes import Gluing, PseudoComplex, as_pseudo
 from unfolder.diagnostics import balanced_coloring, orientable
 from unfolder.errors import NotStronglyConnected
-from unfolder.gallery import boundary_simplex
+from unfolder.gallery import boundary_simplex, knot_neighborhood
 from unfolder.io import emit
-from unfolder.permutations import PermutationGroup
-from unfolder.projectivities import projectivity_group
+from unfolder.permutations import perm_compose, perm_inverse
+from unfolder.projectivities import odd_generated_subgroup, projectivity_group, star_group
+from unfolder.subdivisions import barycentric
 from unfolder.unfoldings import partial_unfolding
 
 
@@ -131,14 +132,14 @@ def test_a_kept_search_refuses_a_disconnected_complex_on_every_call():
     assert kept[1] is kept[0] and kept[2] is kept[0]
 
 
+def refuse(*args):
+    raise AssertionError("a group was closed")
+
+
 def test_no_group_is_closed_where_none_is_read(monkeypatch, capsys, tmp_path):
-    """The search closes its group on first read only: `analyze` on a
+    """A group is closed where its order is read: `analyze` on a
     disconnected complex and a partial unfolding read none."""
-
-    def refuse(*args):
-        raise AssertionError("a group was closed")
-
-    monkeypatch.setattr(PermutationGroup, "generated", staticmethod(refuse))
+    monkeypatch.setattr(permutations, "closure", refuse)
     doc = tmp_path / "x.json"
     doc.write_text(emit(two_copies(as_pseudo(boundary_simplex(3)))))
     assert cli.main(["analyze", str(doc)]) == 0
@@ -146,4 +147,25 @@ def test_no_group_is_closed_where_none_is_read(monkeypatch, capsys, tmp_path):
     u = partial_unfolding(boundary_simplex(8))
     assert len(u.component_partition) == 1
     with pytest.raises(AssertionError, match="a group was closed"):
-        projectivity_group(boundary_simplex(3)).group
+        projectivity_group(boundary_simplex(3)).group.order
+
+
+def test_generators_alone_answer_without_closing(monkeypatch):
+    """Triviality, a change of base and the odd subgroup read the generators
+    alone; each answer is then checked against the closed groups."""
+    monkeypatch.setattr(permutations, "closure", refuse)
+    assert balanced_coloring(barycentric(boundary_simplex(3)).result) is not None
+    x = knot_neighborhood(3, "klein").complex
+    trivial = [star_group(x, c).is_trivial for c in range(x.classes().count)]
+    odd_tags = [tag for _p, tag in odd_generated_subgroup(x).generators]
+    y = boundary_simplex(3)
+    pg = projectivity_group(y)
+    t = pg.transport_to(y.facet_count - 1)
+    moved = pg.group.conjugated(t)
+    want = [(perm_compose(perm_compose(perm_inverse(t), g), t), tag) for g, tag in pg.group.generators]
+    assert list(moved.generators) == want
+    monkeypatch.undo()
+    assert trivial == [star_group(x, c).order == 1 for c in range(x.classes().count)]
+    assert trivial.count(False) == 6
+    assert odd_tags == ["around class 26", "around class 69", "around class 80"]
+    assert moved.elements == projectivity_group(y, y.facet_count - 1).group.elements

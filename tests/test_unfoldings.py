@@ -250,17 +250,17 @@ def test_complete_unfolding_has_a_trivial_group(entry):
 def test_composition_tower_reaches_the_complete_unfolding():
     tower = composition_tower(boundary_simplex(3))
     assert len(tower.stages) == 3
-    assert tower.final.facet_count == 24
+    assert tower.stages[-1].complex.facet_count == 24
     assert tower.witness is not None
     # the witness respects both projections to the root
     for f, t in enumerate(tower.witness.facet_map):
-        assert tower.final_to_root[f] == tower.complete.projection[t]
+        assert tower.stages[-1].to_root[f] == tower.complete.projection[t]
 
 
 def test_composition_tower_on_odd_cycle():
     tower = composition_tower(cycle_graph(5))
     assert len(tower.stages) == 2
-    assert tower.final.facet_count == 10
+    assert tower.stages[-1].complex.facet_count == 10
 
 
 def test_branch_census_requires_a_nice_base():

@@ -55,10 +55,21 @@ def test_each_gallery_subdivision_is_built_once(counted_run):
     assert calls == {"antiprismatic": 21, "barycentric": 19}
 
 
-def test_the_props_suite_gives_the_props_rows_of_the_whole_suite(counted_run):
+@pytest.mark.parametrize("suite", ["props", "paper"])
+def test_each_suite_prints_its_rows_of_the_whole_suite(counted_run, capsys, suite):
+    # the two suites partition the checks, so together they print the whole table
+    assert {tag for _id, tag, _fn in verify.CHECKS} == {"props", "paper"}
     rows, _calls = counted_run
-    props = {check_id for check_id, suite, _fn in verify.CHECKS if suite == "props"}
-    assert _rows(run_suite("props")) == [row for row in rows if row[0] in props]
+    ids = {check_id for check_id, tag, _fn in verify.CHECKS if tag == suite}
+    want = [row for row in rows if row[0] in ids]
+    passed = sum(ok for _id, ok, _detail in want)
+    code = cli.main(["verify", "--suite", suite])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(None, 2) for line in lines[:-1]] == [
+        [check_id, "PASS" if ok else "FAIL", detail] for check_id, ok, detail in want
+    ]
+    assert lines[-1] == f"{passed} of {len(want)} checks passed ({suite} suite)"
+    assert code == (0 if passed == len(want) else 1)
 
 
 @pytest.mark.parametrize(
