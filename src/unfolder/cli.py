@@ -91,10 +91,10 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
         print(f"balanced: {'yes' if balanced_coloring(x) is not None else 'no'}")
         pg = projectivity_group(x)
         print(f"Pi order: {pg.group.order}")
-        if pg.group.generators:
+        if pg.loops:
             print("Pi generators:")
-            for p, tag in pg.group.generators:
-                print(f"  {perm_cycle_string(p)} from {tag}")
+            for p, gid in pg.loops:
+                print(f"  {perm_cycle_string(p)} from gluing {gid}")
         else:
             print("Pi generators: none")
         orbits = " ".join(

@@ -219,8 +219,9 @@ def _ridge_error(
 ) -> str | None:
     """What is wrong with a gluing's ridge data in dimension `d`, or None.
 
-    Stars, links, lifts and components copy the ridge data of gluings that
-    were already checked, so nearly every call is a cache hit."""
+    Only parsed or hand-built complexes and `link_of_class`'s link reach
+    it: stars, lifts and components are built `PseudoComplex.trusted`.  A
+    complex's gluings share few shapes, so nearly every call is a cache hit."""
     for ridge in (ridge_a, ridge_b):
         if len(ridge) != d or sorted(set(ridge)) != list(ridge):
             return f"ridge {ridge} is not a sorted {d}-subset"
@@ -620,7 +621,7 @@ def gluings_of(x: Complex) -> tuple[Gluing, ...]:
 
 
 @per_instance
-def vertex_classes(x: Complex) -> tuple[tuple[FaceRef, ...], ...]:
+def vertex_classes(x: PseudoComplex) -> tuple[tuple[FaceRef, ...], ...]:
     """The members of the vertex classes of `x`, in class-id order.
 
     Equal to `members_of` of the card-1 classes of `x.classes()`, without
@@ -633,19 +634,11 @@ def vertex_classes(x: Complex) -> tuple[tuple[FaceRef, ...], ...]:
     """
     w = x.dim + 1
     n = x.facet_count
-    if isinstance(x, AbstractComplex):
-        first: dict[int, int] = {}
-        pairs = (
-            (first.setdefault(v, f * w + l), f * w + l)
-            for f, verts in enumerate(x.facets)
-            for l, v in enumerate(verts)
-        )
-    else:
-        pairs = (
-            (a * w + va, b * w + vb)
-            for a, ridge_a, b, _ridge_b, mapping in x.gluings
-            for va, vb in zip(ridge_a, mapping)
-        )
+    pairs = (
+        (a * w + va, b * w + vb)
+        for a, ridge_a, b, _ridge_b, mapping in x.gluings
+        for va, vb in zip(ridge_a, mapping)
+    )
     roots = _roots(n * w, pairs)
     # the first vertex, in slot order, that meets an earlier one of its copy
     bad = next(_repeats(roots, w, range(n)), None)
@@ -826,7 +819,6 @@ class StarView:
     copies are visited.
     """
 
-    class_id: int
     parent_facets: tuple[int, ...]  # sorted parent copy ids; index = star facet id
     complex: PseudoComplex
     rep_in: tuple[tuple[int, ...], ...]  # star facet id -> local vertex tuple of class
@@ -844,7 +836,7 @@ def star_of_class(x: Complex, cid: int) -> StarView:
     )
     star = PseudoComplex.trusted(x.dim, len(facet_ids), sub_gluings)
     reps = tuple(rep_by_facet[f] for f in facet_ids)
-    return StarView(cid, facet_ids, star, reps)
+    return StarView(facet_ids, star, reps)
 
 
 def link_of_class(x: Complex, cid: int) -> PseudoComplex:

@@ -6,10 +6,10 @@ Projectivities compose left to right (apply the first path segment first),
 so `perm_compose(p, q)` means "p, then q", and the projectivity search
 composes its transports with a gluing's step in that same way.
 
-A group is its tagged generators.  Triviality, orbits and a change of base
-read the generators alone; a change of base carries each generator g along
-a label bijection t to t^-1 g t (`PermutationGroup.conjugated`).  Only the
-order, a membership test or the element list close the group, by
+A group is its generators, plain permutations.  Triviality, orbits and a
+change of base read the generators alone; a change of base carries each
+generator g along a label bijection t to t^-1 g t (`conjugated`).  Only
+the order, a membership test or the element list close the group, by
 saturation, on first read, and the elements are then kept.  Groups here
 are small: order at most (d+1)!, where d <= 4 for the gallery and benchmark
 inputs and d <= `complexes.MAX_DIM` = 8 for any document.
@@ -82,7 +82,7 @@ def perm_cycle_string(p: Perm) -> str:
     return "".join(parts) if parts else "id"
 
 
-def closure(generators: list[Perm], degree: int, limit: float = inf) -> frozenset[Perm] | None:
+def closure(generators: tuple[Perm, ...], degree: int, limit: float = inf) -> frozenset[Perm] | None:
     """Multiply-and-saturate closure of the generated subgroup; None past `limit` elements."""
     ident = perm_identity(degree)
     elems: set[Perm] = {ident}
@@ -104,14 +104,14 @@ def closure(generators: list[Perm], degree: int, limit: float = inf) -> frozense
 
 @dataclass(frozen=True)
 class PermutationGroup:
-    """The subgroup of Sym({0..degree-1}) that the tagged generators
-    generate, closed on first read of `elements`."""
+    """The subgroup of Sym({0..degree-1}) that the generators generate,
+    closed on first read of `elements`."""
 
     degree: int
-    generators: tuple[tuple[Perm, str], ...]
+    generators: tuple[Perm, ...]
 
     @staticmethod
-    def generated(gens: list[tuple[Perm, str]], degree: int) -> "PermutationGroup":
+    def generated(gens: list[Perm], degree: int) -> "PermutationGroup":
         """The group `gens` generate, closed now."""
         group = PermutationGroup(degree, tuple(gens))
         group.within(inf)
@@ -119,14 +119,14 @@ class PermutationGroup:
 
     @cached_property
     def elements(self) -> frozenset[Perm]:
-        return closure([g for g, _tag in self.generators], self.degree)
+        return closure(self.generators, self.degree)
 
     def within(self, limit: float) -> bool:
         """Whether the group has at most `limit` elements.  The closure stops
         once it passes `limit`, and the elements are kept only when it
         finished."""
         if "elements" not in self.__dict__:
-            elems = closure([g for g, _tag in self.generators], self.degree, limit)
+            elems = closure(self.generators, self.degree, limit)
             if elems is None:
                 return False
             self.__dict__["elements"] = elems  # what reading `elements` keeps
@@ -139,18 +139,17 @@ class PermutationGroup:
     @property
     def is_trivial(self) -> bool:
         ident = perm_identity(self.degree)
-        return all(g == ident for g, _tag in self.generators)
+        return all(g == ident for g in self.generators)
 
     def __contains__(self, p: Perm) -> bool:
         return p in self.elements
 
     def conjugated(self, t: Perm) -> "PermutationGroup":
         """The group carried along the label bijection t: each generator g
-        becomes t^-1 g t, with its tag."""
+        becomes t^-1 g t."""
         t_inv = perm_inverse(t)
         return PermutationGroup(
-            self.degree,
-            tuple((perm_compose(perm_compose(t_inv, g), t), tag) for g, tag in self.generators),
+            self.degree, tuple(perm_compose(perm_compose(t_inv, g), t) for g in self.generators)
         )
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
@@ -158,7 +157,6 @@ class PermutationGroup:
 
         On a finite set the orbits of a group are closed under its
         generators alone, so only the generators' images are followed."""
-        gens = [p for p, _tag in self.generators]
         seen = [False] * self.degree
         out: list[tuple[int, ...]] = []
         for start in range(self.degree):
@@ -167,7 +165,7 @@ class PermutationGroup:
             seen[start] = True
             orbit = [start]
             for x in orbit:  # grows while it is read
-                for p in gens:
+                for p in self.generators:
                     if not seen[p[x]]:
                         seen[p[x]] = True
                         orbit.append(p[x])

@@ -61,13 +61,14 @@ class ProjectivityGroup:
     `roots[f]` is the root of f's tree and `transports[f]` the projectivity
     along the tree path from that root to f.  Each non-tree gluing of the
     base's tree closes one loop at the base; `loops` holds each as
-    (projectivity, gluing id), in search order.  On first read, `group` is
-    built from the loops, each tagged by its gluing; like any
-    `PermutationGroup` it is closed only where its order, a membership or
-    its elements are read.  `orientable` says whether every non-tree gluing
-    of the forest agrees with the facet orientations carried along its
-    tree.  Connectivity, `balanced_coloring`, `orientable` and the
-    isomorphism search's facet order are all read off this one search.
+    (projectivity, gluing id), in search order, so the search alone knows
+    which gluing closed which loop.  On first read, `group` is built from
+    the loops' projectivities; like any `PermutationGroup` it is closed
+    only where its order, a membership or its elements are read.
+    `orientable` says whether every non-tree gluing of the forest agrees
+    with the facet orientations carried along its tree.  Connectivity,
+    `balanced_coloring`, `orientable` and the isomorphism search's facet
+    order are all read off this one search.
     """
 
     base: int
@@ -80,8 +81,7 @@ class ProjectivityGroup:
 
     @cached_property
     def group(self) -> PermutationGroup:
-        gens = tuple((p, f"gluing {gid}") for p, gid in self.loops)
-        return PermutationGroup(len(self.transports[self.base]), gens)
+        return PermutationGroup(len(self.transports[self.base]), tuple(p for p, _gid in self.loops))
 
     @property
     def spans(self) -> bool:
@@ -193,7 +193,7 @@ def star_group(x: Complex, cid: int) -> PermutationGroup:
     members = {base: rep}
     crossed: set[int] = set()
     order = [base]
-    loops: list[tuple[Perm, str]] = []
+    loops: list[Perm] = []
     for f in order:  # grows while it is read
         t_f, member = transports[f], members[f]
         for k in range(offsets[f], offsets[f + 1]):
@@ -212,10 +212,11 @@ def star_group(x: Complex, cid: int) -> PermutationGroup:
                 order.append(w)
             else:  # the loop is moved, then back along the tree
                 loop = ident if moved == t_w else perm_compose(moved, perm_inverse(t_w))
-                tag = f"gluing {gid}"
                 if any(loop[v] != v for v in rep):
-                    raise Mismatch(f"a star projectivity of class {cid} moved the class ({tag})")
-                loops.append((loop, tag))
+                    raise Mismatch(
+                        f"a star projectivity of class {cid} moved the class (gluing {gid})"
+                    )
+                loops.append(loop)
     return PermutationGroup(d + 1, tuple(loops))
 
 
@@ -231,11 +232,10 @@ def odd_generated_subgroup(x: Complex) -> PermutationGroup:
     odd = odd_subcomplex(x).odd_faces
     pg = projectivity_group(x)
     classes = x.classes()
-    gens: list[tuple[Perm, str]] = []
+    gens: list[Perm] = []
     for cid in odd:
         to_base = perm_inverse(pg.transport_to(classes.first_ref(cid)[0]))
-        at_base = star_group(x, cid).conjugated(to_base)
-        gens.extend((p, f"around class {cid}") for p, _tag in at_base.generators)
+        gens.extend(star_group(x, cid).conjugated(to_base).generators)
     return PermutationGroup(x.dim + 1, tuple(gens))
 
 
@@ -266,4 +266,4 @@ def induced_homomorphism_check(K, L, vertex_map: dict[int, int]) -> bool:
     verts_l = L.facets[base_l]
     phi = tuple(verts_l.index(vertex_map[v]) for v in verts_k)
     gl = projectivity_group(L, base_l).group
-    return all(g in gl for g, _tag in projectivity_group(K).group.conjugated(phi).generators)
+    return all(g in gl for g in projectivity_group(K).group.conjugated(phi).generators)

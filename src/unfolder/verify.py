@@ -383,7 +383,7 @@ def check_proj_04(ctx: _Context) -> str:
         sub = odd_generated_subgroup(e.complex)
         pg = projectivity_group(e.complex)
         # G is closed under products, so H <= G when every generator of H is in G
-        _require(all(p in pg.group for p, _tag in sub.generators), f"{e.name}: not a subgroup")
+        _require(all(p in pg.group for p in sub.generators), f"{e.name}: not a subgroup")
         if e.name in simply_connected:
             _require(sub.order == pg.group.order, f"{e.name}: odd loops fail to generate")
         n += 1
@@ -402,7 +402,7 @@ def check_proj_05(ctx: _Context) -> str:
     for e in ctx.lsc_entries():
         sub = odd_generated_subgroup(e.complex)
         ident = _ident(e.complex.dim)
-        for p, _tag in sub.generators:
+        for p in sub.generators:
             _require(p == ident or perm_is_transposition(p), f"{e.name}: {p}")
             n += 1
     return f"{n} odd generators, each a transposition or the identity"
@@ -488,7 +488,7 @@ def check_unf_07(ctx: _Context) -> str:
         for cid in range(classes.count):
             to_base = perm_inverse(pg.transport_to(classes.first_ref(cid)[0]))
             emb = star_group(x, cid).conjugated(to_base)
-            _require(all(p in pg.group for p, _tag in emb.generators), f"{e.name}: class {cid}")
+            _require(all(p in pg.group for p in emb.generators), f"{e.name}: class {cid}")
             index, rest = divmod(pg.group.order, emb.order)
             _require(rest == 0)
             _require(

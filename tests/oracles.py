@@ -300,15 +300,9 @@ def _gluings(x):
 def reference_vertex_classes(x):
     w = x.dim + 1
     uf = ReferenceUnionFind(x.facet_count * w)
-    if isinstance(x, AbstractComplex):
-        slot = {}
-        for f, verts in enumerate(x.facets):
-            for l, v in enumerate(verts):
-                uf.union(slot.setdefault(v, f * w + l), f * w + l)
-    else:
-        for g in x.gluings:
-            for va, vb in zip(g.ridge_a, g.mapping):
-                uf.union(g.facet_a * w + va, g.facet_b * w + vb)
+    for g in x.gluings:
+        for va, vb in zip(g.ridge_a, g.mapping):
+            uf.union(g.facet_a * w + va, g.facet_b * w + vb)
     groups = {}
     for f in range(x.facet_count):
         for l in range(w):
@@ -362,7 +356,7 @@ def reference_star(x, cid):
         )
     star = PseudoComplex(x.dim, len(facet_ids), tuple(sub))
     reps = tuple(rep_by_facet[f] for f in facet_ids)
-    return StarView(cid, facet_ids, star, reps)
+    return StarView(facet_ids, star, reps)
 
 
 def reference_link(x, cid):
@@ -461,10 +455,10 @@ def reference_search(x, base):
             perm_inverse(transports[w]),
         )
         loops.append((loop, gid))
-    gens = [(loop, f"gluing {gid}") for loop, gid in loops]
+    gens = tuple(loop for loop, _gid in loops)
     return {
         "base": base,
-        "group": (tuple(gens), reference_closure([p for p, _t in gens], x.dim + 1)),
+        "group": (gens, reference_closure(gens, x.dim + 1)),
         "transports": tuple(transports),
         "tree_gluings": tuple(tree),
         "reached": tuple(order),
@@ -983,8 +977,8 @@ def reference_crumpling_group_pair(rec):
     d = x.dim
     sub_pg = projectivity_group(rec.result, base=rec.central_facet(0))
     mu = central_labels(rec)
-    transported = [carried(g, mu) for g in sorted(sub_pg.group.elements)]
-    lifted = PermutationGroup(d + 1, tuple((p, "transported") for p in transported))
+    transported = tuple(carried(g, mu) for g in sorted(sub_pg.group.elements))
+    lifted = PermutationGroup(d + 1, transported)
     return lifted, projectivity_group(x).group
 
 
@@ -1036,10 +1030,10 @@ def oracle_analyze(text):
         lines.append(f"balanced: {_yes(reference_balanced_coloring(x) is not None)}")
         group = reference_group(glued)
         lines.append(f"Pi order: {group.order()}")
-        gens = reference_search(glued, 0)["group"][0]
-        if gens:
+        loops = reference_search(glued, 0)["loops"]
+        if loops:
             lines.append("Pi generators:")
-            lines += [f"  {_cycles(p)} from {tag}" for p, tag in gens]
+            lines += [f"  {_cycles(p)} from gluing {gid}" for p, gid in loops]
         else:
             lines.append("Pi generators: none")
         orbits = sorted(sorted(orbit) for orbit in group.orbits())

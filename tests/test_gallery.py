@@ -175,7 +175,8 @@ REPORTS = _recorded_reports()
 @pytest.mark.parametrize("e", gallery_entries(), ids=lambda e: e.name)
 def test_analyze_prints_the_recorded_report(e, capsys, tmp_path):
     """The whole report, `Pi generators` lines included (their cycles,
-    order and gluing tags), on the document `gallery NAME` prints."""
+    order and the gluing id each loop holds in `ProjectivityGroup.loops`),
+    on the document `gallery NAME` prints."""
     assert main(["gallery", e.name]) == 0
     doc = tmp_path / "doc.json"
     doc.write_text(capsys.readouterr().out)

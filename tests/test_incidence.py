@@ -90,13 +90,6 @@ def assert_kept_search_matches(x, base, ref):
         assert_search_matches(projectivity_group(x, base), ref)
 
 
-def holds_class(x, gid, cid):
-    """Whether gluing `gid`'s ridge holds a member of class `cid`."""
-    g, classes = x.gluings[gid], x.classes()
-    card = classes.cards[cid]
-    return any(classes.class_of((g.facet_a, sub)) == cid for sub in combinations(g.ridge_a, card))
-
-
 STAR_CASES = CASES + branched_cases()
 
 
@@ -108,11 +101,8 @@ def test_stars_and_links_match_the_full_scan(name, x):
         # the walk on the parent gives the star's own search from its first facet
         sg, want = star_group(x, cid), _search(star.complex, 0).group
         assert star.parent_facets[0] == x.classes().first_ref(cid)[0], (name, cid)
-        assert [p for p, _t in sg.generators] == [p for p, _t in want.generators]
+        assert sg.generators == want.generators, (name, cid)
         assert sg.elements == want.elements
-        for _p, tag in sg.generators:
-            word, gid = tag.split()
-            assert word == "gluing" and holds_class(x, int(gid), cid), (name, cid, tag)
         if x.classes().cards[cid] <= x.dim:
             assert link_of_class(x, cid) == reference_link(x, cid), (name, cid)
             # the star's own search, inside its base component
@@ -225,7 +215,7 @@ def test_a_disconnected_star_acts_by_its_base_component(x, order):
     assert x.classes().first_ref(cid)[0] == star.parent_facets[0] == 0
     ref = projectivity_group(part_complex(star.complex, parts[0]), 0)
     assert sg.elements == ref.group.elements
-    assert [p for p, _t in sg.generators] == [p for p, _t in ref.group.generators]
+    assert sg.generators == ref.group.generators
     assert sg.order == order
 
 

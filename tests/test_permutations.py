@@ -62,22 +62,22 @@ def test_cycle_string():
 
 
 def test_closure_generates_symmetric_group():
-    elems = closure([(1, 0, 2), (0, 2, 1)], 3)
+    elems = closure(((1, 0, 2), (0, 2, 1)), 3)
     assert len(elems) == 6
 
 
 def test_group_generated_and_orbits():
-    g = PermutationGroup.generated([((1, 0, 2, 3), "a"), ((0, 1, 3, 2), "b")], 4)
+    g = PermutationGroup.generated([(1, 0, 2, 3), (0, 1, 3, 2)], 4)
     assert g.order == 4
     assert (1, 0, 3, 2) in g
     assert g.orbits() == ((0, 1), (2, 3))
 
 
 def test_a_group_is_closed_on_first_read_and_kept_only_when_finished():
-    g = PermutationGroup(3, (((1, 2, 0), "r"),))
+    g = PermutationGroup(3, ((1, 2, 0),))
     assert not g.is_trivial
     assert not g.within(2) and "elements" not in vars(g)
     assert g.within(3) and sorted(g.elements) == [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
     assert vars(g)["elements"] is g.elements
     assert not g.within(2) and g.order == 3
-    assert PermutationGroup(3, (((0, 1, 2), "id"),)).is_trivial
+    assert PermutationGroup(3, ((0, 1, 2),)).is_trivial

@@ -22,7 +22,7 @@ from unfolder.projectivities import (
     projectivity_group,
     star_group,
 )
-from unfolder.subdivisions import antiprismatic, crumpling_map
+from unfolder.subdivisions import antiprismatic, crumpling_group_pair, crumpling_map
 from unfolder.unfoldings import complete_unfolding
 
 
@@ -88,7 +88,31 @@ def test_every_base_change_is_the_group_conjugated_by_the_transport(e):
         moved = pg0.group.conjugated(t)
         assert moved.elements == projectivity_group(x, f).group.elements
         assert moved.degree == pg0.group.degree
-        assert moved.generators == tuple((carried(g, t), tag) for g, tag in pg0.group.generators)
+        assert moved.generators == tuple(carried(g, t) for g in pg0.group.generators)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: boundary_simplex(3), starred_triangle, lambda: knot_neighborhood(3, "klein").complex],
+    ids=["boundary-simplex-3", "starred-triangle", "knot-nbhd:3:klein"],
+)
+def test_every_generator_is_a_permutation(make):
+    """A group is its permutations: no generator the library returns
+    carries anything beside its `degree` images."""
+    x = make()
+    pg = projectivity_group(x)
+    groups = [
+        pg.group,
+        pg.group.conjugated(pg.transport_to(x.facet_count - 1)),
+        odd_generated_subgroup(x),
+        *(star_group(x, c) for c in range(x.classes().count)),
+        *crumpling_group_pair(antiprismatic(x)),
+    ]
+    assert groups[0].generators and groups[2].generators  # neither check is vacuous
+    for group in groups:
+        for g in group.generators:
+            assert type(g) is tuple and len(g) == group.degree, g
+            assert all(type(v) is int for v in g), g
 
 
 @pytest.mark.parametrize("facet", [99, 4, -1])

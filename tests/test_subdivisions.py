@@ -264,11 +264,11 @@ def test_crumpling_group_pair_matches_a_search_at_the_central_facet(name):
     lifted, ground = crumpling_group_pair(rec)
     want_lifted, want_ground = reference_crumpling_group_pair(rec)
     assert lifted.elements == want_lifted.elements
-    # the generators are the subdivision's loops at facet 0 with their tags,
+    # the generators are the subdivision's loops at facet 0, in order,
     # carried by the tree transport to the central facet, then by its labels
     pg = projectivity_group(rec.result)
     t, mu = pg.transport_to(rec.central_facet(0)), central_labels(rec)
-    want_gens = tuple((carried(carried(g, t), mu), tag) for g, tag in pg.group.generators)
+    want_gens = tuple(carried(carried(p, t), mu) for p, _gid in pg.loops)
     assert lifted.generators == want_gens
     d = rec.source.dim
     assert PermutationGroup.generated(lifted.generators, d + 1).elements == lifted.elements

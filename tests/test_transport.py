@@ -21,7 +21,7 @@ from oracles import (
 
 from unfolder import cli, complexes, diagnostics, permutations, projectivities, unfoldings
 from unfolder.complexes import Gluing, PseudoComplex, as_pseudo
-from unfolder.diagnostics import balanced_coloring, orientable
+from unfolder.diagnostics import balanced_coloring, odd_subcomplex, orientable
 from unfolder.errors import NotStronglyConnected
 from unfolder.gallery import boundary_simplex, knot_neighborhood
 from unfolder.io import emit
@@ -157,15 +157,22 @@ def test_generators_alone_answer_without_closing(monkeypatch):
     assert balanced_coloring(barycentric(boundary_simplex(3)).result) is not None
     x = knot_neighborhood(3, "klein").complex
     trivial = [star_group(x, c).is_trivial for c in range(x.classes().count)]
-    odd_tags = [tag for _p, tag in odd_generated_subgroup(x).generators]
+    # each odd class's star group, carried to facet 0, in the odd subcomplex's order
+    odd_gens = odd_generated_subgroup(x).generators
+    pg, first_ref = projectivity_group(x), x.classes().first_ref
+    at_base = [
+        star_group(x, c).conjugated(perm_inverse(pg.transport_to(first_ref(c)[0])))
+        for c in odd_subcomplex(x).odd_faces
+    ]
+    assert odd_gens == tuple(p for group in at_base for p in group.generators)
     y = boundary_simplex(3)
     pg = projectivity_group(y)
     t = pg.transport_to(y.facet_count - 1)
     moved = pg.group.conjugated(t)
-    want = [(perm_compose(perm_compose(perm_inverse(t), g), t), tag) for g, tag in pg.group.generators]
+    want = [perm_compose(perm_compose(perm_inverse(t), g), t) for g in pg.group.generators]
     assert list(moved.generators) == want
     monkeypatch.undo()
     assert trivial == [star_group(x, c).order == 1 for c in range(x.classes().count)]
     assert trivial.count(False) == 6
-    assert odd_tags == ["around class 26", "around class 69", "around class 80"]
+    assert odd_subcomplex(x).odd_faces == (26, 69, 80) and len(odd_gens) == 3
     assert moved.elements == projectivity_group(y, y.facet_count - 1).group.elements
